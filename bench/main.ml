@@ -1165,7 +1165,7 @@ type verify_row = {
   vr_name : string;
   vr_gates : int;
   vr_errors : int;  (* CEC + net-prove errors: must be 0 *)
-  vr_certs : int;  (* CEC003/005/007 + NET011 certificates *)
+  vr_certs : int;  (* CEC003/005 + NET011 certificates *)
   vr_verify_wall : float;
   vr_raw_faults : int;
   vr_classes : int;
@@ -1189,7 +1189,7 @@ let vr_observed_union (b : Arch.built) =
   Array.of_list
     (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
 
-let vr_cert_codes = [ "CEC003"; "CEC005"; "CEC007"; "NET011" ]
+let vr_cert_codes = [ "CEC003"; "CEC005"; "NET011" ]
 
 let verify_row ~cycles name =
   let machine =

@@ -801,8 +801,7 @@ let verify_cmd =
          & info [ "cec" ]
              ~doc:
                "Equivalence checking only: minimized blocks vs their on/dc \
-                specification, packed vs naive minimizer, netlists vs the \
-                FSM tables.")
+                specification, netlists vs the FSM tables.")
   in
   let redundant =
     Arg.(value & flag

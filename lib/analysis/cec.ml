@@ -2,15 +2,12 @@
    codes and the modulo-dc proof obligations. *)
 
 module Cover = Stc_logic.Cover
-module Naive = Stc_logic.Naive
 module N = Stc_netlist.Netlist
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
 module Solver = Stc_sat.Solver
 module Cnf = Stc_sat.Cnf
 module D = Diagnostic
-
-let naive_budget = 10.0
 
 (* Render the model's assignment of [inputs] as a 0/1 string, variable 0
    leftmost - the witness format of every CEC error. *)
@@ -80,54 +77,6 @@ let check_block ~subject (b : Context.block) =
            (Array.length impl));
     ]
   | errs -> errs
-
-(* --- packed vs. naive minimizer -------------------------------------- *)
-
-let check_naive_agreement ~subject (b : Context.block) =
-  match Naive.minimize ~budget:naive_budget ~dc:b.Context.dc b.Context.on with
-  | exception Naive.Timeout ->
-    [
-      D.info ~code:"CEC008" ~subject ~loc:"cover"
-        (Printf.sprintf
-           "naive reference minimization exceeded its %gs budget; the \
-            packed-vs-naive agreement proof was skipped"
-           naive_budget);
-    ]
-  | reference, _iterations ->
-    let s = Solver.create () in
-    let inputs = Cnf.fresh_inputs s b.Context.on.Cover.num_vars in
-    let packed = Cnf.add_cover s b.Context.minimized ~inputs in
-    let naive = Cnf.add_cover s reference ~inputs in
-    let dc_lits = Cnf.add_cover s b.Context.dc ~inputs in
-    let errs = ref [] in
-    Array.iteri
-      (fun o packed_o ->
-        let diff = Cnf.mk_xor s packed_o naive.(o) in
-        match
-          Solver.solve ~assumptions:[ diff; Solver.negate dc_lits.(o) ] s
-        with
-        | Solver.Sat ->
-          errs :=
-            D.error ~code:"CEC006" ~subject
-              ~loc:(Printf.sprintf "output %d" o)
-              (Printf.sprintf
-                 "packed and naive minimizers disagree on a care minterm \
-                  (witness inputs %s)"
-                 (witness s inputs))
-            :: !errs
-        | Solver.Unsat -> ())
-      packed;
-    (match List.rev !errs with
-    | [] ->
-      [
-        D.info ~code:"CEC007" ~subject ~loc:"cover"
-          (Printf.sprintf
-             "packed minimizer output (%d cubes) proven equivalent to the \
-              naive reference (%d cubes) modulo dc"
-             (Cover.size b.Context.minimized)
-             (Cover.size reference));
-      ]
-    | errs -> errs)
 
 (* --- netlists vs. FSM tables ----------------------------------------- *)
 
@@ -294,14 +243,13 @@ let pass =
     Pass.name = "cec";
     doc =
       "SAT equivalence proofs: minimized blocks vs. on/dc specification, \
-       packed vs. naive minimizer, architecture netlists vs. FSM tables \
-       (CEC001-CEC008)";
+       architecture netlists vs. FSM tables (CEC001-CEC005)";
     run =
       (fun ctx ->
         List.concat_map
           (fun b ->
             let subject = Context.subject ctx b.Context.block_label in
-            check_block ~subject b @ check_naive_agreement ~subject b)
+            check_block ~subject b)
           ctx.Context.blocks
         @ List.concat_map
             (fun t ->

@@ -1,13 +1,11 @@
 (** Combinational equivalence checking (SAT miters).
 
-    Three proof obligations per context, all discharged with
-    {!Stc_sat.Solver} miters and all {e modulo the don't-care set} (two
+    Two proof obligations per context, both discharged with
+    {!Stc_sat.Solver} miters and both {e modulo the don't-care set} (two
     correct implementations may legitimately differ on dc minterms):
 
-    - every minimized block against its on/dc specification;
-    - the packed minimizer's output against the [Naive] reference
-      engine's output on the same specification (replacing the QCheck
-      sampling cross-check with proof);
+    - every minimized block against its on/dc specification - the proof
+      that the shipped cover is correct, whichever engine produced it;
     - every architecture netlist against the FSM truth tables: fig. 4's
       C1/C2/Lambda cones, fig. 1's monolithic block, fig. 2 in both
       functional ([test_mode = 0], state from R) and test
@@ -20,27 +18,13 @@
     - [CEC003] note: block proven equivalent to its specification;
     - [CEC004] error: a netlist output disagrees with its table spec on
       a care minterm (witness);
-    - [CEC005] note: netlist group proven equivalent to its tables;
-    - [CEC006] error: packed and naive minimizers disagree on a care
-      minterm (witness);
-    - [CEC007] note: packed output proven equivalent to the naive
-      reference;
-    - [CEC008] note: the naive reference exceeded its time budget, the
-      agreement proof was skipped. *)
+    - [CEC005] note: netlist group proven equivalent to its tables.
 
-(** Wall-clock budget (seconds) for the [Naive] reference minimization
-    behind the CEC006/CEC007 agreement proof. *)
-val naive_budget : float
+    CEC006-CEC008 are retired and not reused. *)
 
 (** [check_block ~subject b] proves [b.minimized] against [(b.on, b.dc)]:
     CEC001/CEC002 errors or the CEC003 certificate. *)
 val check_block : subject:string -> Context.block -> Diagnostic.t list
-
-(** [check_naive_agreement ~subject b] re-minimizes [b]'s specification
-    with the [Naive] reference engine and proves the two results
-    equivalent modulo dc: CEC006/CEC007/CEC008. *)
-val check_naive_agreement :
-  subject:string -> Context.block -> Diagnostic.t list
 
 (** [check_netlist ~subject ctx target] proves the architecture netlist
     [target] against the FSM tables (labels [fig1]-[fig4]; unknown

@@ -1,7 +1,6 @@
 module Partition = Stc_partition.Partition
 module Pair = Stc_partition.Pair
 module Machine = Stc_fsm.Machine
-module Equiv = Stc_fsm.Equiv
 module Rng = Stc_util.Rng
 module Parallel = Stc_util.Parallel
 module Clock = Stc_util.Clock
@@ -111,32 +110,8 @@ let make_ctx machine =
     machine;
     n = machine.Machine.num_states;
     next = machine.Machine.next;
-    equiv = Partition.of_class_map (Equiv.classes machine);
+    equiv = Solver.equivalence_partition machine;
   }
-
-let admissible ctx pi rho =
-  Pair.is_symmetric_pair ~next:ctx.next pi rho
-  && Partition.meet_subseteq pi rho ctx.equiv
-
-(* Least symmetric pair above a seed pair (same alternation as the exact
-   solver's post-search refinement). *)
-let rec close_pair memo pi rho =
-  let rho' = Partition.join rho (Pair.Memo.m memo pi) in
-  let pi' = Partition.join pi (Pair.Memo.m memo rho') in
-  if Partition.equal pi pi' && Partition.equal rho rho' then (pi, rho')
-  else close_pair memo pi' rho'
-
-(* Monotone improvement: coarsen each side with M while admissible. *)
-let rec polish ctx memo pi rho =
-  let pi' = Pair.Memo.big_m memo rho in
-  if (not (Partition.equal pi' pi)) && admissible ctx pi' rho then
-    polish ctx memo pi' rho
-  else begin
-    let rho' = Pair.Memo.big_m memo pi in
-    if (not (Partition.equal rho' rho)) && admissible ctx pi rho' then
-      polish ctx memo pi rho'
-    else (pi, rho)
-  end
 
 (* One-step move descriptor.  Generation — the only consumer of the RNG
    — is separated from evaluation so a transposition-table hit can skip
@@ -196,29 +171,13 @@ let close_full memo (parent : Solver.solution) = function
   | Merge { on_pi; c; d } ->
     let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
     let side' = Partition.merge_classes side c d in
-    if on_pi then close_pair memo side' parent.Solver.rho
-    else close_pair memo parent.Solver.pi side'
+    if on_pi then Pair.close memo side' parent.Solver.rho
+    else Pair.close memo parent.Solver.pi side'
   | Split { on_pi; s } ->
     let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
     let side' = Partition.split_singleton side s in
-    if on_pi then close_pair memo side' (Pair.Memo.m memo side')
-    else close_pair memo (Pair.Memo.big_m memo side') side'
-
-(* Polish loop of the incremental path.  Every iterate coarsens the
-   closed proposal, which (for a merge move) coarsens the parent, so
-   each M-image may be derived from the parent's cached image by
-   grouping block representatives ({!Pair.Memo.big_m_from}) instead of
-   rescanning all states. *)
-let rec polish_inc ctx memo ~base_pi ~base_rho pi rho =
-  let pi' = Pair.Memo.big_m_from memo ~base:base_rho rho in
-  if (not (Partition.equal pi' pi)) && admissible ctx pi' rho then
-    polish_inc ctx memo ~base_pi ~base_rho pi' rho
-  else begin
-    let rho' = Pair.Memo.big_m_from memo ~base:base_pi pi in
-    if (not (Partition.equal rho' rho)) && admissible ctx pi rho' then
-      polish_inc ctx memo ~base_pi ~base_rho pi rho'
-    else (pi, rho)
-  end
+    if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
+    else Pair.close memo (Pair.Memo.big_m memo side') side'
 
 (* Per-domain proposal transposition table.  Beam siblings share a
    parent and the move space is only quadratic in its class counts, so
@@ -291,10 +250,13 @@ let eval_move ctx ~split_ratio ~incremental { memo; tt } rng
           Metrics.incr m_feasible;
           let pi, rho =
             Trace.span ~cat:"anytime" "polish" @@ fun () ->
-            if delta then
-              polish_inc ctx memo ~base_pi:parent.Solver.pi
-                ~base_rho:parent.Solver.rho pi rho
-            else polish ctx memo pi rho
+            (* A merge's closure coarsens the closed parent, so its
+               M-images derive from the parent's cached ones. *)
+            let from =
+              if delta then Some (parent.Solver.pi, parent.Solver.rho)
+              else None
+            in
+            Pair.polish ?from memo ~equiv:ctx.equiv pi rho
           in
           let cost = Solver.cost_of ctx.machine ~pi ~rho in
           Some { Solver.pi; rho; cost }
@@ -354,11 +316,17 @@ let run_stochastic ~reason ~config ~seeds machine =
     (* (M(identity), identity) is always an admissible symmetric pair:
        the same root the exact DFS records first. *)
     let id = Partition.identity ctx.n in
-    let pi, rho = polish ctx main_memo (Pair.Memo.big_m main_memo id) id in
+    let pi, rho =
+      Pair.polish main_memo ~equiv:ctx.equiv (Pair.Memo.big_m main_memo id) id
+    in
     { Solver.pi; rho; cost = Solver.cost_of machine ~pi ~rho }
   in
   let seeds =
-    List.filter (fun s -> admissible ctx s.Solver.pi s.Solver.rho) seeds
+    List.filter
+      (fun s ->
+        Pair.admissible ~next:ctx.next ~equiv:ctx.equiv s.Solver.pi
+          s.Solver.rho)
+      seeds
   in
   let beam0 = take config.beam_width (dedupe_sorted (root :: seeds)) in
   let best0 = List.hd beam0 in

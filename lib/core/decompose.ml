@@ -1,5 +1,4 @@
 module Machine = Stc_fsm.Machine
-module Equiv = Stc_fsm.Equiv
 module Pair = Stc_partition.Pair
 
 let is_closed ~next pi = Pair.is_pair ~next pi pi
@@ -57,7 +56,7 @@ let parallel (machine : Machine.t) =
   Stc_obs.Trace.span ~cat:"solver" "decompose.parallel" @@ fun () ->
   let next = machine.next in
   let n = machine.num_states in
-  let equiv = Partition.of_class_map (Equiv.classes machine) in
+  let equiv = Solver.equivalence_partition machine in
   let closed =
     List.filter (nontrivial_partition n) (closed_partitions ~next)
   in

@@ -1,5 +1,4 @@
 module Machine = Stc_fsm.Machine
-module Equiv = Stc_fsm.Equiv
 module Pair = Stc_partition.Pair
 module Trace = Stc_obs.Trace
 module Metrics = Stc_obs.Metrics
@@ -21,15 +20,13 @@ let is_chain ~next parts =
   done;
   !ok
 
-let equivalence machine = Partition.of_class_map (Equiv.classes machine)
-
 let meet_all parts =
   Array.fold_left Partition.meet parts.(0)
     (Array.sub parts 1 (Array.length parts - 1))
 
 let admissible machine parts =
   is_chain ~next:machine.Machine.next parts
-  && Partition.subseteq (meet_all parts) (equivalence machine)
+  && Partition.subseteq (meet_all parts) (Solver.equivalence_partition machine)
 
 let cost_of parts =
   let classes = Array.map Partition.num_classes parts in
@@ -52,7 +49,7 @@ let solve ?(timeout = 60.0) ~stages (machine : Machine.t) =
   Trace.span ~cat:"solver" "multiway" @@ fun () ->
   let next = machine.next in
   let n = machine.num_states in
-  let equiv = equivalence machine in
+  let equiv = Solver.equivalence_partition machine in
   let basis = Array.of_list (Pair.basis ~next) in
   let num_basis = Array.length basis in
   let start = Stc_util.Clock.now () in
@@ -60,8 +57,8 @@ let solve ?(timeout = 60.0) ~stages (machine : Machine.t) =
     Partition.subseteq (meet_all parts) equiv && is_chain ~next parts
   in
   (* Round-robin coarsening: c_k <- M(c_(k+1)) while the chain stays
-     admissible (for stages = 2 this is the pair polish). *)
-  let polish parts =
+     admissible (for stages = 2 this is [Pair.polish]). *)
+  let polish_chain parts =
     let parts = Array.copy parts in
     let improved = ref true in
     while !improved do
@@ -83,7 +80,7 @@ let solve ?(timeout = 60.0) ~stages (machine : Machine.t) =
   let best = ref [| |] and best_cost = ref (max_int, max_int, infinity) in
   let record parts =
     if admissible_parts parts then begin
-      let parts = polish parts in
+      let parts = polish_chain parts in
       let cost = cost_of parts in
       if compare_cost cost !best_cost < 0 then begin
         best := parts;
@@ -118,9 +115,9 @@ let solve ?(timeout = 60.0) ~stages (machine : Machine.t) =
      m-closure chains are as fine as possible on the later stages, and
      admissible chains with coarser intermediate stages (e.g. the three
      2-class stages of a 3-bit shift register) are reachable only by
-     merging.  [close] restores the chain property after a merge by
+     merging.  [close_chain] restores the chain property after a merge by
      joining each stage with the m-image of its predecessor. *)
-  let close parts =
+  let close_chain parts =
     let parts = Array.copy parts in
     let stable = ref false in
     while not !stable do
@@ -139,9 +136,9 @@ let solve ?(timeout = 60.0) ~stages (machine : Machine.t) =
   let try_merge parts k (s, t) =
     let seeded = Array.copy parts in
     seeded.(k) <- Partition.join parts.(k) (Partition.pair_relation ~n s t);
-    let closed = close seeded in
+    let closed = close_chain seeded in
     if admissible_parts closed then begin
-      let closed = polish closed in
+      let closed = polish_chain closed in
       let cost = cost_of closed in
       if compare_cost cost !best_cost < 0 then Some (closed, cost) else None
     end

@@ -1,5 +1,4 @@
 module Machine = Stc_fsm.Machine
-module Equiv = Stc_fsm.Equiv
 module Pair = Stc_partition.Pair
 
 type t = {
@@ -22,7 +21,7 @@ let build (machine : Machine.t) ~pi ~rho =
     invalid_arg "Realization.build: partition size mismatch";
   if not (Pair.is_symmetric_pair ~next pi rho) then
     invalid_arg "Realization.build: (pi, rho) is not a symmetric partition pair";
-  let equiv = Partition.of_class_map (Equiv.classes machine) in
+  let equiv = Solver.equivalence_partition machine in
   if not (Partition.subseteq (Partition.meet pi rho) equiv) then
     invalid_arg "Realization.build: pi /\\ rho does not refine state equivalence";
   let k1 = Partition.num_classes pi and k2 = Partition.num_classes rho in

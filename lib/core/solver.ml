@@ -226,35 +226,13 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
   let best_cost () =
     match Atomic.get best with None -> None | Some b -> Some b.cost
   in
-  let admissible candidate_pi candidate_rho =
-    Pair.is_symmetric_pair ~next candidate_pi candidate_rho
-    && Partition.meet_subseteq candidate_pi candidate_rho equiv
-  in
-  (* Alternately coarsen each side with the M operator while the pair stays
-     admissible.  If (pi, rho) is a symmetric pair then so is (M rho, rho):
-     (M rho, rho) is a pair by definition of M, and (rho, M rho) is one
-     because (rho, pi) is and pi is a subset of M rho.  Coarsening can only
-     shrink class counts, so this is a monotone improvement. *)
-  let rec polish w candidate_pi candidate_rho =
-    let pi' = Pair.Memo.big_m w.memo candidate_rho in
-    if
-      (not (Partition.equal pi' candidate_pi))
-      && admissible pi' candidate_rho
-    then polish w pi' candidate_rho
-    else begin
-      let rho' = Pair.Memo.big_m w.memo candidate_pi in
-      if
-        (not (Partition.equal rho' candidate_rho))
-        && admissible candidate_pi rho'
-      then polish w candidate_pi rho'
-      else (candidate_pi, candidate_rho)
-    end
-  in
   let record w candidate_pi candidate_rho =
-    if admissible candidate_pi candidate_rho then begin
+    if Pair.admissible ~next ~equiv candidate_pi candidate_rho then begin
       w.solutions <- w.solutions + 1;
       Metrics.incr m_solutions;
-      let candidate_pi, candidate_rho = polish w candidate_pi candidate_rho in
+      let candidate_pi, candidate_rho =
+        Pair.polish w.memo ~equiv candidate_pi candidate_rho
+      in
       let cost = cost_of machine ~pi:candidate_pi ~rho:candidate_rho in
       let sol = { pi = candidate_pi; rho = candidate_rho; cost } in
       pool_add w sol;
@@ -402,15 +380,9 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
   (* Post-search refinement, in the calling domain.  The paper's candidate
      set (M(pi), pi) / (m(pi), pi) can miss optima whose right member is
      not a join of basis elements; a greedy class-merge hill climb recovers
-     them.  [close_pair] computes the least symmetric partition pair above
-     a seed pair by alternating joins with the m images. *)
+     them.  Each merge is closed to the least symmetric pair above it
+     ({!Pair.close}). *)
   let memo = main_worker.memo in
-  let rec close_pair pi rho =
-    let rho' = Partition.join rho (Pair.Memo.m memo pi) in
-    let pi' = Partition.join pi (Pair.Memo.m memo rho') in
-    if Partition.equal pi pi' && Partition.equal rho rho' then (pi, rho')
-    else close_pair pi' rho'
-  in
   let merge_candidates partition =
     let reps = Partition.representatives partition in
     let k = Array.length reps in
@@ -429,11 +401,11 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
       | `Left -> (Partition.join sol.pi seed, sol.rho)
       | `Right -> (sol.pi, Partition.join sol.rho seed)
     in
-    let pi', rho' = close_pair pi0 rho0 in
-    if admissible pi' rho' then begin
+    let pi', rho' = Pair.close memo pi0 rho0 in
+    if Pair.admissible ~next ~equiv pi' rho' then begin
       let pi', rho' =
         Trace.span ~cat:"solver" "polish" (fun () ->
-            polish main_worker pi' rho')
+            Pair.polish memo ~equiv pi' rho')
       in
       let cost = cost_of machine ~pi:pi' ~rho:rho' in
       if compare_cost cost sol.cost < 0 then Some { pi = pi'; rho = rho'; cost }
@@ -501,10 +473,7 @@ let solve_exhaustive (machine : Machine.t) =
     (fun pi ->
       Seq.iter
         (fun rho ->
-          if
-            Pair.is_symmetric_pair ~next pi rho
-            && Partition.meet_subseteq pi rho equiv
-          then begin
+          if Pair.admissible ~next ~equiv pi rho then begin
             let cost = cost_of machine ~pi ~rho in
             let sol = { pi; rho; cost } in
             match !best with

@@ -108,6 +108,10 @@ val solve_exhaustive : Stc_fsm.Machine.t -> solution
     pair. *)
 val cost_of : Stc_fsm.Machine.t -> pi:Partition.t -> rho:Partition.t -> cost
 
+(** [equivalence_partition machine] is the state equivalence of
+    [machine] as a partition: the bound [pi /\ rho] must refine. *)
+val equivalence_partition : Stc_fsm.Machine.t -> Partition.t
+
 (** [validate machine solution] re-checks that the solution is a symmetric
     partition pair whose intersection refines state equivalence; returns an
     error message otherwise. *)

@@ -107,7 +107,7 @@ let is_mm_pair ~next pi rho =
 
    Materialization goes through [Partition.coarsen_with], which unions
    only the dirty packed rows.  The result is the same least fixpoint
-   [close_pair] reaches (both compute the least coarsening pair closed
+   [close] reaches (both compute the least coarsening pair closed
    under the pair constraints above the same seed), hence bit-identical
    partitions.
 
@@ -326,6 +326,49 @@ module Memo = struct
   let hits memo = memo.hits
   let misses memo = memo.misses
 end
+
+(* ------------------------------------------------------------------ *)
+(* Admissibility, closure and polish                                   *)
+(* ------------------------------------------------------------------ *)
+
+let admissible ~next ~equiv pi rho =
+  is_symmetric_pair ~next pi rho && Partition.meet_subseteq pi rho equiv
+
+(* Alternating joins with the m-images until neither side moves: the
+   least symmetric pair above the seed, since each join adds only what
+   the pair conditions force. *)
+let rec close memo pi rho =
+  let rho' = Partition.join rho (Memo.m memo pi) in
+  let pi' = Partition.join pi (Memo.m memo rho') in
+  if Partition.equal pi pi' && Partition.equal rho rho' then (pi, rho')
+  else close memo pi' rho'
+
+(* If (pi, rho) is a symmetric pair then so is (M rho, rho): it is a pair
+   by definition of M, and (rho, M rho) is one because (rho, pi) is and
+   pi refines M rho.  Symmetrically for (pi, M pi).  Coarsening only
+   shrinks class counts, so each accepted step is a monotone improvement.
+   With [from], every iterate coarsens the closed parent, so the M-images
+   are derived from the parent's cached images ([Memo.big_m_from]). *)
+let polish ?from memo ~equiv pi rho =
+  let next = memo.Memo.next in
+  let image_of_rho, image_of_pi =
+    match from with
+    | None -> (Memo.big_m memo, Memo.big_m memo)
+    | Some (base_pi, base_rho) ->
+      (Memo.big_m_from memo ~base:base_rho, Memo.big_m_from memo ~base:base_pi)
+  in
+  let rec go pi rho =
+    let pi' = image_of_rho rho in
+    if (not (Partition.equal pi' pi)) && admissible ~next ~equiv pi' rho then
+      go pi' rho
+    else begin
+      let rho' = image_of_pi pi in
+      if (not (Partition.equal rho' rho)) && admissible ~next ~equiv pi rho'
+      then go pi rho'
+      else (pi, rho)
+    end
+  in
+  go pi rho
 
 let mm_pairs ~next =
   let n, _ = dims next in

@@ -40,7 +40,7 @@ val is_mm_pair : next:int array array -> Partition.t -> Partition.t -> bool
     [(pi, rho)] and a one-step merge of classes [c] and [d] on the [pi]
     ([on_pi = true]) or [rho] side, it returns [(pi', rho', dirty)] -
     the least symmetric pair above the moved pair, equal as partitions
-    to [close_pair (merge_classes side c d)] computed from scratch, plus
+    to the from-scratch {!close} of the moved pair, plus
     the number of class-merge events propagated ([dirty]).
 
     Only the touched blocks do work: a worklist of merged groups replays
@@ -111,6 +111,36 @@ module Memo : sig
 
   val misses : t -> int
 end
+
+(** [admissible ~next ~equiv pi rho] is the OSTR feasibility test
+    (Theorem 1): [(pi, rho)] is a symmetric partition pair and
+    [pi /\ rho] refines the state equivalence [equiv]. *)
+val admissible :
+  next:int array array -> equiv:Partition.t -> Partition.t -> Partition.t -> bool
+
+(** [close memo pi rho] is the least symmetric partition pair above the
+    seed [(pi, rho)]: the fixpoint of alternately joining [rho] with
+    [m pi] and [pi] with [m rho], the [m] images taken from [memo].  The
+    from-scratch closure that {!close_merge} is pinned equal to. *)
+val close : Memo.t -> Partition.t -> Partition.t -> Partition.t * Partition.t
+
+(** [polish ?from memo ~equiv pi rho] coarsens an admissible symmetric
+    pair with the [M] operator while it stays {!admissible}: first
+    [pi <- M rho], then [rho <- M pi], until neither move is accepted.
+    Each accepted move keeps the pair symmetric and never adds classes.
+
+    Without [from] the [M] images come from {!Memo.big_m}.  With
+    [~from:(parent_pi, parent_rho)] - a closed pair that [(pi, rho)]
+    coarsens side by side, as after {!close_merge} - they come from
+    {!Memo.big_m_from} with the parent's side as base; the result is the
+    same partitions either way. *)
+val polish :
+  ?from:Partition.t * Partition.t ->
+  Memo.t ->
+  equiv:Partition.t ->
+  Partition.t ->
+  Partition.t ->
+  Partition.t * Partition.t
 
 (** [mm_pairs ~next] enumerates the full Mm-lattice: the join-closure of
     the basis, paired with its [big_m] images, as a sorted association

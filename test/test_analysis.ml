@@ -334,8 +334,6 @@ let test_verify_family () =
     (List.exists (fun d -> d.D.code = "CEC003") diags);
   check_bool "netlist certificate present" true
     (List.exists (fun d -> d.D.code = "CEC005") diags);
-  check_bool "naive agreement present" true
-    (List.exists (fun d -> d.D.code = "CEC007" || d.D.code = "CEC008") diags);
   check_bool "pipeline certificate present" true
     (List.exists (fun d -> d.D.code = "NET011") diags);
   check_bool "redundancy summary present" true

@@ -700,11 +700,61 @@ let test_close_merge_matches_oracle =
         if on_pi then close_pair_spec ~next side' rho
         else close_pair_spec ~next pi side'
       in
+      (* the memoized from-scratch closure the solver and the anytime
+         tier share must reach the same fixpoint *)
+      let memo = Pair.Memo.create ~next in
+      let full_pi, full_rho =
+        if on_pi then Pair.close memo side' rho else Pair.close memo pi side'
+      in
       Partition.equal got_pi exp_pi
       && Partition.equal got_rho exp_rho
+      && Partition.equal full_pi exp_pi
+      && Partition.equal full_rho exp_rho
       && dirty >= 0
       (* a self-merge forces nothing: both sides come back physically *)
       && (c <> d || (got_pi == pi && got_rho == rho)))
+
+(* A partition with only a few random merges above the identity, so
+   closures of such seeds stay away from the universal partition. *)
+let sparse_partition rng n =
+  List.fold_left
+    (fun p _ ->
+      Partition.join p
+        (Partition.pair_relation ~n (Rng.int rng n) (Rng.int rng n)))
+    (Partition.identity n)
+    (List.init (1 + Rng.int rng 2) Fun.id)
+
+let test_polish_from_matches =
+  QCheck.Test.make ~count:200
+    ~name:"polish ~from parent = polish on close_merge proposals"
+    QCheck.(pair (int_bound 100000) size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let k_in = 1 + Rng.int rng 4 in
+      let next = random_next rng n k_in in
+      let parent_pi, parent_rho =
+        close_pair_spec ~next (sparse_partition rng n) (sparse_partition rng n)
+      in
+      let on_pi = Rng.bool rng in
+      let side = if on_pi then parent_pi else parent_rho in
+      let k = Partition.num_classes side in
+      let c = Rng.int rng k and d = Rng.int rng k in
+      let pi, rho, _ =
+        Pair.close_merge ~next ~pi:parent_pi ~rho:parent_rho ~on_pi c d
+      in
+      (* an equivalence the proposal's meet refines: (pi, rho) is
+         admissible, so polish has room to move *)
+      let equiv =
+        Partition.join (Partition.meet pi rho) (sparse_partition rng n)
+      in
+      let plain = Pair.polish (Pair.Memo.create ~next) ~equiv pi rho in
+      let fused =
+        Pair.polish ~from:(parent_pi, parent_rho) (Pair.Memo.create ~next)
+          ~equiv pi rho
+      in
+      Partition.equal (fst plain) (fst fused)
+      && Partition.equal (snd plain) (snd fused)
+      && Pair.admissible ~next ~equiv (fst fused) (snd fused))
 
 let test_big_m_coarse_matches =
   QCheck.Test.make ~count:200 ~name:"big_m_coarse from a refinement = big_m"
@@ -844,6 +894,7 @@ let () =
           qcheck test_close_merge_matches_oracle;
           qcheck test_big_m_coarse_matches;
           qcheck test_memo_big_m_from;
+          qcheck test_polish_from_matches;
         ] );
       ( "paper_oracle",
         [

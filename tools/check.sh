@@ -7,6 +7,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Run a command under a 300 s wall-clock cap when timeout(1) exists,
+# uncapped otherwise.
+capped() {
+  if command -v timeout >/dev/null 2>&1; then
+    timeout 300 "$@"
+  else
+    "$@"
+  fi
+}
+
 echo "== dune build =="
 dune build
 
@@ -14,52 +24,28 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== solver smoke (hard cap via timeout(1)) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- quick
-else
-  dune exec bench/main.exe -- quick
-fi
+capped dune exec bench/main.exe -- quick
 
 echo "== fault-sim smoke (optimized engine must match the naive grader) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- faultsim-quick
-else
-  dune exec bench/main.exe -- faultsim-quick
-fi
+capped dune exec bench/main.exe -- faultsim-quick
 
 echo "== BENCH_faultsim.json must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench BENCH_faultsim.json
 
 echo "== minimize smoke (packed engine must match the naive reference) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- minimize-quick
-else
-  dune exec bench/main.exe -- minimize-quick
-fi
+capped dune exec bench/main.exe -- minimize-quick
 
 echo "== BENCH_minimize.json must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench BENCH_minimize.json
 
 echo "== core kernel smoke (packed bit engine must match the references) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- core-quick
-else
-  dune exec bench/main.exe -- core-quick
-fi
+capped dune exec bench/main.exe -- core-quick
 
 echo "== SAT verify smoke (equivalence + redundancy proofs must hold) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- verify-quick
-else
-  dune exec bench/main.exe -- verify-quick
-fi
+capped dune exec bench/main.exe -- verify-quick
 
 echo "== anytime smoke (stochastic tier: gap >= 0, seeded determinism) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- anytime-quick
-else
-  dune exec bench/main.exe -- anytime-quick
-fi
+capped dune exec bench/main.exe -- anytime-quick
 
 echo "== every BENCH file must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench \
@@ -78,31 +64,16 @@ dune exec tools/json_lint.exe -- "$obs_dir/metrics.json" metrics
 dune exec tools/json_lint.exe -- --folded "$obs_dir/prof.folded"
 
 echo "== bench-diff noise gate (same config twice must not regress) =="
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
-  timeout 300 dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
-else
-  dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
-  dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
-fi
+capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
+capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
-  timeout 300 dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
-else
-  dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
-  dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
-fi
+capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
+capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
-  timeout 300 dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
-else
-  dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
-  dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
-fi
+capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
+capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
 dune exec tools/json_lint.exe -- --bench "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
 dune exec tools/bench_diff.exe -- "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
 
