@@ -1181,14 +1181,6 @@ type verify_row = {
   vr_solves : int;
 }
 
-let vr_observed_union (b : Arch.built) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (_, obs) -> Array.iter (fun g -> Hashtbl.replace tbl g ()) obs)
-    b.Arch.sessions;
-  Array.of_list
-    (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
-
 let vr_cert_codes = [ "CEC003"; "CEC005"; "NET011" ]
 
 let verify_row ~cycles name =
@@ -1207,7 +1199,7 @@ let verify_row ~cycles name =
     timed (fun () -> Verify.run ~select:[ "cec"; "net-prove" ] ctx)
   in
   let built = Arch.pipeline_of_machine ~cycles machine in
-  let observed = vr_observed_union built in
+  let observed = Session.union_observed built.Arch.sessions in
   let v1, red_wall =
     timed (fun () -> Prove.redundant ~jobs:1 ~observed built.Arch.netlist)
   in

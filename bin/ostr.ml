@@ -807,8 +807,10 @@ let verify_cmd =
     Arg.(value & flag
          & info [ "redundant" ]
              ~doc:
-               "Untestable-fault proofs only: per-fault good-vs-faulty \
-                miters, UNSAT = provably redundant.")
+               "Untestable-fault proofs only: random-pattern simulation \
+                settles the testable classes, then one cone-sized \
+                good-vs-faulty miter per class left, UNSAT = provably \
+                redundant.")
   in
   let prove =
     Arg.(value & flag

@@ -59,7 +59,7 @@ let prove ~subject ~required (net : N.t) =
       (* the structural verdict, for NET012: does the next-state cone
          even contain one of R's own output nets? *)
       fun r ->
-        let cone = Netgraph.fanin_cone net r.Netgraph.next in
+        let cone = N.fanin_cone net r.Netgraph.next in
         List.exists (fun g -> cone.(g)) r.Netgraph.inputs
     in
     List.concat_map

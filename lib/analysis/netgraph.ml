@@ -1,12 +1,6 @@
 module N = Stc_netlist.Netlist
 module D = Diagnostic
 
-let operands : N.gate -> int array = function
-  | N.Input _ | N.Const _ -> [||]
-  | N.Buf x | N.Not x -> [| x |]
-  | N.And xs | N.Or xs | N.Xor xs -> xs
-  | N.Mux { sel; a; b } -> [| sel; a; b |]
-
 (* ------------------------------------------------------------------ *)
 (* Tarjan SCC (recursive; netlist graphs are shallow two-level cones)  *)
 (* ------------------------------------------------------------------ *)
@@ -57,22 +51,6 @@ let cyclic_sccs ~n ~succ =
       | _ :: _ :: _ -> true
       | [] -> false)
     (sccs ~n ~succ)
-
-(* ------------------------------------------------------------------ *)
-(* Cones                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fanin_cone (net : N.t) roots =
-  let n = N.num_gates net in
-  let seen = Array.make n false in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      Array.iter visit (operands net.N.gates.(v))
-    end
-  in
-  List.iter visit roots;
-  seen
 
 (* ------------------------------------------------------------------ *)
 (* Register recovery from the Arch naming convention                   *)
@@ -142,7 +120,7 @@ let feeds net regs =
     (fun r ->
       if r.next = [] then None
       else begin
-        let cone = fanin_cone net r.next in
+        let cone = N.fanin_cone net r.next in
         let deps =
           List.filter_map
             (fun other ->
@@ -175,7 +153,7 @@ let prove_pipeline ~subject ~required (net : N.t) =
       (fun r ->
         r.next <> []
         &&
-        let cone = fanin_cone net r.next in
+        let cone = N.fanin_cone net r.next in
         List.exists (fun g -> cone.(g)) r.inputs)
       regs
   in
@@ -220,7 +198,7 @@ let prove_pipeline ~subject ~required (net : N.t) =
 
 let structure ~subject (net : N.t) =
   let n = N.num_gates net in
-  let succ v = Array.to_list (operands net.N.gates.(v)) in
+  let succ v = Array.to_list (N.operands net.N.gates.(v)) in
   let diags = ref [] in
   List.iter
     (fun comp ->
@@ -247,7 +225,7 @@ let structure ~subject (net : N.t) =
       else Hashtbl.add seen_outputs name ())
     net.N.outputs;
   let cone =
-    fanin_cone net (Array.to_list (Array.map snd net.N.outputs))
+    N.fanin_cone net (Array.to_list (Array.map snd net.N.outputs))
   in
   Array.iteri
     (fun g gate ->

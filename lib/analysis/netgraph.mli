@@ -35,13 +35,6 @@ val sccs : n:int -> succ:(int -> int list) -> int list list
     size [>= 2], and singletons with a self-edge. *)
 val cyclic_sccs : n:int -> succ:(int -> int list) -> int list list
 
-(** [operands g] is the fanin of a gate. *)
-val operands : Stc_netlist.Netlist.gate -> int array
-
-(** [fanin_cone net roots] marks every gate in the transitive fanin of
-    [roots] (roots included). *)
-val fanin_cone : netlist -> int list -> bool array
-
 (** A register recovered from the naming convention: [inputs] are its
     output nets (modelled as [Input] gates), [next] the gates computing
     its next state ([[]] for generator-loaded registers). *)

@@ -160,7 +160,7 @@ let pass =
             let s = summarize netlist r in
             let hard =
               let cone =
-                Netgraph.fanin_cone netlist
+                N.fanin_cone netlist
                   (Array.to_list (Array.map snd netlist.N.outputs))
               in
               let out = ref [] in

@@ -110,12 +110,8 @@ let run_sessions_naive ~label netlist sessions =
 (* ------------------------------------------------------------------ *)
 
 let union_observed sessions =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (_, observed) ->
-      Array.iter (fun g -> Hashtbl.replace tbl g ()) observed)
-    sessions;
-  Array.of_list (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
+  List.concat_map (fun (_, observed) -> Array.to_list observed) sessions
+  |> List.sort_uniq compare |> Array.of_list
 
 let run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions =
   (* Protect every gate any session observes: equivalences must never fold

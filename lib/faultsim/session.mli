@@ -64,6 +64,12 @@ val run_sessions :
   (stimuli * int array) list ->
   report
 
+(** [union_observed sessions] is the sorted, duplicate-free union of the
+    gates any session observes: the protection set of a combined grading
+    run, and the observed set of an untestable-fault proof that must
+    count a fault testable if any session could see it. *)
+val union_observed : ('a * int array) list -> int array
+
 (** [pack stimuli] transposes a cycle-major 0/1 matrix into word-parallel
     batches: one [int array] of input words per group of
     {!Netlist.word_bits} cycles.  Thin wrapper over {!Engine.pack}. *)

@@ -323,6 +323,17 @@ let cone ?readers:rd (net : t) g =
   done;
   cone
 
+(* Operands always precede their reader, so one descending sweep closes
+   the root set under fanin. *)
+let fanin_cone (net : t) roots =
+  let seen = Array.make (num_gates net) false in
+  List.iter (fun g -> seen.(g) <- true) roots;
+  for idx = num_gates net - 1 downto 0 do
+    if seen.(idx) then
+      Array.iter (fun x -> seen.(x) <- true) (operands net.gates.(idx))
+  done;
+  seen
+
 type collapsed = {
   faults : fault array;
   class_of : int array;

@@ -130,6 +130,11 @@ val readers : t -> (int * int) array array
     amortize the fanout scan across many cones. *)
 val cone : ?readers:(int * int) array array -> t -> int -> int array
 
+(** [fanin_cone net roots] marks every gate in the transitive fanin of
+    [roots] (roots included): [(fanin_cone net roots).(g)] holds iff [g]
+    can influence some root. *)
+val fanin_cone : t -> int list -> bool array
+
 (** Structural single-stuck-at fault collapsing.
 
     The raw fault universe ({!fault_sites}) is partitioned into

@@ -179,20 +179,9 @@ type coverage_entry = {
   fig4_ff : int;
 }
 
-(* Union of the gates any session observes: the prover must consider a
-   fault testable if any session's observation points could see it. *)
-let observed_union (b : Arch.built) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (_, obs) -> Array.iter (fun g -> Hashtbl.replace tbl g ()) obs)
-    b.Arch.sessions;
-  Array.of_list
-    (List.sort compare (Hashtbl.fold (fun g () acc -> g :: acc) tbl []))
-
 let adjust ?jobs (b : Arch.built) (r : Session.report) =
-  let v =
-    Stc_sat.Prove.redundant ?jobs ~observed:(observed_union b) b.Arch.netlist
-  in
+  let observed = Session.union_observed b.Arch.sessions in
+  let v = Stc_sat.Prove.redundant ?jobs ~observed b.Arch.netlist in
   (Session.adjusted r ~redundant:v.Stc_sat.Prove.redundant,
    List.length v.Stc_sat.Prove.redundant)
 

@@ -6,63 +6,75 @@ module Cube = Stc_logic.Cube
 
 type lit = Solver.lit
 
-let clause s guard lits =
-  match guard with
-  | None -> Solver.add_clause s lits
-  | Some g -> Solver.add_clause s (Solver.negate g :: lits)
-
 let fresh s = Solver.pos (Solver.new_var s)
 
 let fresh_inputs s n = Array.init n (fun _ -> fresh s)
 
-let mk_and s ?guard lits =
+let mk_and s lits =
   match lits with
   | [] -> Solver.true_lit s
   | [ l ] -> l
   | _ ->
     let v = fresh s in
     let nv = Solver.negate v in
-    List.iter (fun l -> clause s guard [ nv; l ]) lits;
-    clause s guard (v :: List.map Solver.negate lits);
+    List.iter (fun l -> Solver.add_clause s [ nv; l ]) lits;
+    Solver.add_clause s (v :: List.map Solver.negate lits);
     v
 
-let mk_or s ?guard lits =
+let mk_or s lits =
   match lits with
   | [] -> Solver.false_lit s
   | [ l ] -> l
   | _ ->
     let v = fresh s in
     let nv = Solver.negate v in
-    List.iter (fun l -> clause s guard [ Solver.negate l; v ]) lits;
-    clause s guard (nv :: lits);
+    List.iter (fun l -> Solver.add_clause s [ Solver.negate l; v ]) lits;
+    Solver.add_clause s (nv :: lits);
     v
 
-let mk_xor s ?guard a b =
+let mk_xor s a b =
   let v = fresh s in
   let nv = Solver.negate v in
   let na = Solver.negate a and nb = Solver.negate b in
-  clause s guard [ nv; a; b ];
-  clause s guard [ nv; na; nb ];
-  clause s guard [ v; na; b ];
-  clause s guard [ v; a; nb ];
+  Solver.add_clause s [ nv; a; b ];
+  Solver.add_clause s [ nv; na; nb ];
+  Solver.add_clause s [ v; na; b ];
+  Solver.add_clause s [ v; a; nb ];
   v
 
 (* sel = 0 -> v = a, sel = 1 -> v = b, plus the redundant
    both-branches clauses for stronger propagation *)
-let mk_mux s ?guard sel a b =
+let mk_mux s sel a b =
   let v = fresh s in
   let nv = Solver.negate v in
   let nsel = Solver.negate sel in
   let na = Solver.negate a and nb = Solver.negate b in
-  clause s guard [ sel; na; v ];
-  clause s guard [ sel; a; nv ];
-  clause s guard [ nsel; nb; v ];
-  clause s guard [ nsel; b; nv ];
-  clause s guard [ na; nb; v ];
-  clause s guard [ a; b; nv ];
+  Solver.add_clause s [ sel; na; v ];
+  Solver.add_clause s [ sel; a; nv ];
+  Solver.add_clause s [ nsel; nb; v ];
+  Solver.add_clause s [ nsel; b; nv ];
+  Solver.add_clause s [ na; nb; v ];
+  Solver.add_clause s [ a; b; nv ];
   v
 
-let add_netlist s ?guard ?fault (net : N.t) ~inputs =
+let add_gate s gate ~read =
+  let pins xs = List.mapi read (Array.to_list xs) in
+  match gate with
+  | N.Input _ -> invalid_arg "Cnf.add_gate: Input gates take a caller literal"
+  | N.Const b -> if b then Solver.true_lit s else Solver.false_lit s
+  | N.Buf x -> read 0 x
+  | N.Not x -> Solver.negate (read 0 x)
+  | N.And xs -> mk_and s (pins xs)
+  | N.Or xs -> mk_or s (pins xs)
+  | N.Xor xs ->
+    let acc = ref (read 0 xs.(0)) in
+    for k = 1 to Array.length xs - 1 do
+      acc := mk_xor s !acc (read k xs.(k))
+    done;
+    !acc
+  | N.Mux { sel; a; b } -> mk_mux s (read 0 sel) (read 1 a) (read 2 b)
+
+let add_netlist s ?fault (net : N.t) ~inputs =
   if Array.length inputs <> Array.length net.N.inputs then
     invalid_arg "Cnf.add_netlist: inputs length mismatch";
   let forced_output, fgate, fpin, fstuck =
@@ -76,36 +88,16 @@ let add_netlist s ?guard ?fault (net : N.t) ~inputs =
   let next_input = ref 0 in
   Array.iteri
     (fun idx gate ->
-      let read k x =
-        if idx = fgate && k = fpin then const fstuck else lits.(x)
-      in
       let v =
-        if idx = forced_output then begin
-          (if match gate with N.Input _ -> true | _ -> false then
-             incr next_input);
-          const fstuck
-        end
-        else
-          match gate with
-          | N.Input _ ->
-            let l = inputs.(!next_input) in
-            incr next_input;
-            l
-          | N.Const b -> const b
-          | N.Buf x -> read 0 x
-          | N.Not x -> Solver.negate (read 0 x)
-          | N.And xs ->
-            mk_and s ?guard (List.mapi (fun k x -> read k x) (Array.to_list xs))
-          | N.Or xs ->
-            mk_or s ?guard (List.mapi (fun k x -> read k x) (Array.to_list xs))
-          | N.Xor xs ->
-            let acc = ref (read 0 xs.(0)) in
-            for k = 1 to Array.length xs - 1 do
-              acc := mk_xor s ?guard !acc (read k xs.(k))
-            done;
-            !acc
-          | N.Mux { sel; a; b } ->
-            mk_mux s ?guard (read 0 sel) (read 1 a) (read 2 b)
+        match gate with
+        | N.Input _ ->
+          let l = inputs.(!next_input) in
+          incr next_input;
+          if idx = forced_output then const fstuck else l
+        | _ when idx = forced_output -> const fstuck
+        | _ ->
+          add_gate s gate ~read:(fun k x ->
+              if idx = fgate && k = fpin then const fstuck else lits.(x))
       in
       lits.(idx) <- v)
     net.N.gates;
@@ -114,7 +106,7 @@ let add_netlist s ?guard ?fault (net : N.t) ~inputs =
 let outputs (net : N.t) lits =
   Array.map (fun (_, g) -> lits.(g)) net.N.outputs
 
-let add_cover s ?guard (cover : Cover.t) ~inputs =
+let add_cover s (cover : Cover.t) ~inputs =
   if Array.length inputs <> cover.Cover.num_vars then
     invalid_arg "Cnf.add_cover: inputs length mismatch";
   let cube_lit cube =
@@ -125,7 +117,7 @@ let add_cover s ?guard (cover : Cover.t) ~inputs =
       | Cube.One -> conj := inputs.(v) :: !conj
       | Cube.Dc -> ()
     done;
-    mk_and s ?guard !conj
+    mk_and s !conj
   in
   let cube_lits = Array.map cube_lit cover.Cover.cubes in
   Array.init cover.Cover.num_outputs (fun o ->
@@ -134,4 +126,4 @@ let add_cover s ?guard (cover : Cover.t) ~inputs =
         if Cube.output_bit cover.Cover.cubes.(i) o then
           terms := cube_lits.(i) :: !terms
       done;
-      mk_or s ?guard !terms)
+      mk_or s !terms)

@@ -8,11 +8,6 @@
       its operand;
     - [And]/[Or] use the standard n-ary Tseitin clauses, [Xor] a
       pairwise fold, [Mux] the 4-clause if-then-else;
-    - an optional [guard] literal [g] weakens every emitted clause [C]
-      to [¬g ∨ C]: the encoded logic is enforced only under the
-      assumption [g].  Guards are the activation literals of the
-      incremental per-fault miters ({!Prove}) — retract a fault's
-      clauses by adding the unit [¬g];
     - an optional [fault] injects a stuck-at while encoding: an output
       fault replaces the gate's literal by a constant, a pin fault
       replaces the read operand, exactly mirroring
@@ -20,14 +15,13 @@
 
 type lit = Solver.lit
 
-(** [add_netlist s ?guard ?fault net ~inputs] encodes every gate of
+(** [add_netlist s ?fault net ~inputs] encodes every gate of
     [net], with [inputs] supplying one literal per [Input] gate (in
     creation order, like [Netlist.eval]).  Returns the literal of every
     gate, indexed by gate id.
     @raise Invalid_argument on an [inputs] length mismatch. *)
 val add_netlist :
   Solver.t ->
-  ?guard:lit ->
   ?fault:Stc_netlist.Netlist.fault ->
   Stc_netlist.Netlist.t ->
   inputs:lit array ->
@@ -38,27 +32,26 @@ val add_netlist :
     order. *)
 val outputs : Stc_netlist.Netlist.t -> lit array -> lit array
 
-(** [add_cover s ?guard cover ~inputs] encodes a two-level cover: one
+(** [add_cover s cover ~inputs] encodes a two-level cover: one
     AND literal per cube, one OR literal per cover output.  [inputs]
     has one literal per cover variable.
     @raise Invalid_argument on an [inputs] length mismatch. *)
 val add_cover :
-  Solver.t -> ?guard:lit -> Stc_logic.Cover.t -> inputs:lit array -> lit array
+  Solver.t -> Stc_logic.Cover.t -> inputs:lit array -> lit array
 
-(** [mk_and s ?guard lits] / [mk_or s ?guard lits]: a fresh literal
-    constrained equivalent to the conjunction / disjunction (constants
-    for the empty list). *)
-val mk_and : Solver.t -> ?guard:lit -> lit list -> lit
+(** [add_gate s gate ~read] encodes one gate whose pin [k], reading
+    gate [x], has the literal [read k x]; returns the gate's literal.
+    This is the per-gate step of {!add_netlist}, for callers that encode
+    a sub-graph (the cone-sized miters of {!Prove}) or inject faults
+    themselves.
+    @raise Invalid_argument on an [Input] gate (the caller owns input
+    literals). *)
+val add_gate :
+  Solver.t -> Stc_netlist.Netlist.gate -> read:(int -> int -> lit) -> lit
 
-val mk_or : Solver.t -> ?guard:lit -> lit list -> lit
-
-(** [mk_xor s ?guard a b]: a fresh literal equivalent to [a xor b] —
-    the per-output miter gate. *)
-val mk_xor : Solver.t -> ?guard:lit -> lit -> lit -> lit
-
-(** [mk_mux s ?guard sel a b]: a fresh literal equivalent to
-    [if sel then b else a] (the netlist [Mux] convention). *)
-val mk_mux : Solver.t -> ?guard:lit -> lit -> lit -> lit -> lit
+(** [mk_xor s a b]: a fresh literal equivalent to [a xor b] - the
+    per-output miter gate. *)
+val mk_xor : Solver.t -> lit -> lit -> lit
 
 (** [fresh_inputs s n] allocates [n] fresh unconstrained literals. *)
 val fresh_inputs : Solver.t -> int -> lit array

@@ -1,6 +1,9 @@
 (* Untestable-fault proofs over the collapsed fault list.  See prove.mli. *)
 
 module N = Stc_netlist.Netlist
+module Engine = Stc_faultsim.Engine
+module Rng = Stc_util.Rng
+module Metrics = Stc_obs.Metrics
 module Trace = Stc_obs.Trace
 
 type verdict = {
@@ -11,60 +14,108 @@ type verdict = {
   unobservable_classes : int;
 }
 
-let sorted_unique a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let out = ref [] in
-  Array.iteri
-    (fun i g -> if i = 0 || a.(i - 1) <> g then out := g :: !out)
-    a;
-  Array.of_list (List.rev !out)
+let m_sim_detected = Metrics.counter "sat.redundant.sim_detected"
 
-(* Encode the faulty copy of [cone] into [s], guarded by [act]; gates
-   outside the cone share the good circuit's literals.  Returns the
-   faulty literal of each cone gate (a small gate->lit table). *)
-let add_faulty_cone s ~act ~good ~(net : N.t) ~fault cone =
-  let const b = if b then Solver.true_lit s else Solver.false_lit s in
-  let flit = Hashtbl.create (2 * Array.length cone) in
-  Array.iter
-    (fun g ->
-      let gate = net.N.gates.(g) in
-      let lit =
-        if g = fault.N.gate && fault.N.pin = None then const fault.N.stuck_at
-        else begin
-          let read k x =
-            let base =
-              match Hashtbl.find_opt flit x with
-              | Some l -> l
-              | None -> good.(x)
-            in
-            if g = fault.N.gate && fault.N.pin = Some k then
-              const fault.N.stuck_at
-            else base
-          in
-          match gate with
-          | N.Input _ | N.Const _ ->
-            (* only reachable as the fault site, handled above *)
-            good.(g)
-          | N.Buf x -> read 0 x
-          | N.Not x -> Solver.negate (read 0 x)
-          | N.And xs ->
-            Cnf.mk_and s ~guard:act (List.mapi (fun k x -> read k x) (Array.to_list xs))
-          | N.Or xs ->
-            Cnf.mk_or s ~guard:act (List.mapi (fun k x -> read k x) (Array.to_list xs))
-          | N.Xor xs ->
-            let acc = ref (read 0 xs.(0)) in
-            for k = 1 to Array.length xs - 1 do
-              acc := Cnf.mk_xor s ~guard:act !acc (read k xs.(k))
-            done;
-            !acc
-          | N.Mux { sel; a; b } ->
-            Cnf.mk_mux s ~guard:act (read 0 sel) (read 1 a) (read 2 b)
-        end
-      in
-      Hashtbl.replace flit g lit)
-    cone;
-  flit
+let sorted_unique a = Array.of_list (List.sort_uniq compare (Array.to_list a))
+
+(* Stage 1.  Random patterns, [round_batches] words per input per round,
+   graded against every class still undetected.  Rounds go on while they
+   detect something new and the patterns drawn so far number fewer than
+   2^inputs.  A detected class has a concrete test, so it is testable. *)
+let round_batches = 8
+
+let seed = 0x5a7
+
+let simulate ~jobs ~observed (net : N.t) =
+  let eng = Engine.create ~protected:observed net in
+  let nclasses = Array.length (Engine.collapsed eng).N.representatives in
+  let active = Array.make nclasses true in
+  let rng = Rng.create seed in
+  let ninputs = Array.length net.N.inputs in
+  let full = (1 lsl N.word_bits) - 1 in
+  let rec round drawn =
+    let p =
+      {
+        Engine.cycles = round_batches * N.word_bits;
+        words =
+          Array.init round_batches (fun _ ->
+              Array.init ninputs (fun _ ->
+                  Int64.to_int (Rng.bits64 rng) land full));
+        masks = Array.make round_batches full;
+      }
+    in
+    let verdicts =
+      Engine.grade eng ~jobs ~need_cycles:false p (Engine.golden eng p)
+        ~observed ~active
+    in
+    let fresh = ref 0 in
+    Array.iteri
+      (fun c v ->
+        if active.(c) && v <> Engine.Undetected then begin
+          active.(c) <- false;
+          incr fresh
+        end)
+      verdicts;
+    Metrics.add m_sim_detected !fresh;
+    let drawn = drawn + p.Engine.cycles in
+    if !fresh > 0 && (ninputs >= N.word_bits || drawn < 1 lsl ninputs) then
+      round drawn
+  in
+  round 0;
+  active
+
+(* Stage 2.  One fresh solver per surviving class, holding the good
+   circuit's fanin of the observed gates the fault can reach and the
+   faulty copy of that region.  A gate's faulty literal is its good one
+   unless it is the fault site or reads a gate whose literals differ, so
+   the faulty copy is exactly the fault's output cone.  [good]/[bad] are
+   per-domain scratch: every support gate is written before it is read.
+   Returns [None] when the fault reaches no observed gate, else whether
+   the miter is unsatisfiable. *)
+let prove_class ~readers ~is_observed (net : N.t) (good, bad) fault =
+  let obs =
+    Array.to_list (N.cone ~readers net fault.N.gate)
+    |> List.filter (fun g -> is_observed.(g))
+  in
+  if obs = [] then None
+  else begin
+    let s = Solver.create () in
+    let const b = if b then Solver.true_lit s else Solver.false_lit s in
+    let support = N.fanin_cone net obs in
+    Array.iteri
+      (fun g gate ->
+        if support.(g) then begin
+          (good.(g) <-
+             match gate with
+             | N.Input _ -> Solver.pos (Solver.new_var s)
+             | _ -> Cnf.add_gate s gate ~read:(fun _ x -> good.(x)));
+          bad.(g) <-
+            (if g = fault.N.gate && fault.N.pin = None then
+               const fault.N.stuck_at
+             else if
+               g = fault.N.gate
+               || Array.exists (fun x -> bad.(x) <> good.(x)) (N.operands gate)
+             then
+               Cnf.add_gate s gate ~read:(fun k x ->
+                   if g = fault.N.gate && fault.N.pin = Some k then
+                     const fault.N.stuck_at
+                   else bad.(x))
+             else good.(g))
+        end)
+      net.N.gates;
+    let diffs =
+      List.filter_map
+        (fun o ->
+          if bad.(o) = good.(o) then None
+          else Some (Cnf.mk_xor s bad.(o) good.(o)))
+        obs
+    in
+    Some
+      (diffs = []
+      ||
+      (Solver.add_clause s diffs;
+       Solver.solve s = Solver.Unsat))
+  end
 
 let redundant ?(jobs = 1) ?observed (net : N.t) =
   Trace.span ~cat:"sat" "sat.redundant" @@ fun () ->
@@ -74,45 +125,32 @@ let redundant ?(jobs = 1) ?observed (net : N.t) =
     | None -> sorted_unique (Array.map snd net.N.outputs)
   in
   let cl = N.collapse ~protected:observed net in
-  let readers = N.readers net in
-  let is_observed = Array.make (N.num_gates net) false in
-  Array.iter (fun g -> is_observed.(g) <- true) observed;
   let nclasses = Array.length cl.N.classes in
+  let survivors =
+    Trace.span ~cat:"sat" "sat.redundant.simulate" @@ fun () ->
+    let undetected = simulate ~jobs ~observed net in
+    List.filter (fun c -> undetected.(c)) (List.init nclasses Fun.id)
+    |> Array.of_list
+  in
   let untestable = Array.make nclasses false in
   let unobservable = Array.make nclasses false in
-  Stc_util.Parallel.iter_range_local ~jobs
-    ~local:(fun () ->
-      let s = Solver.create () in
-      let inputs = Cnf.fresh_inputs s (Array.length net.N.inputs) in
-      let good = Cnf.add_netlist s net ~inputs in
-      (s, good))
-    nclasses
-    (fun (s, good) ci ->
-      let fault = cl.N.faults.(cl.N.representatives.(ci)) in
-      let cone = N.cone ~readers net fault.N.gate in
-      let obs =
-        Array.to_list cone |> List.filter (fun g -> is_observed.(g))
-      in
-      if obs = [] then begin
-        (* the fault cannot reach any observed net: trivially untestable *)
-        untestable.(ci) <- true;
-        unobservable.(ci) <- true
-      end
-      else begin
-        let act = Solver.pos (Solver.new_var s) in
-        let flit = add_faulty_cone s ~act ~good ~net ~fault cone in
-        let diffs =
-          List.map
-            (fun o -> Cnf.mk_xor s ~guard:act (Hashtbl.find flit o) good.(o))
-            obs
-        in
-        Solver.add_clause s (Solver.negate act :: diffs);
-        (match Solver.solve ~assumptions:[ act ] s with
-        | Solver.Sat -> ()
-        | Solver.Unsat -> untestable.(ci) <- true);
-        (* retract this fault's miter for the next one *)
-        Solver.add_clause s [ Solver.negate act ]
-      end);
+  Trace.span ~cat:"sat" "sat.redundant.prove" (fun () ->
+      let readers = N.readers net in
+      let n = N.num_gates net in
+      let is_observed = Array.make n false in
+      Array.iter (fun g -> is_observed.(g) <- true) observed;
+      Stc_util.Parallel.iter_range_local ~jobs
+        ~local:(fun () -> (Array.make n 0, Array.make n 0))
+        (Array.length survivors)
+        (fun scratch i ->
+          let ci = survivors.(i) in
+          let fault = cl.N.faults.(cl.N.representatives.(ci)) in
+          match prove_class ~readers ~is_observed net scratch fault with
+          | None ->
+            (* the fault cannot reach any observed net: trivially untestable *)
+            untestable.(ci) <- true;
+            unobservable.(ci) <- true
+          | Some unsat -> untestable.(ci) <- unsat));
   let redundant_classes = ref 0 and unobservable_classes = ref 0 in
   let idxs = ref [] in
   for ci = nclasses - 1 downto 0 do

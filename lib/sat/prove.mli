@@ -1,18 +1,27 @@
 (** SAT-backed untestable-fault proofs.
 
-    For each collapsed fault class of a netlist, build the cone-limited
-    miter between the good circuit and the faulty circuit and ask for an
-    input assignment that makes any observed output differ.  UNSAT is a
-    {e proof} that no test pattern exists: the fault is untestable
-    (redundant), and excluding it from the coverage denominator is the
-    honest correction to the fig-5 numbers.
+    A fault class is untestable (redundant) when no input assignment
+    makes any observed gate differ between the good and the faulty
+    circuit; excluding it from the coverage denominator is the honest
+    correction to the fig-5 numbers.  Two stages settle every collapsed
+    class:
 
-    Incremental construction: each participating domain owns one solver
-    holding the good circuit once; every fault class then adds its
-    faulty cone {e guarded by a fresh activation literal}, solves under
-    the assumption of that literal, and retracts the cone with the unit
-    clause of its negation — the same activation-literal discipline a
-    future ATPG pass will use to enumerate test patterns. *)
+    - {b simulation}: the bit-parallel {!Stc_faultsim.Engine} grades all
+      classes against seeded random patterns, one fixed-size round after
+      another, until a round detects nothing new or the rounds have
+      drawn 2{^inputs} patterns.  A detected class has a concrete test,
+      so it is testable and never reaches SAT;
+    - {b SAT}: every class left gets a fresh solver holding only the
+      good circuit's fanin of the observed gates in the fault's output
+      cone plus the faulty copy of that cone, and one clause forcing
+      some of those observed gates to differ.  UNSAT is a {e proof} that
+      no test pattern exists.  A class whose cone holds no observed gate
+      is untestable without a SAT call.
+
+    Instrumentation: counter [sat.redundant.sim_detected] (classes the
+    simulation settled) and spans [sat.redundant.simulate] /
+    [sat.redundant.prove] inside [sat.redundant]; the solves themselves
+    charge the [sat.*] solver counters. *)
 
 type netlist := Stc_netlist.Netlist.t
 
@@ -31,6 +40,6 @@ type verdict = {
     testable or untestable.  [observed] is the set of gate indices ever
     observed (default: the declared primary outputs); it is both the
     collapse protection set and the miter's output set.  [jobs] domains
-    grade classes in parallel (verdicts are per-class pure, so the
-    result is independent of [jobs]). *)
+    share both stages; scratch state is per domain and every verdict is
+    exact, so the result is independent of [jobs]. *)
 val redundant : ?jobs:int -> ?observed:int array -> netlist -> verdict

@@ -1,8 +1,10 @@
 (* lib/sat suite: the CDCL core against pigeonhole instances and a
    brute-force oracle, the incremental-assumption API, the Tseitin
    encoders against Netlist.eval / cover semantics, and the
-   cec-vs-fault-sim cross-check (a SAT-testable fault must be caught by
-   exhaustive simulation). *)
+   untestable-fault prover against exhaustive simulation (a fault is
+   proven redundant iff no input minterm exposes it), with stage
+   counters showing which classes simulation settles and which reach
+   SAT. *)
 
 module Solver = Stc_sat.Solver
 module Cnf = Stc_sat.Cnf
@@ -210,17 +212,36 @@ let test_tseitin_faulty () =
 
 (* --- redundant-fault proofs vs. exhaustive simulation ----------------- *)
 
-(* Oracle: a fault is testable iff some input minterm flips some primary
-   output.  Every SAT verdict must agree, in both directions. *)
-let exhaustive_testable net fault =
+(* Oracle: a fault is testable iff some input minterm flips some
+   observed gate (default: the primary outputs).  Every SAT verdict must
+   agree, in both directions. *)
+let exhaustive_testable ?observed net fault =
+  let observed =
+    match observed with
+    | Some o -> o
+    | None -> Array.map snd net.N.outputs
+  in
+  (* minterm [base + lane] rides in bit lane [lane] of every input word *)
   let n_in = Array.length net.N.inputs in
+  let total = 1 lsl n_in in
   let testable = ref false in
-  for v = 0 to (1 lsl n_in) - 1 do
-    let inputs = Array.init n_in (fun k -> (v lsr k) land 1) in
-    let good = N.eval_outputs net ~inputs in
-    let bad = N.eval_outputs ~fault net ~inputs in
-    if Array.exists2 (fun a b -> (a lxor b) land 1 <> 0) good bad then
-      testable := true
+  let base = ref 0 in
+  while (not !testable) && !base < total do
+    let lanes = min N.word_bits (total - !base) in
+    let inputs =
+      Array.init n_in (fun k ->
+          let w = ref 0 in
+          for lane = 0 to lanes - 1 do
+            if ((!base + lane) lsr k) land 1 = 1 then w := !w lor (1 lsl lane)
+          done;
+          !w)
+    in
+    let mask = (1 lsl lanes) - 1 in
+    let good = N.eval net ~inputs in
+    let bad = N.eval ~fault net ~inputs in
+    if Array.exists (fun g -> (good.(g) lxor bad.(g)) land mask <> 0) observed
+    then testable := true;
+    base := !base + lanes
   done;
   !testable
 
@@ -258,6 +279,111 @@ let test_prove_vs_sim () =
   let v = check_prove_vs_sim (redundant_net ()) in
   check_bool "found redundancy" true (List.length v.Prove.redundant > 0);
   ignore (check_prove_vs_sim (reference_net ()))
+
+(* Counter deltas of one [Prove.redundant] run: how many classes the
+   simulation stage settled and how many SAT solves the rest took. *)
+let with_stage_counters f =
+  let module Metrics = Stc_obs.Metrics in
+  let read c = Metrics.counter_value (Metrics.counter c) in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  let d0 = read "sat.redundant.sim_detected" and s0 = read "sat.solves" in
+  let v = f () in
+  (v, read "sat.redundant.sim_detected" - d0, read "sat.solves" - s0)
+
+(* Every redundant class of [redundant_net] survives simulation (no
+   pattern detects an untestable fault) and is settled UNSAT by a
+   solve of its own. *)
+let test_prove_redundant_reach_sat () =
+  let net = redundant_net () in
+  let v, sim_detected, solves =
+    with_stage_counters (fun () -> Prove.redundant net)
+  in
+  check_bool "found redundancy" true (v.Prove.redundant_classes > 0);
+  check_int "none settled structurally" 0 v.Prove.unobservable_classes;
+  check_int "simulation settles exactly the testable classes"
+    (v.Prove.total_classes - v.Prove.redundant_classes)
+    sim_detected;
+  check_int "one solve per redundant class" v.Prove.redundant_classes solves
+
+(* The output s-a-0 of a 24-input AND has one test in 2^24 patterns:
+   random simulation cannot find it, so SAT must, and must call it
+   testable.  The inputs also feed an OR, so they are fanout stems and
+   every AND/OR pin fault stays a class of its own whose one test SAT
+   must find too. *)
+let test_prove_wide_and () =
+  let b = B.create "and24" in
+  let xs = List.init 24 (fun k -> B.input b (Printf.sprintf "x%d" k)) in
+  let out = B.and_ b xs in
+  B.output b "f" out;
+  B.output b "g" (B.or_ b xs);
+  let net = B.finish b in
+  let v, sim_detected, solves =
+    with_stage_counters (fun () -> Prove.redundant net)
+  in
+  check_bool "s-a-0 testable" false
+    (List.mem { N.gate = out; pin = None; stuck_at = false } v.Prove.redundant);
+  check_int "no fault redundant" 0 (List.length v.Prove.redundant);
+  check_bool "some class left to SAT" true (solves > 0);
+  check_int "every undetected class solved" solves
+    (v.Prove.total_classes - sim_detected)
+
+(* Random combinational netlists of at most 10 inputs; roughly half the
+   cases observe a few internal gates instead of the primary outputs. *)
+let random_net seed =
+  let rng = Stc_util.Rng.create seed in
+  let b = B.create "rand" in
+  let n_in = 1 + Stc_util.Rng.int rng 10 in
+  let gates =
+    ref (Array.init n_in (fun k -> B.input b (Printf.sprintf "i%d" k)))
+  in
+  let pick () = Stc_util.Rng.pick rng !gates in
+  for _ = 1 to 3 + Stc_util.Rng.int rng 20 do
+    let ops () = List.init (1 + Stc_util.Rng.int rng 3) (fun _ -> pick ()) in
+    let g =
+      match Stc_util.Rng.int rng 5 with
+      | 0 -> B.and_ b (ops ())
+      | 1 -> B.or_ b (ops ())
+      | 2 -> B.xor_ b (ops ())
+      | 3 -> B.mux b ~sel:(pick ()) ~a:(pick ()) ~b:(pick ())
+      | _ -> B.not_ b (pick ())
+    in
+    gates := Array.append !gates [| g |]
+  done;
+  B.output b "f" !gates.(Array.length !gates - 1);
+  if Stc_util.Rng.bool rng then B.output b "g" (pick ());
+  let net = B.finish b in
+  let observed =
+    if Stc_util.Rng.bool rng then None
+    else Some (Array.init (1 + Stc_util.Rng.int rng 3) (fun _ -> pick ()))
+  in
+  (net, observed)
+
+let test_prove_random_vs_exhaustive =
+  QCheck.Test.make ~count:300
+    ~name:"Prove.redundant agrees with exhaustive simulation"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let net, observed = random_net seed in
+      List.iter
+        (fun jobs ->
+          let v = Prove.redundant ~jobs ?observed net in
+          List.iter
+            (fun fault ->
+              let proved = List.mem fault v.Prove.redundant in
+              if proved = exhaustive_testable ?observed net fault then
+                QCheck.Test.fail_reportf
+                  "seed %d, jobs %d: gate %d pin %s s-a-%d: prover says %s"
+                  seed jobs fault.N.gate
+                  (match fault.N.pin with
+                  | None -> "out"
+                  | Some k -> string_of_int k)
+                  (Bool.to_int fault.N.stuck_at)
+                  (if proved then "untestable" else "testable"))
+            (N.fault_sites net))
+        [ 1; 4 ];
+      true)
 
 let test_prove_jobs_deterministic () =
   let net = redundant_net () in
@@ -319,5 +445,9 @@ let () =
           Alcotest.test_case "vs exhaustive sim" `Quick test_prove_vs_sim;
           Alcotest.test_case "jobs deterministic" `Quick
             test_prove_jobs_deterministic;
+          Alcotest.test_case "redundant faults reach SAT" `Quick
+            test_prove_redundant_reach_sat;
+          Alcotest.test_case "wide AND needs SAT" `Quick test_prove_wide_and;
+          qcheck test_prove_random_vs_exhaustive;
         ] );
     ]

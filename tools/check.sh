@@ -117,6 +117,10 @@ for m in fig5 shiftreg4 toggle parity; do
   echo "   verify --all-archs --werror $m"
   dune exec bin/ostr.exe -- verify "$m" --all-archs --werror > /dev/null
 done
+# tbk: 52 242 raw faults through the untestable-fault prover.  The cap
+# fails the gate if the per-fault proof cost turns quadratic again.
+echo "   verify --werror tbk (capped)"
+capped dune exec bin/ostr.exe -- verify tbk --werror > /dev/null
 dune exec bin/ostr.exe -- verify dk27 --json "$obs_dir/verify.json" > /dev/null
 dune exec tools/json_lint.exe -- "$obs_dir/verify.json" \
   machine diagnostics summary
