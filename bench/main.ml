@@ -22,11 +22,12 @@
      with short sessions, no file written - the CI gate.
    - `minimize`: write BENCH_minimize.json - per-machine naive
      (trit-array) vs packed bit-parallel vs multicore espresso on the
-     monolithic block C: wall time, cube/literal counts before and
-     after, expand/tautology counters; nonzero exit if any engine
-     violates the minimization contract or jobs>1 changes the result.
-   - `minimize-quick`: the same checks on small machines, no file
-     written - the CI gate.
+     monolithic block C and on the fig. 4 blocks C1/C2/Lambda of dk16
+     and tbk: wall time, cube/literal counts before and after,
+     expand/tautology counters; nonzero exit if any engine violates the
+     minimization contract or jobs>1 changes the result.
+   - `minimize-quick`: the same checks on small machines (block C and
+     the pipeline blocks), no file written - the CI gate.
    - `core`: write BENCH_core.json - the shared bit-engine kernels
      (word SWAR ops, bitvec algebra, packed partition ops) timed against
      the retained element-wise references, with per-row equality checks.
@@ -503,8 +504,26 @@ let run_faultsim_quick () =
 module Cover = Stc_logic.Cover
 module Cube = Stc_logic.Cube
 
+(* Monolithic block C of the conventional structure per machine, then
+   the three fig. 4 pipeline blocks (rows [<m>/c1], [<m>/c2],
+   [<m>/lambda]) the flow actually minimizes. *)
 let minimize_machines = [ "dk16"; "s1"; "dk512"; "tbk" ]
+let minimize_pipeline_machines = [ "dk16"; "tbk" ]
 let minimize_quick_machines = [ "dk27"; "mc"; "bbara" ]
+
+let mz_blocks ~machines ~pipeline =
+  List.map
+    (fun name ->
+      let on, dc = Tables.conventional (Tables.encode (benchmark_machine name)) in
+      (name, on, dc))
+    machines
+  @ List.concat_map
+      (fun name ->
+        let p = Tables.pipeline_of_machine ~jobs:1 (benchmark_machine name) in
+        [ (name ^ "/c1", p.Tables.c1_on, p.Tables.c1_dc);
+          (name ^ "/c2", p.Tables.c2_on, p.Tables.c2_dc);
+          (name ^ "/lambda", p.Tables.lambda_on, p.Tables.lambda_dc) ])
+      pipeline
 
 (* The naive reference predates every performance fix; on s1's 5000-row
    monolithic block a full pass takes hours.  Cap it and report the
@@ -581,9 +600,7 @@ let mz_row_ok r = r.mz_verified && r.mz_deterministic
 
 (* Rows print as they complete; the heavy machines keep the naive
    reference busy for minutes, so stream progress per engine too. *)
-let minimize_row name =
-  let enc = Tables.encode (benchmark_machine name) in
-  let on, dc = Tables.conventional enc in
+let minimize_row (name, on, dc) =
   let stage s = Printf.eprintf "  %s: %s...\n%!" name s in
   stage "packed jobs:1";
   let packed = mz_instrumented (fun () -> Minimize.minimize ~jobs:1 ~dc on) in
@@ -677,7 +694,7 @@ let print_mz_row r =
     else Printf.sprintf "%.3fs" r.mz_naive.mz_wall
   in
   Printf.printf
-    "%-8s %s  %d -> %d cubes (%d literals)  naive %s  packed %.3fs \
+    "%-12s %s  %d -> %d cubes (%d literals)  naive %s  packed %.3fs \
      (%.1fx%s)  par(x%d) %.3fs (%.2fx)\n%!"
     r.mz_name
     (if mz_row_ok r then "ok  " else "FAIL")
@@ -688,13 +705,13 @@ let print_mz_row r =
     par_jobs r.mz_par.mz_wall
     (r.mz_packed.mz_wall /. Float.max 1e-9 r.mz_par.mz_wall)
 
-let minimize_rows names =
+let minimize_rows blocks =
   List.map
-    (fun name ->
-      let r = minimize_row name in
+    (fun block ->
+      let r = minimize_row block in
       print_mz_row r;
       r)
-    names
+    blocks
 
 let mz_failures rows =
   List.filter (fun r -> not (mz_row_ok r)) rows
@@ -705,7 +722,11 @@ let mz_failures rows =
          r.mz_name)
 
 let run_minimize () =
-  let rows = minimize_rows minimize_machines in
+  let rows =
+    minimize_rows
+      (mz_blocks ~machines:minimize_machines
+         ~pipeline:minimize_pipeline_machines)
+  in
   let path = "BENCH_minimize.json" in
   Json.write path
     (Schema.wrap ~bench:"minimize" ~jobs:par_jobs
@@ -717,7 +738,11 @@ let run_minimize () =
 
 (* CI gate: contract + determinism checks only, small machines, no file. *)
 let run_minimize_quick () =
-  let rows = minimize_rows minimize_quick_machines in
+  let rows =
+    minimize_rows
+      (mz_blocks ~machines:minimize_quick_machines
+         ~pipeline:minimize_quick_machines)
+  in
   let failures = List.length (mz_failures rows) in
   if failures = 0 then Printf.printf "minimize quick: all rows ok\n";
   exit failures

@@ -631,20 +631,23 @@ let selftest_cmd =
     Format.printf "pipeline structure of %s: %d flip-flops, %d gates@."
       m.Machine.name built.Arch.flipflops
       (Stc_netlist.Netlist.num_gates built.Arch.netlist);
-    List.iteri
-      (fun k (stimuli, observed) ->
-        let report =
-          Session.run ~jobs
-            ~label:(Printf.sprintf "session %d" (k + 1))
-            built.Arch.netlist ~stimuli ~observed
-        in
-        Format.printf
-          "session %d: %d cycles, %d observed nets, coverage %.1f%% (%d/%d)@."
-          (k + 1) (Array.length stimuli) (Array.length observed)
-          (100.0 *. report.Session.coverage)
-          report.Session.detected report.Session.total)
-      built.Arch.sessions;
-    let merged = Arch.grade ~jobs built in
+    let reports =
+      List.mapi
+        (fun k (stimuli, observed) ->
+          let report =
+            Session.run ~jobs
+              ~label:(Printf.sprintf "session %d" (k + 1))
+              built.Arch.netlist ~stimuli ~observed
+          in
+          Format.printf
+            "session %d: %d cycles, %d observed nets, coverage %.1f%% (%d/%d)@."
+            (k + 1) (Array.length stimuli) (Array.length observed)
+            (100.0 *. report.Session.coverage)
+            report.Session.detected report.Session.total;
+          report)
+        built.Arch.sessions
+    in
+    let merged = Session.merge ~label:built.Arch.label reports in
     Format.printf "both sessions combined: %.1f%% (%d/%d)@."
       (100.0 *. merged.Session.coverage)
       merged.Session.detected merged.Session.total

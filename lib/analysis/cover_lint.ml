@@ -49,6 +49,11 @@ let check_redundancy ~subject ?dc ?limit cover =
     | None -> Array.length cubes
     | Some l -> min l (Array.length cubes)
   in
+  let context, dc_size =
+    match dc with
+    | None -> (cover, 0)
+    | Some d -> (Cover.union cover d, Cover.size d)
+  in
   let diags = ref [] in
   for j = 0 to n - 1 do
     (* Duplicate / single-cube containment against earlier cubes.  Note
@@ -78,15 +83,9 @@ let check_redundancy ~subject ?dc ?limit cover =
     scan 0;
     (* Redundancy against the rest of the (budgeted) cover, plus
        don't-cares. *)
-    let rest =
-      Cover.make ~num_vars:cover.Cover.num_vars
-        ~num_outputs:cover.Cover.num_outputs
-        (List.filteri
-           (fun i _ -> i <> j && i < n)
-           (Array.to_list cubes))
-    in
-    let rest = match dc with None -> rest | Some d -> Cover.union rest d in
-    if Cover.size rest > 0 && Cover.covers_cube rest cubes.(j) then
+    let rest i = i <> j && (i < n || i >= Array.length cubes) in
+    if n - 1 + dc_size > 0 && Cover.covers_cube ~keep:rest context cubes.(j)
+    then
       diags :=
         D.warning ~code:"COV003" ~subject
           ~loc:(Printf.sprintf "cube %d" j)

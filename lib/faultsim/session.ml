@@ -194,6 +194,26 @@ let run_sessions ?jobs ?naive ?need_cycles ~label netlist sessions =
     report ~label ~total ~detected ~undetected
   end
 
+let merge ~label = function
+  | [] -> invalid_arg "Session.merge: no reports"
+  | (first : report) :: rest ->
+    let sets =
+      List.map
+        (fun (r : report) ->
+          let tbl = Hashtbl.create (List.length r.undetected) in
+          List.iter (fun f -> Hashtbl.replace tbl f ()) r.undetected;
+          tbl)
+        rest
+    in
+    let undetected =
+      List.filter
+        (fun f -> List.for_all (fun tbl -> Hashtbl.mem tbl f) sets)
+        first.undetected
+    in
+    report ~label ~total:first.total
+      ~detected:(first.total - List.length undetected)
+      ~undetected
+
 let adjusted (r : report) ~redundant =
   let tbl = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace tbl f ()) redundant;

@@ -64,6 +64,16 @@ val run_sessions :
   (stimuli * int array) list ->
   report
 
+(** [merge ~label reports] combines the reports of sessions graded
+    separately on one netlist: a fault stays undetected only if every
+    session left it undetected, the rest count as detected, and [total]
+    is the first report's.  It equals {!run_sessions} on the same
+    sessions, because each {!run} protects its own observed gates from
+    collapsing, so per-fault verdicts are exact.  The undetected list
+    keeps the first report's order.
+    @raise Invalid_argument on an empty list. *)
+val merge : label:string -> report list -> report
+
 (** [union_observed sessions] is the sorted, duplicate-free union of the
     gates any session observes: the protection set of a combined grading
     run, and the observed set of an untestable-fault proof that must

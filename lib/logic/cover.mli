@@ -56,9 +56,11 @@ val cofactor : t -> wrt:Cube.t -> t
     universal cube). *)
 val tautology : t -> bool
 
-(** [covers_cube c cube] tests whether [c] covers all minterms of [cube]
-    for all of [cube]'s outputs. *)
-val covers_cube : t -> Cube.t -> bool
+(** [covers_cube ?keep c cube] tests whether [c] covers all minterms of
+    [cube] for all of [cube]'s outputs.  [keep] (default: every cube)
+    restricts [c] to the cubes whose index it accepts, so "the rest of
+    the cover" needs no new cover per query. *)
+val covers_cube : ?keep:(int -> bool) -> t -> Cube.t -> bool
 
 (** [covers a b]: [a] covers every cube of [b]. *)
 val covers : t -> t -> bool
@@ -73,9 +75,11 @@ val equivalent : t -> t -> bool
     identical for every [jobs] value. *)
 val complement : ?jobs:int -> t -> t
 
-(** [sharp_cube cube c] is the set difference [cube \ c] as a cover:
-    the parts of [cube] (per output of [cube]) not covered by [c]. *)
-val sharp_cube : Cube.t -> t -> t
+(** [sharp_cube ?keep cube c] is the set difference [cube \ c] as a
+    cover: the parts of [cube] (per output of [cube]) not covered by
+    [c].  [keep] filters the cubes of [c] by index, as in
+    {!covers_cube}. *)
+val sharp_cube : ?keep:(int -> bool) -> Cube.t -> t -> t
 
 (** [single_cube_containment c] drops every cube contained in another
     single cube of [c] (cheap redundancy removal).  The result is

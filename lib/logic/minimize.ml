@@ -28,31 +28,30 @@ let rows_conflict nw a b =
 
 (* Per-domain scratch for the blocking matrix, reused across cubes so the
    hot loop allocates nothing proportional to the off-set.  [sets] holds
-   the conflict masks row-major ([nrel] rows of [nw] words), [col_rows]
-   the row indices per conflict column in CSR layout. *)
+   the conflict masks row-major ([nrel] rows of [nw] words), [counts]
+   each row's number of conflict columns, and [planes] a bit-sliced
+   vertical counter of conflicts per column: word [j * nw + w] holds bit
+   [j] of the count of every column of input word [w], at the column's
+   low pair bit. *)
 type scratch = {
   mutable sets : int array;
   mutable counts : int array;
+  mutable planes : int array;
   mutable col_count : int array;
-  mutable col_start : int array;  (* nv + 1 entries *)
-  mutable col_cursor : int array;
-  mutable col_rows : int array;
   mutable blocked : bool array;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      {
-        sets = [||];
-        counts = [||];
-        col_count = [||];
-        col_start = [||];
-        col_cursor = [||];
-        col_rows = [||];
-        blocked = [||];
-      })
+      { sets = [||]; counts = [||]; planes = [||]; col_count = [||];
+        blocked = [||] })
 
 let ensure = Stc_bits.Arena.ensure
+
+(* Smallest [l] with [n < 2^l]: planes enough to count to [n]. *)
+let bit_length n =
+  let rec go l = if n lsr l = 0 then l else go (l + 1) in
+  go 0
 
 (* Raise one cube against the off-set using a blocking matrix: for every
    off-cube whose output part overlaps the cube's, record the set of
@@ -61,9 +60,11 @@ let ensure = Stc_bits.Arena.ensure
    of any such set; raising it removes the column from every set, and
    any set thereby reduced to a single column permanently blocks that
    remaining column.  Columns are tried in ascending blocker count (then
-   index), as in espresso.  Output parts are raised afterwards: one
-   disjointness scan of the raised input part over the off-set collects
-   every blocked output at once. *)
+   index), as in espresso; the counts come from a carry-save add of each
+   set into the counter planes, so building them costs a few word
+   operations per row instead of one step per conflict bit.  Output parts
+   are raised afterwards: one disjointness scan of the raised input part
+   over the off-set collects every blocked output at once. *)
 let expand_cube ~(off : Cover.t) cube =
   let nv = Cube.num_vars cube in
   let no = Cube.num_outputs cube in
@@ -72,15 +73,31 @@ let expand_cube ~(off : Cover.t) cube =
   let cin = Array.copy (R.input_words cube) in
   let cout = Array.copy (R.output_words cube) in
   let off_cubes = off.Cover.cubes in
+  let noff = Array.length off_cubes in
+  (* A column's count is at most the number of off-cubes. *)
+  let np = bit_length noff in
   let s = Domain.DLS.get scratch_key in
-  s.sets <- ensure s.sets (Array.length off_cubes * nw);
-  s.counts <- ensure s.counts (Array.length off_cubes);
+  s.sets <- ensure s.sets (noff * nw);
+  s.counts <- ensure s.counts noff;
+  s.planes <- ensure s.planes (np * nw);
+  Array.fill s.planes 0 (np * nw) 0;
   s.col_count <- ensure s.col_count nv;
-  s.col_start <- ensure s.col_start (nv + 1);
-  s.col_cursor <- ensure s.col_cursor nv;
   s.blocked <- Stc_bits.Arena.ensure_bool s.blocked nv;
-  (* Conflict-column sets of the output-overlapping off-cubes. *)
-  let nrel = ref 0 and total = ref 0 in
+  Array.fill s.blocked 0 nv false;
+  let col_of w b = (w * R.vars_per_word) + (R.popcount (b - 1) / 2) in
+  (* Only meaningful for rows with a single conflict bit left: the one
+     nonzero word then holds exactly that bit, which [col_of] maps to
+     its column. *)
+  let last_col base =
+    let j = ref (-1) in
+    for w = 0 to nw - 1 do
+      if s.sets.(base + w) <> 0 then j := col_of w s.sets.(base + w)
+    done;
+    !j
+  in
+  (* Conflict-column sets of the output-overlapping off-cubes; a set with
+     a single column blocks it. *)
+  let nrel = ref 0 in
   let invalid = ref false in
   Array.iter
     (fun r ->
@@ -92,73 +109,40 @@ let expand_cube ~(off : Cover.t) cube =
           let v = cin.(w) land rin.(w) in
           let e = lnot (v lor (v lsr 1)) land R.mask01 in
           s.sets.(base + w) <- e;
-          cnt := !cnt + R.popcount e
+          cnt := !cnt + R.popcount e;
+          let carry = ref e and idx = ref w in
+          while !carry <> 0 do
+            let plane = s.planes.(!idx) in
+            s.planes.(!idx) <- plane lxor !carry;
+            carry := plane land !carry;
+            idx := !idx + nw
+          done
         done;
         (* No conflict column means the cube already intersects the
            off-set (an invalid input): mirror the old engine and return
            it unraised. *)
         if !cnt = 0 then invalid := true;
+        if !cnt = 1 then s.blocked.(last_col base) <- true;
         s.counts.(!nrel) <- !cnt;
-        total := !total + !cnt;
         incr nrel
       end)
     off_cubes;
   if !invalid then cube
   else begin
     let nrel = !nrel in
-    s.col_rows <- ensure s.col_rows !total;
-    Array.fill s.col_count 0 nv 0;
-    Array.fill s.blocked 0 nv false;
-    let col_of w b = (w * R.vars_per_word) + (R.popcount (b - 1) / 2) in
-    (* Only meaningful for rows with a single conflict bit left: the one
-       nonzero word then holds exactly that bit, which [col_of] maps to
-       its column. *)
-    let last_col base =
-      let j = ref (-1) in
-      for w = 0 to nw - 1 do
-        if s.sets.(base + w) <> 0 then j := col_of w s.sets.(base + w)
-      done;
-      !j
-    in
-    for i = 0 to nrel - 1 do
-      let base = i * nw in
-      for w = 0 to nw - 1 do
-        let e = ref s.sets.(base + w) in
-        while !e <> 0 do
-          let b = !e land - !e in
-          let k = col_of w b in
-          s.col_count.(k) <- s.col_count.(k) + 1;
-          e := !e land lnot b
-        done
-      done;
-      if s.counts.(i) = 1 then s.blocked.(last_col base) <- true
-    done;
-    (* CSR fill: row indices of each column's blockers. *)
-    let acc = ref 0 in
-    for k = 0 to nv - 1 do
-      s.col_start.(k) <- !acc;
-      s.col_cursor.(k) <- !acc;
-      acc := !acc + s.col_count.(k)
-    done;
-    s.col_start.(nv) <- !acc;
-    for i = 0 to nrel - 1 do
-      let base = i * nw in
-      for w = 0 to nw - 1 do
-        let e = ref s.sets.(base + w) in
-        while !e <> 0 do
-          let b = !e land - !e in
-          let k = col_of w b in
-          s.col_rows.(s.col_cursor.(k)) <- i;
-          s.col_cursor.(k) <- s.col_cursor.(k) + 1;
-          e := !e land lnot b
-        done
-      done
-    done;
-    (* Fixed columns of the cube, cheapest (fewest blockers) first. *)
+    (* Fixed columns of the cube, cheapest (fewest blockers) first; each
+       count is read bit by bit off the planes. *)
     let fixed = ref [] in
     for k = nv - 1 downto 0 do
-      let pair = (cin.(k / R.vars_per_word) lsr (2 * (k mod R.vars_per_word))) land 3 in
-      if pair <> 3 then fixed := k :: !fixed
+      let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
+      if (cin.(wi) lsr p) land 3 <> 3 then begin
+        let c = ref 0 in
+        for j = np - 1 downto 0 do
+          c := (!c lsl 1) lor ((s.planes.((j * nw) + wi) lsr p) land 1)
+        done;
+        s.col_count.(k) <- !c;
+        fixed := k :: !fixed
+      end
     done;
     let order =
       List.stable_sort
@@ -172,11 +156,16 @@ let expand_cube ~(off : Cover.t) cube =
           let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
           cin.(wi) <- cin.(wi) lor (3 lsl p);
           Stc_obs.Metrics.incr m_raise_acc;
-          for idx = s.col_start.(k) to s.col_start.(k + 1) - 1 do
-            let i = s.col_rows.(idx) in
-            s.sets.((i * nw) + wi) <- s.sets.((i * nw) + wi) land lnot (1 lsl p);
-            s.counts.(i) <- s.counts.(i) - 1;
-            if s.counts.(i) = 1 then s.blocked.(last_col (i * nw)) <- true
+          (* Drop column [k] from every set holding it. *)
+          let bit = 1 lsl p in
+          for i = 0 to nrel - 1 do
+            let idx = (i * nw) + wi in
+            let e = s.sets.(idx) in
+            if e land bit <> 0 then begin
+              s.sets.(idx) <- e lxor bit;
+              s.counts.(i) <- s.counts.(i) - 1;
+              if s.counts.(i) = 1 then s.blocked.(last_col (i * nw)) <- true
+            end
           done
         end)
       order;
@@ -220,12 +209,10 @@ let expand ?(jobs = 1) ~off cover =
     (Cover.of_array ~num_vars:cover.Cover.num_vars
        ~num_outputs:cover.Cover.num_outputs raised)
 
-let cubes_except cubes alive i =
-  let out = ref [] in
-  for j = Array.length cubes - 1 downto 0 do
-    if j <> i && alive.(j) then out := cubes.(j) :: !out
-  done;
-  !out
+(* Index filter for "every other cube plus dc" in a shared
+   [cover + dc]: cube [i] under test and the dropped cover cubes are
+   skipped; the don't-care cubes past index [n] always stay. *)
+let others ~n alive i j = j >= n || (j <> i && alive.(j))
 
 (* IRREDUNDANT via the relatively-essential / partially-redundant split:
    one (parallelizable) covered-by-all-others test per cube classifies it
@@ -238,16 +225,12 @@ let irredundant ?(jobs = 1) ?dc cover =
   let n = Array.length cubes in
   if n <= 1 then cover
   else begin
-    let num_vars = cover.Cover.num_vars
-    and num_outputs = cover.Cover.num_outputs in
+    let context = with_dc ?dc cover in
     let all_alive = Array.make n true in
-    let context_of alive i =
-      with_dc ?dc
-        (Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i))
-    in
     let covered =
       Stc_util.Parallel.map_range ~jobs n
-        (fun i -> Cover.covers_cube (context_of all_alive i) cubes.(i))
+        (fun i ->
+          Cover.covers_cube ~keep:(others ~n all_alive i) context cubes.(i))
         ~init:false
     in
     let partially_redundant = ref [] in
@@ -265,27 +248,32 @@ let irredundant ?(jobs = 1) ?dc cover =
     let alive = Array.make n true in
     List.iter
       (fun i ->
-        if Cover.covers_cube (context_of alive i) cubes.(i) then
+        if Cover.covers_cube ~keep:(others ~n alive i) context cubes.(i) then
           alive.(i) <- false)
       order;
     let kept = ref [] in
     for i = n - 1 downto 0 do
       if alive.(i) then kept := cubes.(i) :: !kept
     done;
-    Cover.make ~num_vars ~num_outputs !kept
+    Cover.make ~num_vars:cover.Cover.num_vars
+      ~num_outputs:cover.Cover.num_outputs !kept
   end
 
 let reduce ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "reduce" @@ fun () ->
-  let cubes = Array.copy cover.Cover.cubes in
-  let n = Array.length cubes in
-  let alive = Array.make n true in
+  let n = Array.length cover.Cover.cubes in
   let num_vars = cover.Cover.num_vars
   and num_outputs = cover.Cover.num_outputs in
+  (* A fresh [cover + dc] array: each shrunk cube is written back into
+     it, so the cubes after it are reduced against the shrunk one. *)
+  let context =
+    Cover.union cover
+      (Option.value dc ~default:(Cover.empty ~num_vars ~num_outputs))
+  in
+  let cubes = context.Cover.cubes in
+  let alive = Array.make n true in
   for i = 0 to n - 1 do
-    let others = Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i) in
-    let context = with_dc ?dc others in
-    let unique = Cover.sharp_cube cubes.(i) context in
+    let unique = Cover.sharp_cube ~keep:(others ~n alive i) cubes.(i) context in
     match Array.to_list unique.Cover.cubes with
     | [] -> alive.(i) <- false (* fully covered elsewhere: drop *)
     | first :: more ->
@@ -318,19 +306,14 @@ let verify ~on ?dc result =
 let is_irredundant ?dc cover =
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
-  let alive = Array.make n true in
-  let num_vars = cover.Cover.num_vars
-  and num_outputs = cover.Cover.num_outputs in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if !ok then begin
-      let others =
-        Cover.make ~num_vars ~num_outputs (cubes_except cubes alive i)
-      in
-      if Cover.covers_cube (with_dc ?dc others) cubes.(i) then ok := false
-    end
-  done;
-  !ok
+  let context = with_dc ?dc cover in
+  let all_alive = Array.make n true in
+  let rec go i =
+    i >= n
+    || (not (Cover.covers_cube ~keep:(others ~n all_alive i) context cubes.(i)))
+       && go (i + 1)
+  in
+  go 0
 
 let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->

@@ -120,6 +120,25 @@ let test_cover_duplicate_and_contained () =
   check_bool "COV005 duplicate" true (has_code "COV005" diags);
   check_bool "COV004 contained" true (has_code "COV004" diags)
 
+(* COV003 sees the rest of the cover plus dc, never the cube itself and
+   never cubes past the budget. *)
+let test_cover_redundant_cube () =
+  let mk rows = Cover.make ~num_vars:3 ~num_outputs:1 rows in
+  let cov003 ?dc ?limit c =
+    List.filter_map
+      (fun d -> if d.D.code = "COV003" then Some d.D.loc else None)
+      (Cover_lint.check_redundancy ~subject:"blk" ?dc ?limit c)
+  in
+  let consensus = mk [ cube "10-" "1"; cube "-11" "1"; cube "1-1" "1" ] in
+  check_bool "consensus cube redundant" true (cov003 consensus = [ "cube 2" ]);
+  check_bool "irredundant cover clean" true
+    (cov003 (mk [ cube "10-" "1"; cube "-11" "1" ]) = []);
+  check_bool "beyond the budget not in the rest" true
+    (cov003 ~limit:2 (mk [ cube "1-1" "1"; cube "10-" "1"; cube "-11" "1" ]) = []);
+  check_bool "dc alone covers" true
+    (cov003 ~dc:(mk [ cube "1--" "1" ]) (mk [ cube "11-" "1" ]) = [ "cube 0" ]);
+  check_bool "a lone cube is not redundant" true (cov003 (mk [ cube "11-" "1" ]) = [])
+
 (* --- seeded fault: deliberate feedback wire ---------------------------- *)
 
 (* A fig. 1-shaped netlist by naming convention: register bit [r0] whose
@@ -410,6 +429,8 @@ let () =
             test_cover_exact_is_clean;
           Alcotest.test_case "duplicate and contained cubes" `Quick
             test_cover_duplicate_and_contained;
+          Alcotest.test_case "COV003 redundant cube" `Quick
+            test_cover_redundant_cube;
         ] );
       ( "net-graph",
         [

@@ -166,6 +166,31 @@ let test_grade_deterministic () =
   check_int "same detected" a.Session.detected b.Session.detected;
   check_int "same total" a.Session.total b.Session.total
 
+(* Grading each session on its own and merging the reports must give
+   exactly the combined grade, undetected list included.  Merging the
+   reports twice over changes nothing: a fault stays undetected only if
+   every report leaves it undetected. *)
+let test_merge_equals_grade () =
+  List.iter
+    (fun name ->
+      let m =
+        match Suite.find name with Some s -> Suite.machine s | None -> assert false
+      in
+      let built = Arch.pipeline_of_machine ~jobs:1 m in
+      let reports =
+        List.mapi
+          (fun k (stimuli, observed) ->
+            Session.run ~label:(Printf.sprintf "session %d" (k + 1))
+              built.Arch.netlist ~stimuli ~observed)
+          built.Arch.sessions
+      in
+      let merged = Session.merge ~label:built.Arch.label reports in
+      let graded = Arch.grade built in
+      check_bool (name ^ ": merge = grade") true (merged = graded);
+      check_bool (name ^ ": merge is idempotent") true
+        (Session.merge ~label:built.Arch.label (reports @ reports) = graded))
+    [ "bbara"; "dk27"; "dk512"; "mc"; "shiftreg"; "tav" ]
+
 let test_undetected_by_tag_sums () =
   let built = Arch.conventional_bist (Zoo.paper_fig5 ()) in
   let report = Arch.grade built in
@@ -378,6 +403,7 @@ let () =
           Alcotest.test_case "fig1 has no sessions" `Quick test_fig1_has_no_sessions;
           Alcotest.test_case "grade deterministic" `Quick test_grade_deterministic;
           Alcotest.test_case "undetected by tag sums" `Quick test_undetected_by_tag_sums;
+          Alcotest.test_case "merge of sessions = grade" `Quick test_merge_equals_grade;
           Alcotest.test_case "dk27 comparison" `Quick test_dk27_benchmark_comparison;
         ] );
       ( "engine",

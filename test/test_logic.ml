@@ -5,6 +5,8 @@ module Naive = Stc_logic.Naive
 module Pla = Stc_logic.Pla
 module Truth = Stc_logic.Truth
 module Rng = Stc_util.Rng
+module Suite = Stc_benchmarks.Suite
+module Tables = Stc_encoding.Tables
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -30,8 +32,13 @@ let random_cover rng ~num_vars ~num_outputs ~max_cubes =
   Cover.make ~num_vars ~num_outputs
     (List.init n (fun _ -> random_cube rng ~num_vars ~num_outputs))
 
-let dims rng =
-  let num_vars = 2 + Rng.int rng 4 in
+(* 2-5 variables, small enough for truth tables.  With [~wide:true]
+   half the cases draw 32-70 variables instead, so packed rows span two
+   or three words (31 variables per word). *)
+let dims ?(wide = false) rng =
+  let num_vars =
+    if wide && Rng.bool rng then 32 + Rng.int rng 39 else 2 + Rng.int rng 4
+  in
   let num_outputs = 1 + Rng.int rng 3 in
   (num_vars, num_outputs)
 
@@ -208,6 +215,24 @@ let test_cover_sharp_cube_oracle =
       done;
       !ok)
 
+let test_cover_keep_filter =
+  QCheck.Test.make ~count:200 ~name:"?keep = the same query on the kept cubes"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let num_vars, num_outputs = dims ~wide:true rng in
+      let c = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+      let cube = random_cube rng ~num_vars ~num_outputs in
+      let mask = Array.map (fun _ -> Rng.bool rng) c.Cover.cubes in
+      let keep i = mask.(i) in
+      let kept =
+        Cover.make ~num_vars ~num_outputs
+          (List.filteri (fun i _ -> keep i) (Array.to_list c.Cover.cubes))
+      in
+      Cover.covers_cube ~keep c cube = Cover.covers_cube kept cube
+      && Cover.to_string (Cover.sharp_cube ~keep cube c)
+         = Cover.to_string (Cover.sharp_cube cube kept))
+
 let test_cover_scc_preserves =
   QCheck.Test.make ~count:200 ~name:"single-cube containment preserves function"
     QCheck.(int_bound 1000000)
@@ -380,12 +405,143 @@ let test_minimize_vs_reference =
       && Truth.equivalent_with_dc ~on ~dc packed
       && Truth.equivalent_with_dc ~on ~dc reference)
 
+(* EXPAND spelled out from its definition: raise the fixed columns in
+   ascending order of how many output-overlapping off-cubes conflict
+   there (ties by index), keeping a raise iff the raised cube meets none
+   of those off-cubes; then add every output that no off-cube asserting
+   it meets; then single-cube containment. *)
+let reference_expand ~off cover =
+  let num_vars = cover.Cover.num_vars
+  and num_outputs = cover.Cover.num_outputs in
+  let raise_cube cube =
+    let rel =
+      List.filter (fun r -> Cube.output_overlap r cube)
+        (Array.to_list off.Cover.cubes)
+    in
+    let blockers k =
+      List.length
+        (List.filter
+           (fun r ->
+             match (Cube.get cube k, Cube.get r k) with
+             | Cube.Zero, Cube.One | Cube.One, Cube.Zero -> true
+             | _ -> false)
+           rel)
+    in
+    let order =
+      List.init num_vars Fun.id
+      |> List.filter (fun k -> Cube.get cube k <> Cube.Dc)
+      |> List.map (fun k -> (blockers k, k))
+      |> List.sort compare |> List.map snd
+    in
+    let input = Cube.input cube and output = Cube.output cube in
+    List.iter
+      (fun k ->
+        let saved = input.(k) in
+        input.(k) <- Cube.Dc;
+        let raised = Cube.make ~input ~output in
+        if List.exists (fun r -> Cube.distance raised r = 0) rel then
+          input.(k) <- saved)
+      order;
+    let raised = Cube.make ~input ~output in
+    let output =
+      Array.mapi
+        (fun o asserted ->
+          asserted
+          || not
+               (Array.exists
+                  (fun r -> Cube.output_bit r o && Cube.distance raised r = 0)
+                  off.Cover.cubes))
+        output
+    in
+    Cube.make ~input ~output
+  in
+  Cover.single_cube_containment
+    (Cover.make ~num_vars ~num_outputs
+       (List.map raise_cube (Array.to_list cover.Cover.cubes)))
+
+(* An EXPAND instance where the raise order matters: a few nearly fully
+   specified on-cubes and an off-set of sparse (2-4 literal) cubes kept
+   only if they miss every on-cube they share an output with, so many
+   off-cubes block exactly one of two columns.  On random covers against
+   their true off-set, under 3 % of cases depend on the order. *)
+let planted_expand_case rng ~num_vars ~num_outputs =
+  let cube ~fixed =
+    let input =
+      Array.init num_vars (fun k ->
+          if fixed k then if Rng.bool rng then Cube.One else Cube.Zero
+          else Cube.Dc)
+    in
+    let output = Array.init num_outputs (fun _ -> Rng.bool rng) in
+    output.(Rng.int rng num_outputs) <- true;
+    Cube.make ~input ~output
+  in
+  let on =
+    List.init (1 + Rng.int rng 4) (fun _ ->
+        cube ~fixed:(fun _ -> Rng.int rng 8 <> 0))
+  in
+  let off = ref [] in
+  for _ = 1 to 60 do
+    let cols = List.init (2 + Rng.int rng 3) (fun _ -> Rng.int rng num_vars) in
+    let r = cube ~fixed:(fun k -> List.mem k cols) in
+    if
+      List.for_all
+        (fun c -> (not (Cube.output_overlap r c)) || Cube.distance r c > 0)
+        on
+    then off := r :: !off
+  done;
+  (Cover.make ~num_vars ~num_outputs on, Cover.make ~num_vars ~num_outputs !off)
+
+let test_expand_vs_reference =
+  QCheck.Test.make ~count:200 ~name:"expand = blocking-count reference, cube for cube"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let num_vars, num_outputs = dims ~wide:true rng in
+      let on, off =
+        if Rng.bool rng then planted_expand_case rng ~num_vars ~num_outputs
+        else begin
+          let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+          let dc = random_cover rng ~num_vars ~num_outputs ~max_cubes:3 in
+          (on, Minimize.off_set ~dc on)
+        end
+      in
+      same_cover (Minimize.expand ~off on) (reference_expand ~off on))
+
+(* Digests of the minimized fig. 4 blocks, recorded before the EXPAND
+   counter and the shared-context IRREDUNDANT/REDUCE: speed work on the
+   minimizer must leave every cover byte-identical. *)
+let test_pipeline_covers_pinned () =
+  List.iter
+    (fun (name, digests) ->
+      let m =
+        match Suite.find name with Some s -> Suite.machine s | None -> assert false
+      in
+      let p = Tables.pipeline_of_machine ~jobs:1 m in
+      List.iter2
+        (fun (label, on, dc) expected ->
+          let cover, _ = Minimize.minimize ~dc on in
+          check_string (name ^ "/" ^ label) expected
+            (Digest.to_hex (Digest.string (Cover.to_string cover))))
+        [ ("c1", p.Tables.c1_on, p.Tables.c1_dc);
+          ("c2", p.Tables.c2_on, p.Tables.c2_dc);
+          ("lambda", p.Tables.lambda_on, p.Tables.lambda_dc) ]
+        digests)
+    [ ("bbara",
+       [ "3c2cab9f0ad82b0c72a2063c26863505"; "854f5d4d156225abb296ef0001700047";
+         "c9f303a53dbd7ce8d304919c78ee2161" ]);
+      ("dk16",
+       [ "f62511eab7f93b1d42b8a347fe9ed005"; "ea3bf3dfb04ad678100a2981e5b3c1bf";
+         "8d9ef6186b5df60d68cc56868ca7db87" ]);
+      ("dk512",
+       [ "09046236df4c1de67947b7abc24d38c2"; "69bfa9f9ac8afe211468eaaf4ca5dd09";
+         "52ab88a3079a5e6816d75bc57aee77e5" ]) ]
+
 let test_minimize_jobs_deterministic =
   QCheck.Test.make ~count:60 ~name:"minimize jobs:1 = jobs:2, cube for cube"
     QCheck.(int_bound 1000000)
     (fun seed ->
       let rng = Rng.create seed in
-      let num_vars, num_outputs = dims rng in
+      let num_vars, num_outputs = dims ~wide:true rng in
       let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
       let dc = random_cover rng ~num_vars ~num_outputs ~max_cubes:4 in
       let r1, _ = Minimize.minimize ~jobs:1 ~dc on in
@@ -490,6 +646,7 @@ let () =
           qcheck test_cover_complement_oracle;
           qcheck test_cover_covers_cube_oracle;
           qcheck test_cover_sharp_cube_oracle;
+          qcheck test_cover_keep_filter;
           qcheck test_cover_scc_preserves;
           qcheck test_cover_minterms_equals_eval;
           qcheck test_cover_equivalent_mutual;
@@ -510,6 +667,9 @@ let () =
           qcheck test_packed_cover_ops_vs_naive;
           qcheck test_minimize_vs_reference;
           qcheck test_minimize_jobs_deterministic;
+          qcheck test_expand_vs_reference;
+          Alcotest.test_case "pipeline covers pinned" `Quick
+            test_pipeline_covers_pinned;
           Alcotest.test_case "of_string edge chars" `Quick
             test_of_string_edge_chars;
           Alcotest.test_case "scc canonicality" `Quick
