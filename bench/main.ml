@@ -64,6 +64,7 @@ module Tables = Stc_encoding.Tables
 module Minimize = Stc_logic.Minimize
 module Arch = Stc_faultsim.Arch
 module Experiments = Stc_report.Experiments
+module Context = Stc_analysis.Context
 module Clock = Stc_util.Clock
 module Json = Stc_obs.Json
 module Trace = Stc_obs.Trace
@@ -114,8 +115,8 @@ let print_tables () =
 let heavy_names = [ "dk16"; "dk512"; "tbk" ]
 
 let benchmark_machine name =
-  match Suite.find name with
-  | Some spec -> Suite.machine spec
+  match Experiments.machine_named name with
+  | Some m -> m
   | None -> invalid_arg name
 
 (* One instrumented solver execution: result, wall clock, per-phase span
@@ -359,12 +360,10 @@ let fs_row_ok r =
   && r.seq_ok
 
 let faultsim_row ~cycles name =
-  let machine =
-    match Experiments.machine_named name with
-    | Some m -> m
-    | None -> invalid_arg name
+  let ctx =
+    Context.of_machine ~conventional:true ~cycles (benchmark_machine name)
   in
-  let built = Arch.pipeline_of_machine ~cycles machine in
+  let built = ctx.Context.fig4 in
   let naive = fs_instrumented (fun () -> Arch.grade ~naive:true built) in
   let opt =
     fs_instrumented (fun () -> Arch.grade ~jobs:1 ~need_cycles:false built)
@@ -373,14 +372,13 @@ let faultsim_row ~cycles name =
     fs_instrumented (fun () ->
         Arch.grade ~jobs:par_jobs ~need_cycles:false built)
   in
-  let conv = Arch.conventional machine in
-  let enc = Tables.encode machine in
+  let enc = ctx.Context.tables.Tables.enc in
   let code = enc.Tables.state_code in
   let seqtest jobs =
     Stc_faultsim.Seqtest.run ~jobs ~cycles
       ~state_width:code.Stc_encoding.Code.width
-      ~reset_code:code.Stc_encoding.Code.codes.(machine.Machine.reset)
-      conv.Arch.netlist
+      ~reset_code:code.Stc_encoding.Code.codes.(ctx.Context.machine.Machine.reset)
+      (Context.structure ctx "fig1").Arch.netlist
   in
   let s1, seq_j1 = timed (fun () -> seqtest 1) in
   let sn, seq_jn = timed (fun () -> seqtest par_jobs) in
@@ -519,10 +517,9 @@ let mz_blocks ~machines ~pipeline =
     machines
   @ List.concat_map
       (fun name ->
-        let p = Tables.pipeline_of_machine ~jobs:1 (benchmark_machine name) in
-        [ (name ^ "/c1", p.Tables.c1_on, p.Tables.c1_dc);
-          (name ^ "/c2", p.Tables.c2_on, p.Tables.c2_dc);
-          (name ^ "/lambda", p.Tables.lambda_on, p.Tables.lambda_dc) ])
+        List.map
+          (fun b -> (name ^ "/" ^ b.Context.block_label, b.Context.on, b.Context.dc))
+          (Context.of_machine (benchmark_machine name)).Context.blocks)
       pipeline
 
 (* The naive reference predates every performance fix; on s1's 5000-row
@@ -1097,7 +1094,9 @@ let kernel_tests =
   let enc = Tables.encode dk27 in
   let on, dc = Tables.conventional enc in
   let shiftreg = Zoo.shift_register ~bits:3 in
-  let shiftreg_pipeline = Arch.pipeline_of_machine ~cycles:256 shiftreg in
+  let shiftreg_pipeline = (Context.of_machine ~cycles:256 shiftreg).Context.fig4 in
+  let counter8 = Context.of_machine ~conventional:true (Zoo.counter ~modulus:8) in
+  let counter8_c = (Option.get counter8.Context.block_c).Context.minimized in
   let fig5_text = Kiss.print (Zoo.paper_fig5 ()) in
   [
     Test.make ~name:"kernel/m-operator(dk16)"
@@ -1125,7 +1124,7 @@ let kernel_tests =
       (Staged.stage (fun () ->
            ignore
              (Stc_faultsim.Seqtest.run_conventional ~cycles:256
-                (Zoo.counter ~modulus:8))));
+                ~cover:counter8_c counter8.Context.tables.Tables.enc)));
     Test.make ~name:"ext/multiway-3(shiftreg)"
       (Staged.stage (fun () ->
            ignore
@@ -1181,7 +1180,6 @@ let run_benchmarks () =
 (* SAT verification: CEC + pipeline proofs + untestable-fault proofs   *)
 (* ------------------------------------------------------------------ *)
 
-module Context = Stc_analysis.Context
 module Verify = Stc_analysis.Verify
 module Diagnostic = Stc_analysis.Diagnostic
 module Prove = Stc_sat.Prove
@@ -1209,21 +1207,16 @@ type verify_row = {
 let vr_cert_codes = [ "CEC003"; "CEC005"; "NET011" ]
 
 let verify_row ~cycles name =
-  let machine =
-    match Experiments.machine_named name with
-    | Some m -> m
-    | None -> invalid_arg name
-  in
   let read c = Metrics.counter_value (Metrics.counter c) in
   let d0 = read "sat.decisions"
   and c0 = read "sat.conflicts"
   and p0 = read "sat.propagations"
   and s0 = read "sat.solves" in
-  let ctx = Context.of_machine machine in
+  let ctx = Context.of_machine ~cycles (benchmark_machine name) in
   let diags, verify_wall =
     timed (fun () -> Verify.run ~select:[ "cec"; "net-prove" ] ctx)
   in
-  let built = Arch.pipeline_of_machine ~cycles machine in
+  let built = ctx.Context.fig4 in
   let observed = Session.union_observed built.Arch.sessions in
   let v1, red_wall =
     timed (fun () -> Prove.redundant ~jobs:1 ~observed built.Arch.netlist)

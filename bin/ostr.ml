@@ -11,8 +11,6 @@ module Solver = Stc_core.Solver
 module Anytime = Stc_core.Anytime
 module Realization = Stc_core.Realization
 module Partition = Stc_partition.Partition
-module Tables = Stc_encoding.Tables
-module Minimize = Stc_logic.Minimize
 module Pla = Stc_logic.Pla
 module Suite = Stc_benchmarks.Suite
 module Experiments = Stc_report.Experiments
@@ -65,9 +63,9 @@ let timeout_arg =
 
 let jobs_arg =
   let doc =
-    "Domains to fan the work over - the OSTR search, or the collapsed \
-     fault list when fault-grading (default 1: deterministic sequential \
-     run; 0 means one per core)."
+    "Domains to fan the work over - the OSTR search, or the minimizer \
+     and the collapsed fault list when synthesizing and fault-grading \
+     (default 1: deterministic sequential run; 0 means one per core)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -419,8 +417,7 @@ let realize_cmd =
   let run spec timeout out_dir obs =
     let m = or_die (load_machine spec) in
     with_obs obs @@ fun () ->
-    let outcome = Ostr_core.run ~timeout m in
-    let p = Tables.pipeline outcome.Ostr_core.realization in
+    let ctx = Context.of_machine ~timeout m in
     let write name text =
       let path = Filename.concat out_dir name in
       let oc = open_out path in
@@ -430,20 +427,18 @@ let realize_cmd =
     in
     if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
     write (m.Machine.name ^ "_pipeline.kiss")
-      (Kiss.print outcome.Ostr_core.realization.Realization.product);
-    let minimized_pla label on dc =
-      let cover, report = Minimize.minimize ~dc on in
-      Format.printf "%s: %d cubes, %d literals (from %d/%d)@." label
-        report.Minimize.final_cubes report.Minimize.final_literals
-        report.Minimize.initial_cubes report.Minimize.initial_literals;
-      Pla.print ~name:label cover
-    in
-    write (m.Machine.name ^ "_c1.pla")
-      (minimized_pla "c1" p.Tables.c1_on p.Tables.c1_dc);
-    write (m.Machine.name ^ "_c2.pla")
-      (minimized_pla "c2" p.Tables.c2_on p.Tables.c2_dc);
-    write (m.Machine.name ^ "_lambda.pla")
-      (minimized_pla "lambda" p.Tables.lambda_on p.Tables.lambda_dc)
+      (Kiss.print ctx.Context.realization.Realization.product);
+    List.iter
+      (fun (b : Context.block) ->
+        let label = b.Context.block_label in
+        let cubes, literals = Stc_logic.Cover.cost b.Context.minimized in
+        let cubes0, literals0 = Stc_logic.Cover.cost b.Context.on in
+        Format.printf "%s: %d cubes, %d literals (from %d/%d)@." label cubes
+          literals cubes0 literals0;
+        write
+          (Printf.sprintf "%s_%s.pla" m.Machine.name label)
+          (Pla.print ~name:label b.Context.minimized))
+      ctx.Context.blocks
   in
   let out_dir =
     Arg.(value & opt string "." & info [ "o"; "output" ] ~docv:"DIR"
@@ -627,7 +622,7 @@ let selftest_cmd =
     let m = or_die (load_machine spec) in
     let jobs = resolve_jobs jobs in
     with_obs obs @@ fun () ->
-    let built = Arch.pipeline_of_machine ~cycles m in
+    let built = (Context.of_machine ~cycles ~jobs m).Context.fig4 in
     Format.printf "pipeline structure of %s: %d flip-flops, %d gates@."
       m.Machine.name built.Arch.flipflops
       (Stc_netlist.Netlist.num_gates built.Arch.netlist);
@@ -675,6 +670,7 @@ let lint_cmd =
     else begin
       let name, diags =
         if Sys.file_exists spec then begin
+          (* FSM lint scans the raw text, so a file is not parsed here *)
           let name = Filename.remove_extension (Filename.basename spec) in
           let ic = open_in spec in
           let len = in_channel_length ic in
@@ -687,20 +683,12 @@ let lint_cmd =
           (name, diags)
         end
         else
-          match Experiments.machine_named spec with
-          | Some m ->
-            let _ctx, diags =
-              with_obs obs @@ fun () ->
-              Lint.lint_machine ~timeout ~conventional ~jobs m
-            in
-            (m.Machine.name, diags)
-          | None ->
-            or_die
-              (Error
-                 (Printf.sprintf
-                    "%S is neither a file nor a known machine (benchmarks: %s)"
-                    spec
-                    (String.concat ", " Suite.names)))
+          let m = or_die (load_machine spec) in
+          let _ctx, diags =
+            with_obs obs @@ fun () ->
+            Lint.lint_machine ~timeout ~conventional ~jobs m
+          in
+          (m.Machine.name, diags)
       in
       Format.printf "%a" Diagnostic.pp_report diags;
       Option.iter
@@ -736,8 +724,8 @@ let lint_cmd =
     (* Like [machine_arg] but optional so --list-passes works alone. *)
     Arg.(value & pos 0 string "" & info [] ~docv:"MACHINE"
            ~doc:
-             "Machine to lint: a KISS2 file path, a benchmark name or a zoo \
-              name.")
+             "Machine to lint: a KISS2 file path, a benchmark name, a zoo \
+              name or a generator spec.")
   in
   Cmd.v
     (Cmd.info "lint"

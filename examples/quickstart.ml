@@ -18,7 +18,7 @@ module Solver = Stc_core.Solver
 module Realization = Stc_core.Realization
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
-module Minimize = Stc_logic.Minimize
+module Context = Stc_analysis.Context
 module Pla = Stc_logic.Pla
 
 let section title = Format.printf "@.== %s ==@.@." title
@@ -50,18 +50,21 @@ let () =
   Format.printf "%a@." Realization.pp_factors outcome.Ostr.realization;
 
   section "Figure 8: the pipeline structure";
-  let p = Tables.pipeline outcome.Ostr.realization in
+  let ctx = Context.of_realization outcome.Ostr.realization in
+  let p = ctx.Context.tables in
   Format.printf
     "R1 holds [S1] in %d flip-flop(s), R2 holds [S2] in %d flip-flop(s).@."
     p.Tables.code1.Code.width p.Tables.code2.Code.width;
   Format.printf
     "With [s1]pi = [1]rho = 1 and [s3]pi = [2]rho = 0 (the paper's coding),@.";
   Format.printf "block C1 (inputs: i, R1; output: next R2) minimizes to:@.";
-  let c1, _ = Minimize.minimize ~dc:p.Tables.c1_dc p.Tables.c1_on in
-  print_string (Pla.print ~name:"C1" c1);
+  let minimized label =
+    (List.find (fun b -> b.Context.block_label = label) ctx.Context.blocks)
+      .Context.minimized
+  in
+  print_string (Pla.print ~name:"C1" (minimized "c1"));
   Format.printf "and block C2 (inputs: i, R2; output: next R1) to:@.";
-  let c2, _ = Minimize.minimize ~dc:p.Tables.c2_dc p.Tables.c2_on in
-  print_string (Pla.print ~name:"C2" c2);
+  print_string (Pla.print ~name:"C2" (minimized "c2"));
 
   section "The realization really is the machine";
   let product = outcome.Ostr.realization.Realization.product in

@@ -15,7 +15,7 @@ module Zoo = Stc_fsm.Zoo
 module Ostr = Stc_core.Ostr
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
-module Minimize = Stc_logic.Minimize
+module Context = Stc_analysis.Context
 module N = Stc_netlist.Netlist
 module B = Stc_netlist.Netlist.Builder
 module Bilbo = Stc_bist.Bilbo
@@ -23,20 +23,24 @@ module Lfsr = Stc_bist.Lfsr
 
 let section title = Format.printf "@.== %s ==@.@." title
 
-(* Build the two combinational blocks as netlists. *)
-let build_blocks (p : Tables.pipeline) =
+(* Build the two minimized combinational blocks as netlists. *)
+let build_blocks (ctx : Context.t) =
+  let p = ctx.Context.tables in
   let iw = p.Tables.enc.Tables.input_width in
   let w1 = p.Tables.code1.Code.width and w2 = p.Tables.code2.Code.width in
-  let block label on dc in_width =
-    let cover, _ = Minimize.minimize ~dc on in
+  let cover_of label =
+    (List.find (fun b -> b.Context.block_label = label) ctx.Context.blocks)
+      .Context.minimized
+  in
+  let block label in_width =
+    let cover = cover_of (String.lowercase_ascii label) in
     let b = B.create label in
     let inputs = Array.init in_width (fun k -> B.input b (Printf.sprintf "x%d" k)) in
     let outs = B.emit_cover b ~inputs cover in
     Array.iteri (fun k g -> B.output b (Printf.sprintf "y%d" k) g) outs;
     (B.finish b, outs)
   in
-  ( block "C1" p.Tables.c1_on p.Tables.c1_dc (iw + w1),
-    block "C2" p.Tables.c2_on p.Tables.c2_dc (iw + w2) )
+  (block "C1" (iw + w1), block "C2" (iw + w2))
 
 let eval_block ?fault (net, outs) word ~in_width ~out_width =
   let inputs = Array.init in_width (fun k -> (word lsr (in_width - 1 - k)) land 1) in
@@ -49,10 +53,11 @@ let () =
   let m = Zoo.shift_register ~bits:4 in
   let outcome = Ostr.run m in
   Format.printf "%a@." Ostr.pp_summary outcome;
-  let p = Tables.pipeline outcome.Ostr.realization in
+  let ctx = Context.of_realization outcome.Ostr.realization in
+  let p = ctx.Context.tables in
   let iw = p.Tables.enc.Tables.input_width in
   let w1 = p.Tables.code1.Code.width and w2 = p.Tables.code2.Code.width in
-  let c1_block, c2_block = build_blocks p in
+  let c1_block, c2_block = build_blocks ctx in
   Format.printf "R1: %d flip-flop(s), R2: %d flip-flop(s); no test register.@." w1 w2;
 
   section "Session 1: R1 generates, R2 compresses C1";

@@ -13,10 +13,9 @@ module Machine = Stc_fsm.Machine
 module Suite = Stc_benchmarks.Suite
 module Ostr = Stc_core.Ostr
 module Realization = Stc_core.Realization
-module Tables = Stc_encoding.Tables
-module Minimize = Stc_logic.Minimize
 module Cover = Stc_logic.Cover
 module Arch = Stc_faultsim.Arch
+module Context = Stc_analysis.Context
 module Session = Stc_faultsim.Session
 module N = Stc_netlist.Netlist
 
@@ -42,24 +41,24 @@ let () =
     (Machine.flipflops_conventional m);
 
   section "Step 2: encode and minimize the blocks";
-  let p = Tables.pipeline outcome.Ostr.realization in
-  let show label on dc =
-    let cover, report = Minimize.minimize ~dc on in
-    Format.printf "%-7s %3d cubes, %4d literals (raw table had %d cubes)@."
-      label (fst (Cover.cost cover)) (snd (Cover.cost cover))
-      report.Minimize.initial_cubes
+  (* The rest of the flow - encode, minimize, build the fig. 2/3/4
+     structures with 1024-cycle sessions - from the solved realization. *)
+  let ctx =
+    Context.of_realization ~all_archs:true ~cycles:1024 outcome.Ostr.realization
   in
-  let enc = Tables.encode m in
-  let conv_on, conv_dc = Tables.conventional enc in
-  show "C" conv_on conv_dc;
-  show "C1" p.Tables.c1_on p.Tables.c1_dc;
-  show "C2" p.Tables.c2_on p.Tables.c2_dc;
-  show "Lambda" p.Tables.lambda_on p.Tables.lambda_dc;
+  List.iter
+    (fun (b : Context.block) ->
+      let cubes, literals = Cover.cost b.Context.minimized in
+      Format.printf "%-7s %3d cubes, %4d literals (raw table had %d cubes)@."
+        (String.capitalize_ascii b.Context.block_label)
+        cubes literals
+        (fst (Cover.cost b.Context.on)))
+    (Option.to_list ctx.Context.block_c @ ctx.Context.blocks);
 
   section "Step 3: build the three self-testable structures";
-  let fig2 = Arch.conventional_bist m in
-  let fig3 = Arch.doubled m in
-  let fig4 = Arch.pipeline p in
+  let fig2 = Context.structure ctx "fig2" in
+  let fig3 = Context.structure ctx "fig3" in
+  let fig4 = ctx.Context.fig4 in
   List.iter
     (fun (built : Arch.built) ->
       let stats = N.stats built.Arch.netlist in

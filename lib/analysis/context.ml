@@ -17,6 +17,7 @@ type block = {
 type netlist_target = {
   net_label : string;
   netlist : Stc_netlist.Netlist.t;
+  built : Arch.built;
   feedback_free : bool;
 }
 
@@ -24,66 +25,84 @@ type t = {
   name : string;
   machine : Machine.t;
   realization : Realization.t;
+  tables : Tables.pipeline;
   blocks : block list;
+  fig4 : Arch.built;
+  block_c : block option;
   netlists : netlist_target list;
   pass_jobs : int;
 }
 
-let block label on dc =
-  let minimized, _report = Minimize.minimize ~dc on in
-  { block_label = label; on; dc; minimized }
+let encode f = Trace.span ~cat:"flow" "encode" f
+let build f = Trace.span ~cat:"flow" "build" f
 
-let of_realization ?(conventional = false) ?(all_archs = false) ?(jobs = 1)
-    (realization : Realization.t) =
-  Trace.span ~cat:"lint" "lint.context" @@ fun () ->
+let of_realization ?(conventional = false) ?(all_archs = false) ?(cycles = 1)
+    ?(jobs = 1) (realization : Realization.t) =
+  let jobs = max 1 jobs in
+  let block label (on, dc) =
+    { block_label = label; on; dc; minimized = fst (Minimize.minimize ~jobs ~dc on) }
+  in
+  let p = encode (fun () -> Tables.pipeline realization) in
+  (* Lambda, C2, C1.  The covers do not depend on the order, but the
+     minimizer's capped memo caches make its work and peak heap do (on
+     tbk the two orders differ by about 15 % in peak RSS, either way
+     round depending on the input's symbol order), so the order is fixed
+     to keep those figures comparable from one version to the next. *)
+  let lambda = block "lambda" (p.Tables.lambda_on, p.Tables.lambda_dc) in
+  let c2 = block "c2" (p.Tables.c2_on, p.Tables.c2_dc) in
+  let c1 = block "c1" (p.Tables.c1_on, p.Tables.c1_dc) in
+  let covers = (c1.minimized, c2.minimized, lambda.minimized) in
+  let fig4 = build (fun () -> Arch.pipeline ~cycles ~covers p) in
+  let enc = p.Tables.enc in
+  let block_c =
+    if conventional || all_archs then
+      Some (block "c" (encode (fun () -> Tables.conventional enc)))
+    else None
+  in
+  let target net_label ~feedback_free built =
+    { net_label; netlist = built.Arch.netlist; built; feedback_free }
+  in
+  let from_c =
+    match block_c with
+    | None -> []
+    | Some { minimized = cover; _ } ->
+      let from label ~feedback_free arch =
+        target label ~feedback_free (build (fun () -> arch ~cover enc))
+      in
+      (if conventional then [ from "fig1" ~feedback_free:false Arch.conventional ]
+       else [])
+      @
+      if all_archs then
+        [
+          from "fig2" ~feedback_free:false (Arch.conventional_bist ~cycles);
+          from "fig3" ~feedback_free:true (Arch.doubled ~cycles);
+        ]
+      else []
+  in
   let machine = realization.Realization.spec in
-  let p = Tables.pipeline realization in
-  let c1 = block "c1" p.Tables.c1_on p.Tables.c1_dc in
-  let c2 = block "c2" p.Tables.c2_on p.Tables.c2_dc in
-  let lambda = block "lambda" p.Tables.lambda_on p.Tables.lambda_dc in
-  let blocks = [ c1; c2; lambda ] in
-  (* One simulation cycle is the cheapest the session builder allows (the
-     static passes only look at the netlist structure), and handing over
-     the covers minimized above skips the builder's own espresso pass. *)
-  let fig4 =
-    Arch.pipeline ~cycles:1
-      ~covers:(c1.minimized, c2.minimized, lambda.minimized)
-      p
-  in
-  let netlists =
-    { net_label = "fig4"; netlist = fig4.Arch.netlist; feedback_free = true }
-    ::
-    (if conventional then
-       let fig1 = Arch.conventional machine in
-       [ { net_label = "fig1"; netlist = fig1.Arch.netlist; feedback_free = false } ]
-     else [])
-    @
-    (if all_archs then
-       (* one simulation cycle, as for fig. 4: only the structure is
-          analyzed, the session schedules are never replayed here *)
-       let fig2 = Arch.conventional_bist ~cycles:1 machine in
-       let fig3 = Arch.doubled ~cycles:1 machine in
-       [
-         { net_label = "fig2"; netlist = fig2.Arch.netlist; feedback_free = false };
-         { net_label = "fig3"; netlist = fig3.Arch.netlist; feedback_free = true };
-       ]
-     else [])
-  in
   {
     name = machine.Machine.name;
     machine;
     realization;
-    blocks;
-    netlists;
-    pass_jobs = max 1 jobs;
+    tables = p;
+    blocks = [ c1; c2; lambda ];
+    fig4;
+    block_c;
+    netlists = target "fig4" ~feedback_free:true fig4 :: from_c;
+    pass_jobs = jobs;
   }
 
-let of_machine ?(timeout = 120.0) ?conventional ?all_archs ?jobs machine =
+let of_machine ?(timeout = 120.0) ?conventional ?all_archs ?cycles ?jobs machine =
   (* solver jobs = 1: the sequential search is deterministic, so
      equally-optimal partition pairs cannot race and flip downstream
-     diagnostics.  [jobs] only feeds [pass_jobs], whose consumers are
-     jobs-invariant. *)
+     netlists and diagnostics.  [jobs] only reaches stages whose results
+     do not depend on it. *)
   let outcome = Ostr.run ~timeout ~jobs:1 machine in
-  of_realization ?conventional ?all_archs ?jobs outcome.Ostr.realization
+  of_realization ?conventional ?all_archs ?cycles ?jobs outcome.Ostr.realization
+
+let structure ctx label =
+  match List.find_opt (fun t -> t.net_label = label) ctx.netlists with
+  | Some t -> t.built
+  | None -> invalid_arg (Printf.sprintf "Context.structure: no %s in %s" label ctx.name)
 
 let subject ctx label = if label = "" then ctx.name else ctx.name ^ "/" ^ label

@@ -1,19 +1,19 @@
-(** The unit of analysis: one specification machine together with the
-    synthesized artifacts every pass may want to inspect - the pipeline
-    realization of Theorem 1, the minimized two-level blocks, and the
-    gate-level structures of figs. 1 and 4.
+(** The synthesis flow, and the unit of analysis: one specification
+    machine with the artifacts of every stage.
 
-    Building a context runs the OSTR solver (sequentially, [jobs = 1],
-    so the chosen optimum - and therefore every downstream diagnostic -
-    is deterministic), extracts and minimizes the C1 / C2 / Lambda
-    covers, and instantiates the fig. 1 and fig. 4 netlists through
-    {!Stc_faultsim.Arch}, the same construction the fault simulator
-    grades. *)
+    This is the one place that chains the paper's stages: solve OSTR
+    (sequentially, [jobs = 1], so the chosen optimum - and with it every
+    downstream netlist, coverage figure and diagnostic - is
+    deterministic) → Theorem-1 realization → encode → minimize C1 / C2 /
+    Lambda once → build the fig. 4 structure.  When a fig. 1, 2 or 3
+    structure is asked for, block C is minimized once and every such
+    structure is built from that cover.  The fault simulator drivers,
+    the CLI and the static passes all read their artifacts from here. *)
 
 (** A two-level block: specification on/dc-sets plus the minimized
     implementation cover, as handed to the netlist emitter. *)
 type block = {
-  block_label : string;  (** ["c1"], ["c2"], ["lambda"] *)
+  block_label : string;  (** ["c1"], ["c2"], ["lambda"], ["c"] *)
   on : Stc_logic.Cover.t;
   dc : Stc_logic.Cover.t;
   minimized : Stc_logic.Cover.t;
@@ -25,7 +25,8 @@ type block = {
     register feedback path is reported as a note, not an error. *)
 type netlist_target = {
   net_label : string;  (** ["fig4"], ["fig1"], ["fig2"], ["fig3"] *)
-  netlist : Stc_netlist.Netlist.t;
+  netlist : Stc_netlist.Netlist.t;  (** [built.netlist] *)
+  built : Stc_faultsim.Arch.built;  (** the structure with its sessions *)
   feedback_free : bool;
 }
 
@@ -33,34 +34,41 @@ type t = {
   name : string;  (** machine name, the subject prefix of diagnostics *)
   machine : Stc_fsm.Machine.t;
   realization : Stc_core.Realization.t;
-  blocks : block list;
-  netlists : netlist_target list;
+  tables : Stc_encoding.Tables.pipeline;  (** the encoded fig. 4 blocks *)
+  blocks : block list;  (** C1, C2, Lambda, minimized *)
+  fig4 : Stc_faultsim.Arch.built;
+  block_c : block option;
+      (** the monolithic block C of figs. 1-3 over [tables.enc], present
+          when one of those structures was built *)
+  netlists : netlist_target list;  (** fig. 4 first, then figs. 1-3 *)
   pass_jobs : int;
       (** domain budget for passes that parallelize internally (the
           per-fault SAT proofs).  Every consumer is jobs-invariant, so
           diagnostics stay deterministic. *)
 }
 
-(** [of_machine ?timeout ?conventional ?all_archs ?jobs machine]
-    synthesizes the decomposed realization and packages every artifact.
-    [timeout] (default 120 s) bounds the OSTR search.  [conventional]
-    (default [false]) additionally builds the fig. 1 structure for
-    comparison - expensive on large machines (the monolithic block C of
-    [tbk] takes minutes in the espresso loop), hence opt-in.
-    [all_archs] (default [false]) also instantiates the fig. 2 and
-    fig. 3 BIST structures, so the verification passes can certify all
-    four architectures.  [jobs] (default 1) is stored as [pass_jobs];
-    the OSTR search itself always runs sequentially for determinism. *)
+(** [of_machine ?timeout ?conventional ?all_archs ?cycles ?jobs machine]
+    runs the flow.  [timeout] (default 120 s) bounds the OSTR search.
+    [conventional] (default [false]) also builds fig. 1, [all_archs]
+    (default [false]) figs. 2 and 3; either one minimizes block C,
+    expensive on large machines, hence opt-in.  [cycles] (default 1, all
+    the static passes need) is the length of every self-test session.
+    [jobs] (default 1) fans the minimizations over that many domains
+    (the covers do not depend on it) and is stored as [pass_jobs]. *)
 val of_machine :
-  ?timeout:float -> ?conventional:bool -> ?all_archs:bool -> ?jobs:int ->
-  Stc_fsm.Machine.t -> t
+  ?timeout:float -> ?conventional:bool -> ?all_archs:bool -> ?cycles:int ->
+  ?jobs:int -> Stc_fsm.Machine.t -> t
 
-(** [of_realization ?conventional ?all_archs ?jobs realization]
-    packages an existing realization without re-running the solver
-    (used by drivers that already solved). *)
+(** [of_realization ?conventional ?all_archs ?cycles ?jobs realization]
+    runs the flow from an existing realization, without re-running the
+    solver (used by drivers that already solved). *)
 val of_realization :
-  ?conventional:bool -> ?all_archs:bool -> ?jobs:int ->
+  ?conventional:bool -> ?all_archs:bool -> ?cycles:int -> ?jobs:int ->
   Stc_core.Realization.t -> t
+
+(** [structure ctx label] is the built structure ["fig1"] ... ["fig4"].
+    @raise Invalid_argument when [ctx] did not build it. *)
+val structure : t -> string -> Stc_faultsim.Arch.built
 
 (** [subject ctx label] is the diagnostic subject ["name/label"] for a
     sub-artifact, or just [name] when [label] is empty. *)

@@ -257,7 +257,7 @@ let pass =
     run =
       (fun ctx ->
         List.concat_map
-          (fun { Context.net_label; netlist; feedback_free } ->
+          (fun { Context.net_label; netlist; feedback_free; _ } ->
             let subject = Context.subject ctx net_label in
             structure ~subject netlist
             @ prove_pipeline ~subject ~required:feedback_free netlist)

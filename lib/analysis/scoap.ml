@@ -154,7 +154,7 @@ let pass =
     run =
       (fun ctx ->
         List.concat_map
-          (fun { Context.net_label; netlist; feedback_free = _ } ->
+          (fun { Context.net_label; netlist; _ } ->
             let subject = Context.subject ctx net_label in
             let r = analyze netlist in
             let s = summarize netlist r in

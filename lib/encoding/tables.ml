@@ -214,7 +214,3 @@ let pipeline ?code1 ?code2 (r : Realization.t) =
     lambda_on = Cover.make ~num_vars ~num_outputs (List.rev !lambda_on);
     lambda_dc = Cover.make ~num_vars ~num_outputs !lambda_dc;
   }
-
-let pipeline_of_machine ?timeout ?jobs machine =
-  let outcome = Stc_core.Ostr.run ?timeout ?jobs machine in
-  pipeline outcome.Stc_core.Ostr.realization

@@ -52,9 +52,3 @@ type pipeline = {
     blocks of fig. 4.  Default codes are binary. *)
 val pipeline :
   ?code1:Code.t -> ?code2:Code.t -> Stc_core.Realization.t -> pipeline
-
-(** [pipeline_of_machine machine] runs the OSTR solver and extracts the
-    pipeline tables of the optimal realization; [jobs] fans the solver
-    over that many domains (see {!Stc_core.Ostr.run}). *)
-val pipeline_of_machine :
-  ?timeout:float -> ?jobs:int -> Stc_fsm.Machine.t -> pipeline

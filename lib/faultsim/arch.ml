@@ -1,6 +1,5 @@
 module Machine = Stc_fsm.Machine
 module Tables = Stc_encoding.Tables
-module Minimize = Stc_logic.Minimize
 module Builder = Netlist.Builder
 module Lfsr = Stc_bist.Lfsr
 module Misr = Stc_bist.Misr
@@ -12,8 +11,6 @@ type built = {
   tags : (string * int list) list;
   flipflops : int;
 }
-
-let minimized ?jobs ~dc on = fst (Minimize.minimize ?jobs ~dc on)
 
 (* MSB-first bits of [word], as 0/1 ints. *)
 let word_bits ~width word =
@@ -61,10 +58,8 @@ end
 (* fig. 1: conventional structure, no test hardware                    *)
 (* ------------------------------------------------------------------ *)
 
-let conventional machine =
-  let enc = Tables.encode machine in
-  let on, dc = Tables.conventional enc in
-  let cover = minimized ~dc on in
+let conventional ~cover (enc : Tables.encoded) =
+  let machine = enc.Tables.machine in
   let w = enc.Tables.state_code.Stc_encoding.Code.width in
   let b = Builder.create (machine.Machine.name ^ "_fig1") in
   let primary =
@@ -104,10 +99,8 @@ let conventional machine =
 (* fig. 2: conventional BIST with test register and multiplexer        *)
 (* ------------------------------------------------------------------ *)
 
-let conventional_bist ?(cycles = 1024) machine =
-  let enc = Tables.encode machine in
-  let on, dc = Tables.conventional enc in
-  let cover = minimized ~dc on in
+let conventional_bist ?(cycles = 1024) ~cover (enc : Tables.encoded) =
+  let machine = enc.Tables.machine in
   let w = enc.Tables.state_code.Stc_encoding.Code.width in
   let iw = enc.Tables.input_width in
   let ow = enc.Tables.output_width in
@@ -171,10 +164,8 @@ let conventional_bist ?(cycles = 1024) machine =
 (* fig. 3: doubled register and combinational circuitry                *)
 (* ------------------------------------------------------------------ *)
 
-let doubled ?(cycles = 1024) machine =
-  let enc = Tables.encode machine in
-  let on, dc = Tables.conventional enc in
-  let cover = minimized ~dc on in
+let doubled ?(cycles = 1024) ~cover (enc : Tables.encoded) =
+  let machine = enc.Tables.machine in
   let w = enc.Tables.state_code.Stc_encoding.Code.width in
   let iw = enc.Tables.input_width in
   let b = Builder.create (machine.Machine.name ^ "_fig3") in
@@ -242,17 +233,9 @@ let doubled ?(cycles = 1024) machine =
 (* fig. 4: optimized self-testable pipeline structure                  *)
 (* ------------------------------------------------------------------ *)
 
-let pipeline ?(cycles = 1024) ?jobs ?covers (p : Tables.pipeline) =
+let pipeline ?(cycles = 1024) ~covers:(c1, c2, lambda) (p : Tables.pipeline) =
   let enc = p.Tables.enc in
   let machine = enc.Tables.machine in
-  let c1, c2, lambda =
-    match covers with
-    | Some cs -> cs
-    | None ->
-      ( minimized ?jobs ~dc:p.Tables.c1_dc p.Tables.c1_on,
-        minimized ?jobs ~dc:p.Tables.c2_dc p.Tables.c2_on,
-        minimized ?jobs ~dc:p.Tables.lambda_dc p.Tables.lambda_on )
-  in
   let w1 = p.Tables.code1.Stc_encoding.Code.width in
   let w2 = p.Tables.code2.Stc_encoding.Code.width in
   let iw = enc.Tables.input_width in
@@ -321,9 +304,6 @@ let pipeline ?(cycles = 1024) ?jobs ?covers (p : Tables.pipeline) =
       ];
     flipflops = w1 + w2;
   }
-
-let pipeline_of_machine ?cycles ?timeout ?jobs machine =
-  pipeline ?cycles ?jobs (Tables.pipeline_of_machine ?timeout ?jobs machine)
 
 let grade ?jobs ?naive ?need_cycles built =
   Session.run_sessions ?jobs ?naive ?need_cycles ~label:built.label

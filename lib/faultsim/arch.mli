@@ -28,42 +28,36 @@ type built = {
   flipflops : int;  (** register bits of the full structure *)
 }
 
-(** [conventional machine] is the plain fig. 1 structure (block C plus
-    feedback buffers).  It has no self-test session; useful for area
-    stats. *)
-val conventional : Stc_fsm.Machine.t -> built
+(** [conventional ~cover enc] is the plain fig. 1 structure (block C plus
+    feedback buffers) of the encoded machine [enc], with [cover] the
+    minimized block C ({!Stc_encoding.Tables.conventional}).  It has no
+    self-test session; useful for area stats. *)
+val conventional :
+  cover:Stc_logic.Cover.t -> Stc_encoding.Tables.encoded -> built
 
-(** [conventional_bist ?cycles machine] is the fig. 2 structure: C,
+(** [conventional_bist ?cycles ~cover enc] is the fig. 2 structure: C,
     feedback buffers from R, a test-mode multiplexer column, and the test
     register T.  One session: T and the primary inputs run as LFSRs, the
     next-state and output lines are observed (R and an output MISR
     compress them).  [cycles] defaults to 1024. *)
-val conventional_bist : ?cycles:int -> Stc_fsm.Machine.t -> built
+val conventional_bist :
+  ?cycles:int -> cover:Stc_logic.Cover.t -> Stc_encoding.Tables.encoded -> built
 
-(** [doubled ?cycles machine] is the fig. 3 structure: two copies of C in a
-    ring.  Two sessions, each testing one copy. *)
-val doubled : ?cycles:int -> Stc_fsm.Machine.t -> built
+(** [doubled ?cycles ~cover enc] is the fig. 3 structure: two copies of C
+    in a ring.  Two sessions, each testing one copy. *)
+val doubled :
+  ?cycles:int -> cover:Stc_logic.Cover.t -> Stc_encoding.Tables.encoded -> built
 
-(** [pipeline ?cycles ?covers tables] is the fig. 4 structure built from
-    the OSTR realization's minimized C1/C2/Lambda blocks.  Two sessions:
-    R1 generates while R2 compresses, then the roles swap.  [covers]
-    supplies already-minimized [(c1, c2, lambda)] implementation covers,
-    skipping the internal espresso pass - callers that minimize the
-    blocks themselves (e.g. the static analyzer) avoid paying for it
-    twice.  [jobs] fans the internal minimizations over that many
-    domains (see {!Stc_logic.Minimize.minimize}). *)
+(** [pipeline ?cycles ~covers tables] is the fig. 4 structure built from
+    the OSTR realization's minimized [(c1, c2, lambda)] blocks.  Two
+    sessions: R1 generates while R2 compresses, then the roles swap.
+    {!Stc_analysis.Context} chains solve, encode, minimize and this
+    builder. *)
 val pipeline :
   ?cycles:int ->
-  ?jobs:int ->
-  ?covers:Stc_logic.Cover.t * Stc_logic.Cover.t * Stc_logic.Cover.t ->
+  covers:Stc_logic.Cover.t * Stc_logic.Cover.t * Stc_logic.Cover.t ->
   Stc_encoding.Tables.pipeline ->
   built
-
-(** [pipeline_of_machine ?cycles ?timeout ?jobs machine] runs the OSTR
-    solver (over [jobs] domains), minimizes the factor blocks (same
-    [jobs]) and builds the fig. 4 model. *)
-val pipeline_of_machine :
-  ?cycles:int -> ?timeout:float -> ?jobs:int -> Stc_fsm.Machine.t -> built
 
 (** [grade built] runs all sessions and merges the verdicts
     ({!Session.run_sessions}); [jobs]/[naive]/[need_cycles] are passed

@@ -9,10 +9,9 @@ type result = {
   extra_muxes : int;
 }
 
-let run ?jobs ?naive ?(patterns = 1024) machine =
-  let built = Arch.conventional machine in
+let run ?jobs ?naive ?(patterns = 1024) ~cover (enc : Tables.encoded) =
+  let built = Arch.conventional ~cover enc in
   let net = built.Arch.netlist in
-  let enc = Tables.encode machine in
   let w = enc.Tables.state_code.Stc_encoding.Code.width in
   let iw = enc.Tables.input_width in
   (* Pseudo-random (input, scanned state) patterns from one wide LFSR, as
@@ -26,7 +25,7 @@ let run ?jobs ?naive ?(patterns = 1024) machine =
   let observed = Array.map snd net.Netlist.outputs in
   let report =
     Session.run ?jobs ?naive
-      ~label:(machine.Stc_fsm.Machine.name ^ " scan")
+      ~label:(enc.Tables.machine.Stc_fsm.Machine.name ^ " scan")
       net ~stimuli ~observed
   in
   {

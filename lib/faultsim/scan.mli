@@ -23,7 +23,10 @@ type result = {
   extra_muxes : int;  (** one scan multiplexer per flip-flop *)
 }
 
-(** [run ?patterns machine] grades the fig. 1 netlist under [patterns]
-    (default 1024) pseudo-random scan patterns; [jobs]/[naive] as in
-    {!Session.run}. *)
-val run : ?jobs:int -> ?naive:bool -> ?patterns:int -> Stc_fsm.Machine.t -> result
+(** [run ?patterns ~cover enc] grades the fig. 1 netlist of [enc], built
+    from its minimized block C [cover] ({!Arch.conventional}), under
+    [patterns] (default 1024) pseudo-random scan patterns; [jobs]/[naive]
+    as in {!Session.run}. *)
+val run :
+  ?jobs:int -> ?naive:bool -> ?patterns:int -> cover:Stc_logic.Cover.t ->
+  Stc_encoding.Tables.encoded -> result

@@ -158,12 +158,13 @@ let run ?(seed = 20240705) ?(jobs = 1) ?(naive = false) ~cycles ~state_width
     cycles;
   }
 
-let run_conventional ?seed ?jobs ?naive ?(cycles = 2048) machine =
-  let built = Arch.conventional machine in
-  let enc = Tables.encode machine in
+let run_conventional ?seed ?jobs ?naive ?(cycles = 2048) ~cover
+    (enc : Tables.encoded) =
+  let built = Arch.conventional ~cover enc in
   let code = enc.Tables.state_code in
   run ?seed ?jobs ?naive ~cycles ~state_width:code.Stc_encoding.Code.width
-    ~reset_code:code.Stc_encoding.Code.codes.(machine.Stc_fsm.Machine.reset)
+    ~reset_code:
+      code.Stc_encoding.Code.codes.(enc.Tables.machine.Stc_fsm.Machine.reset)
     built.Arch.netlist
 
 let cycles_to_coverage result fraction =

@@ -47,11 +47,12 @@ val run :
   Netlist.t ->
   result
 
-(** [run_conventional ?seed ?cycles machine] builds the fig. 1 structure
-    and grades it. *)
+(** [run_conventional ?seed ?cycles ~cover enc] builds the fig. 1
+    structure of [enc] from its minimized block C [cover]
+    ({!Arch.conventional}) and grades it. *)
 val run_conventional :
   ?seed:int -> ?jobs:int -> ?naive:bool -> ?cycles:int ->
-  Stc_fsm.Machine.t -> result
+  cover:Stc_logic.Cover.t -> Stc_encoding.Tables.encoded -> result
 
 (** [cycles_to_coverage result fraction] is the sequence length after
     which [fraction] of the {e detected} faults had been found, or [None]

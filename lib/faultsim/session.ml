@@ -116,7 +116,10 @@ let union_observed sessions =
 let run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions =
   (* Protect every gate any session observes: equivalences must never fold
      a fault across an observation point. *)
-  let eng = Engine.create ~protected:(union_observed sessions) netlist in
+  let eng =
+    Trace.span ~cat:"faultsim" "collapse" (fun () ->
+        Engine.create ~protected:(union_observed sessions) netlist)
+  in
   let cl = Engine.collapsed eng in
   let faults = cl.Netlist.faults in
   let num_classes = Array.length cl.Netlist.representatives in

@@ -5,10 +5,10 @@ module Solver = Stc_core.Solver
 module Realization = Stc_core.Realization
 module Partition = Stc_partition.Partition
 module Tables = Stc_encoding.Tables
-module Minimize = Stc_logic.Minimize
 module Cover = Stc_logic.Cover
 module Arch = Stc_faultsim.Arch
 module Session = Stc_faultsim.Session
+module Context = Stc_analysis.Context
 
 type table1_entry = {
   spec : Suite.spec;
@@ -104,28 +104,20 @@ type area_entry = {
   doubled_literals : int;
 }
 
-let area_of_machine ?(timeout = 120.0) ?jobs (machine : Machine.t) =
-  let enc = Tables.encode machine in
-  let on, dc = Tables.conventional enc in
-  let conv, _ = Minimize.minimize ?jobs ~dc on in
-  let conv_cubes, conv_literals = Cover.cost conv in
-  let outcome = Stc_core.Ostr.run ~timeout ?jobs machine in
-  let p = Tables.pipeline outcome.Stc_core.Ostr.realization in
-  let c1, _ = Minimize.minimize ?jobs ~dc:p.Tables.c1_dc p.Tables.c1_on in
-  let c2, _ = Minimize.minimize ?jobs ~dc:p.Tables.c2_dc p.Tables.c2_on in
-  let lambda, _ =
-    Minimize.minimize ?jobs ~dc:p.Tables.lambda_dc p.Tables.lambda_on
-  in
-  let cubes3 c = fst (Cover.cost c) and lits3 c = snd (Cover.cost c) in
+let area_of_machine ?timeout ?jobs (machine : Machine.t) =
+  let ctx = Context.of_machine ?timeout ?jobs ~conventional:true machine in
+  let cost (b : Context.block) = Cover.cost b.Context.minimized in
+  let conv_cubes, conv_literals = cost (Option.get ctx.Context.block_c) in
+  let sum f = List.fold_left (fun acc b -> acc + f (cost b)) 0 ctx.Context.blocks in
+  let r = ctx.Context.realization in
   {
     name = machine.Machine.name;
-    spec_transitions = Realization.spec_transitions outcome.Stc_core.Ostr.realization;
-    factor_transitions =
-      Realization.factor_transitions outcome.Stc_core.Ostr.realization;
+    spec_transitions = Realization.spec_transitions r;
+    factor_transitions = Realization.factor_transitions r;
     conv_cubes;
     conv_literals;
-    pipe_cubes = cubes3 c1 + cubes3 c2 + cubes3 lambda;
-    pipe_literals = lits3 c1 + lits3 c2 + lits3 lambda;
+    pipe_cubes = sum fst;
+    pipe_literals = sum snd;
     doubled_literals = 2 * conv_literals;
   }
 
@@ -205,20 +197,23 @@ let machine_named name =
     | Some build -> Some (build ())
     | None -> None)
 
+let resolve name =
+  match machine_named name with
+  | Some m -> m
+  | None -> invalid_arg (Printf.sprintf "unknown machine %S" name)
+
 let default_coverage_names = [ "fig5"; "shiftreg"; "dk27"; "tav"; "mc"; "bbara" ]
 
-let coverage ?cycles ?timeout ?jobs ?names () =
+let coverage ?(cycles = 1024) ?timeout ?jobs ?names () =
   let names = match names with Some ns -> ns | None -> default_coverage_names in
   List.map
     (fun name ->
-      let machine =
-        match machine_named name with
-        | Some m -> m
-        | None -> invalid_arg (Printf.sprintf "unknown machine %S" name)
+      let ctx =
+        Context.of_machine ?timeout ?jobs ~all_archs:true ~cycles (resolve name)
       in
-      let fig2 = Arch.conventional_bist ?cycles machine in
-      let fig3 = Arch.doubled ?cycles machine in
-      let fig4 = Arch.pipeline_of_machine ?cycles ?timeout machine in
+      let fig2 = Context.structure ctx "fig2"
+      and fig3 = Context.structure ctx "fig3"
+      and fig4 = ctx.Context.fig4 in
       let r2 = Arch.grade ?jobs fig2
       and r3 = Arch.grade ?jobs fig3
       and r4 = Arch.grade ?jobs fig4 in
@@ -291,22 +286,20 @@ type strategy_entry = {
   bist_cycles : int;
 }
 
-let resolve name =
-  match machine_named name with
-  | Some m -> m
-  | None -> invalid_arg (Printf.sprintf "unknown machine %S" name)
-
 let default_strategy_names = [ "fig5"; "shiftreg"; "counter8"; "dk27"; "mc" ]
 
 let strategies ?(cycles = 1024) ?jobs ?names () =
   let names = match names with Some ns -> ns | None -> default_strategy_names in
   List.map
     (fun name ->
-      let machine = resolve name in
-      let seq = Stc_faultsim.Seqtest.run_conventional ?jobs ~cycles machine in
-      let scan = Stc_faultsim.Scan.run ?jobs ~patterns:cycles machine in
-      let fig4 = Arch.pipeline_of_machine ~cycles machine in
-      let bist = Arch.grade ?jobs fig4 in
+      let ctx =
+        Context.of_machine ?jobs ~conventional:true ~cycles (resolve name)
+      in
+      let cover = (Option.get ctx.Context.block_c).Context.minimized in
+      let enc = ctx.Context.tables.Tables.enc in
+      let seq = Stc_faultsim.Seqtest.run_conventional ?jobs ~cycles ~cover enc in
+      let scan = Stc_faultsim.Scan.run ?jobs ~patterns:cycles ~cover enc in
+      let bist = Arch.grade ?jobs ctx.Context.fig4 in
       {
         name;
         seq_coverage = seq.Stc_faultsim.Seqtest.coverage;
@@ -461,9 +454,8 @@ let aliasing ?(cycles = 512) ?jobs ?names () =
   let names = match names with Some ns -> ns | None -> default_aliasing_names in
   List.map
     (fun name ->
-      let machine = resolve name in
-      let built = Arch.pipeline_of_machine ~cycles machine in
-      let r = Stc_faultsim.Aliasing.measure ?jobs built in
+      let ctx = Context.of_machine ?jobs ~cycles (resolve name) in
+      let r = Stc_faultsim.Aliasing.measure ?jobs ctx.Context.fig4 in
       {
         name;
         misr_width = r.Stc_faultsim.Aliasing.misr_width;
@@ -512,22 +504,13 @@ let default_scoap_names = [ "fig5"; "shiftreg"; "dk16"; "dk512"; "tav" ]
 
 let scoap ?timeout ?names () =
   let module Scoap = Stc_analysis.Scoap in
-  let module Actx = Stc_analysis.Context in
   let names = match names with Some ns -> ns | None -> default_scoap_names in
   List.map
     (fun name ->
-      let machine = resolve name in
-      let ctx = Actx.of_machine ?timeout ~conventional:true machine in
+      let ctx = Context.of_machine ?timeout ~conventional:true (resolve name) in
       let summarize label =
-        match
-          List.find_opt
-            (fun (t : Actx.netlist_target) -> t.Actx.net_label = label)
-            ctx.Actx.netlists
-        with
-        | Some t ->
-          ( Stc_netlist.Netlist.num_gates t.Actx.netlist,
-            Scoap.summarize t.Actx.netlist (Scoap.analyze t.Actx.netlist) )
-        | None -> invalid_arg (Printf.sprintf "scoap: no %s netlist" label)
+        let net = (Context.structure ctx label).Arch.netlist in
+        (Stc_netlist.Netlist.num_gates net, Scoap.summarize net (Scoap.analyze net))
       in
       let conv_gates, conv = summarize "fig1" in
       let pipe_gates, pipe = summarize "fig4" in

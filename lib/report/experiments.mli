@@ -48,8 +48,9 @@ type area_entry = {
 (** [area ?timeout ?jobs ?names ()] minimizes both structures for the
     selected benchmarks (default: those with a nontrivial Table-1
     solution, including tbk's 2048-row monolithic block - fast under the
-    packed engine).  [jobs] fans each espresso pass and the OSTR solve
-    over that many domains (see {!Stc_logic.Minimize.minimize}). *)
+    packed engine), through {!Stc_analysis.Context}.  [jobs] fans each
+    espresso pass over that many domains (see
+    {!Stc_logic.Minimize.minimize}); the OSTR solve is sequential. *)
 val area :
   ?timeout:float -> ?jobs:int -> ?names:string list -> unit -> area_entry list
 
@@ -81,8 +82,10 @@ type coverage_entry = {
 }
 
 (** [coverage ?cycles ?timeout ?jobs ?names ()] grades the three
-    self-testable structures; [jobs] shards the collapsed fault list over
-    that many domains (see {!Stc_faultsim.Session.run}).  Default
+    self-testable structures of {!Stc_analysis.Context}, with sessions of
+    [cycles] (default 1024) patterns; [jobs] fans the minimizer and
+    shards the collapsed fault list over that many domains (see
+    {!Stc_faultsim.Session.run}).  Default
     machines: fig5, shiftreg, dk27, tav, mc, bbara (the larger benchmarks
     make the fig. 2/3 netlists slow to grade). *)
 val coverage :

@@ -405,6 +405,83 @@ let test_scoap_summary_finite () =
   check_int "everything observable" 0 s.Stc_analysis.Scoap.unobservable;
   check_bool "cc0 positive" true (s.Stc_analysis.Scoap.cc0_max >= 1)
 
+(* --- the synthesis flow ------------------------------------------------ *)
+
+let benchmark name =
+  match Stc_benchmarks.Suite.find name with
+  | Some spec -> Stc_benchmarks.Suite.machine spec
+  | None -> assert false
+
+(* Figs. 1, 2 and 3 share one minimized block C: a context with every
+   structure costs the three fig. 4 blocks plus one minimization. *)
+let test_block_c_minimized_once () =
+  let module Metrics = Stc_obs.Metrics in
+  let calls = Metrics.counter "logic.minimize_calls" in
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
+  List.iter
+    (fun m ->
+      let before = Metrics.counter_value calls in
+      let ctx = Context.of_machine ~conventional:true ~all_archs:true m in
+      check_int (m.Machine.name ^ ": minimize calls") 4
+        (Metrics.counter_value calls - before);
+      check_int (m.Machine.name ^ ": four structures") 4
+        (List.length ctx.Context.netlists))
+    [ Zoo.paper_fig5 (); benchmark "dk27" ]
+
+(* [jobs] fans the minimizer over domains; the covers, and so the fig. 4
+   netlist, must not depend on it. *)
+let test_flow_jobs_invariant () =
+  List.iter
+    (fun name ->
+      let m = benchmark name in
+      let a = Context.of_machine ~jobs:1 m and b = Context.of_machine ~jobs:2 m in
+      List.iter2
+        (fun (x : Context.block) (y : Context.block) ->
+          check_string
+            (name ^ "/" ^ x.Context.block_label)
+            (Cover.to_string x.Context.minimized)
+            (Cover.to_string y.Context.minimized))
+        a.Context.blocks b.Context.blocks;
+      let net (ctx : Context.t) =
+        Format.asprintf "%a" Stc_netlist.Netlist.pp ctx.Context.fig4.Stc_faultsim.Arch.netlist
+      in
+      check_string (name ^ ": fig4 netlist") (net a) (net b))
+    [ "bbara"; "dk16" ]
+
+(* Digests of the fig. 4 netlist and of its 1024-cycle session stimuli
+   and observation points, recorded from the solve / encode / minimize /
+   build chain before it was gathered into [Context]. *)
+let test_fig4_pinned () =
+  let sessions_text (built : Stc_faultsim.Arch.built) =
+    let b = Buffer.create 65536 in
+    List.iter
+      (fun (stimuli, observed) ->
+        Array.iter
+          (fun v ->
+            Array.iter (fun x -> Buffer.add_char b (if x = 0 then '0' else '1')) v;
+            Buffer.add_char b '\n')
+          stimuli;
+        Array.iter (fun g -> Buffer.add_string b (string_of_int g ^ ",")) observed;
+        Buffer.add_char b '|')
+      built.Stc_faultsim.Arch.sessions;
+    Buffer.contents b
+  in
+  let digest text = Digest.to_hex (Digest.string text) in
+  List.iter
+    (fun (name, net_digest, sessions_digest) ->
+      let built = (Context.of_machine ~cycles:1024 (benchmark name)).Context.fig4 in
+      check_string (name ^ ": netlist") net_digest
+        (digest (Format.asprintf "%a" Stc_netlist.Netlist.pp built.Stc_faultsim.Arch.netlist));
+      check_string (name ^ ": sessions") sessions_digest
+        (digest (sessions_text built)))
+    [
+      ("bbara", "36bbe51a1ef0ecdf75616231e4ac8ca4", "e0a52f5b2dfca8f46f9efb70c2843e83");
+      ("dk16", "66a4c8a5253588152b1da456c80994b5", "762686c36e80ac0bd99ebab549e03d1c");
+      ("dk512", "c9ed541182672b18d5a2f4bf70873601", "c08dd1a8a1e2ebcb988dde45397b2418");
+    ]
+
 let () =
   ignore codes;
   Alcotest.run "stc_analysis"
@@ -461,6 +538,15 @@ let () =
           Alcotest.test_case "werror gate" `Quick test_werror_gate;
           Alcotest.test_case "pass registry" `Quick test_pass_registry;
           Alcotest.test_case "scoap summary" `Quick test_scoap_summary_finite;
+        ] );
+      ( "flow",
+        [
+          Alcotest.test_case "block C minimized once" `Quick
+            test_block_c_minimized_once;
+          Alcotest.test_case "jobs-invariant blocks and netlist" `Quick
+            test_flow_jobs_invariant;
+          Alcotest.test_case "fig4 netlist and sessions pinned" `Quick
+            test_fig4_pinned;
         ] );
       ( "verify",
         [

@@ -218,8 +218,9 @@ let test_pipeline_lambda_dc_on_empty_intersections () =
   let p = Tables.pipeline (Realization.build m ~pi ~rho) in
   check_bool "has dc cubes" true (Cover.size p.Tables.lambda_dc > 0)
 
-let test_pipeline_of_machine_runs () =
-  let p = Tables.pipeline_of_machine (Zoo.shift_register ~bits:3) in
+let test_flow_pipeline_widths () =
+  let ctx = Stc_analysis.Context.of_machine (Zoo.shift_register ~bits:3) in
+  let p = ctx.Stc_analysis.Context.tables in
   check_int "w1 + w2 = 3 flipflops"
     3
     (p.Tables.code1.Code.width + p.Tables.code2.Code.width)
@@ -261,7 +262,7 @@ let () =
           Alcotest.test_case "lambda semantics" `Quick test_pipeline_lambda_semantics;
           Alcotest.test_case "lambda dc on fillers" `Quick
             test_pipeline_lambda_dc_on_empty_intersections;
-          Alcotest.test_case "pipeline_of_machine" `Quick test_pipeline_of_machine_runs;
+          Alcotest.test_case "flow register widths" `Quick test_flow_pipeline_widths;
           Alcotest.test_case "code mismatch rejected" `Quick
             test_pipeline_code_mismatch_rejected;
         ] );

@@ -19,9 +19,18 @@ module Arch = Stc_faultsim.Arch
 module Session = Stc_faultsim.Session
 module Suite = Stc_benchmarks.Suite
 module Rng = Stc_util.Rng
+module Context = Stc_analysis.Context
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* The flow's minimized block C of [m], with the encoding it is over. *)
+let block_c m =
+  let ctx = Context.of_machine ~conventional:true m in
+  ( (Option.get ctx.Context.block_c).Context.minimized,
+    ctx.Context.tables.Stc_encoding.Tables.enc )
+
+let fig4 ~cycles m = (Context.of_machine ~cycles m).Context.fig4
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -224,7 +233,8 @@ let test_seqtest_counter_depth () =
   (* A mod-16 counter only reveals most faults at the carry output, which
      needs long input runs: first detections must spread over many
      cycles. *)
-  let r = Seqtest.run_conventional ~cycles:2048 (Zoo.counter ~modulus:16) in
+  let cover, enc = block_c (Zoo.counter ~modulus:16) in
+  let r = Seqtest.run_conventional ~cycles:2048 ~cover enc in
   check_bool "most faults detected" true (r.Seqtest.coverage > 0.8);
   let last =
     r.Seqtest.detection_cycles.(Array.length r.Seqtest.detection_cycles - 1)
@@ -232,15 +242,16 @@ let test_seqtest_counter_depth () =
   check_bool "tail detection beyond cycle 15" true (last >= 15)
 
 let test_seqtest_deterministic () =
-  let m = Zoo.shift_register ~bits:3 in
-  let a = Seqtest.run_conventional ~cycles:512 m in
-  let b = Seqtest.run_conventional ~cycles:512 m in
+  let cover, enc = block_c (Zoo.shift_register ~bits:3) in
+  let a = Seqtest.run_conventional ~cycles:512 ~cover enc in
+  let b = Seqtest.run_conventional ~cycles:512 ~cover enc in
   check_int "same detected" a.Seqtest.detected b.Seqtest.detected;
   check_bool "same detection profile" true
     (a.Seqtest.detection_cycles = b.Seqtest.detection_cycles)
 
 let test_seqtest_cycles_to_coverage () =
-  let r = Seqtest.run_conventional ~cycles:1024 (Zoo.counter ~modulus:8) in
+  let cover, enc = block_c (Zoo.counter ~modulus:8) in
+  let r = Seqtest.run_conventional ~cycles:1024 ~cover enc in
   let median = Seqtest.cycles_to_coverage r 0.5 in
   let full = Seqtest.cycles_to_coverage r 1.0 in
   check_bool "median defined" true (median <> None);
@@ -250,9 +261,9 @@ let test_seqtest_cycles_to_coverage () =
     | _ -> false)
 
 let test_seqtest_monotone_in_cycles () =
-  let m = Zoo.counter ~modulus:12 in
-  let short = Seqtest.run_conventional ~cycles:16 m in
-  let long = Seqtest.run_conventional ~cycles:1024 m in
+  let cover, enc = block_c (Zoo.counter ~modulus:12) in
+  let short = Seqtest.run_conventional ~cycles:16 ~cover enc in
+  let long = Seqtest.run_conventional ~cycles:1024 ~cover enc in
   check_bool "longer sequences detect at least as much" true
     (long.Seqtest.detected >= short.Seqtest.detected)
 
@@ -261,8 +272,8 @@ let test_seqtest_monotone_in_cycles () =
 (* ------------------------------------------------------------------ *)
 
 let test_scan_coverage_and_cost () =
-  let m = Zoo.shift_register ~bits:3 in
-  let s = Scan.run ~patterns:512 m in
+  let cover, enc = block_c (Zoo.shift_register ~bits:3) in
+  let s = Scan.run ~patterns:512 ~cover enc in
   check_bool "high coverage" true
     (s.Scan.report.Session.coverage > 0.95);
   check_int "chain length" 3 s.Scan.chain_length;
@@ -271,8 +282,8 @@ let test_scan_coverage_and_cost () =
 
 let test_scan_vs_pipeline_test_time () =
   (* Same pattern budget: the scan test pays (chain+1)x the cycles. *)
-  let m = Zoo.shift_register ~bits:3 in
-  let s = Scan.run ~patterns:1024 m in
+  let cover, enc = block_c (Zoo.shift_register ~bits:3) in
+  let s = Scan.run ~patterns:1024 ~cover enc in
   let pipeline_cycles = 2 * 1024 in
   check_bool "scan needs more cycles than both BIST sessions" true
     (s.Scan.test_cycles > pipeline_cycles)
@@ -374,7 +385,7 @@ let test_decompose_parallel_components_closed =
 (* ------------------------------------------------------------------ *)
 
 let test_aliasing_bounds () =
-  let built = Arch.pipeline_of_machine ~cycles:256 (Zoo.paper_fig5 ()) in
+  let built = fig4 ~cycles:256 (Zoo.paper_fig5 ()) in
   let r = Aliasing.measure built in
   check_bool "signature-detected <= stream-detected" true
     (r.Aliasing.signature_detected <= r.Aliasing.stream_detected);
@@ -388,7 +399,7 @@ let test_aliasing_rate_near_theory () =
   let m =
     match Suite.find "dk27" with Some s -> Suite.machine s | None -> assert false
   in
-  let built = Arch.pipeline_of_machine ~cycles:512 m in
+  let built = fig4 ~cycles:512 m in
   let r = Aliasing.measure built in
   check_int "5-bit signature" 5 r.Aliasing.misr_width;
   check_bool "rate within 4x of theory" true
@@ -397,7 +408,7 @@ let test_aliasing_rate_near_theory () =
 let test_aliasing_wide_register_clean () =
   (* A wider signature (shiftreg sessions observe few nets but the fault
      population is small) should alias rarely or never. *)
-  let built = Arch.pipeline_of_machine ~cycles:512 (Zoo.shift_register ~bits:3) in
+  let built = fig4 ~cycles:512 (Zoo.shift_register ~bits:3) in
   let r = Aliasing.measure built in
   check_bool "few aliases" true (r.Aliasing.aliased <= 2)
 

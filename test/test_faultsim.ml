@@ -10,6 +10,7 @@ module Suite = Stc_benchmarks.Suite
 module Metrics = Stc_obs.Metrics
 module Rng = Stc_util.Rng
 module Cover = Stc_logic.Cover
+module Context = Stc_analysis.Context
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -103,11 +104,15 @@ let test_fault_on_tags () =
 
 let shiftreg = Zoo.shift_register ~bits:3
 
+(* Every structure of [m] from the flow, with 1024-cycle sessions. *)
+let flow m = Context.of_machine ~conventional:true ~all_archs:true ~cycles:1024 m
+let fig label m = Context.structure (flow m) label
+
 let test_fig2_feedback_faults_escape () =
   (* The paper's drawback 3: faults on the feedback lines from R to C are
      not detected by the conventional BIST, since T drives C during the
      self-test. *)
-  let built = Arch.conventional_bist shiftreg in
+  let built = fig "fig2" shiftreg in
   let report = Arch.grade built in
   let feedback = List.assoc "feedback" built.Arch.tags in
   let r_input = List.assoc "r-input" built.Arch.tags in
@@ -124,13 +129,13 @@ let test_fig2_feedback_faults_escape () =
   check_bool "coverage below 100%" true (report.Session.coverage < 1.0)
 
 let test_fig4_shiftreg_full_coverage () =
-  let built = Arch.pipeline_of_machine shiftreg in
+  let built = fig "fig4" shiftreg in
   let report = Arch.grade built in
   check_bool "100% coverage" true (report.Session.coverage = 1.0);
   check_int "3 flip-flops (Table 1)" 3 built.Arch.flipflops
 
 let test_fig3_shiftreg_full_coverage () =
-  let built = Arch.doubled shiftreg in
+  let built = fig "fig3" shiftreg in
   let report = Arch.grade built in
   check_bool "100% coverage" true (report.Session.coverage = 1.0);
   check_int "6 flip-flops" 6 built.Arch.flipflops
@@ -141,8 +146,8 @@ let test_fig4_beats_fig2 () =
      flip-flops. *)
   List.iter
     (fun machine ->
-      let fig2 = Arch.conventional_bist machine in
-      let fig4 = Arch.pipeline_of_machine machine in
+      let ctx = flow machine in
+      let fig2 = Context.structure ctx "fig2" and fig4 = ctx.Context.fig4 in
       let r2 = Arch.grade fig2 and r4 = Arch.grade fig4 in
       check_bool
         (machine.Stc_fsm.Machine.name ^ " coverage")
@@ -155,13 +160,13 @@ let test_fig4_beats_fig2 () =
     [ Zoo.paper_fig5 (); shiftreg ]
 
 let test_fig1_has_no_sessions () =
-  let built = Arch.conventional shiftreg in
+  let built = fig "fig1" shiftreg in
   check_bool "no self-test sessions" true (built.Arch.sessions = []);
   check_int "single register" 3 built.Arch.flipflops;
   check_bool "netlist nonempty" true (N.num_gates built.Arch.netlist > 0)
 
 let test_grade_deterministic () =
-  let built = Arch.pipeline_of_machine (Zoo.paper_fig5 ()) in
+  let built = fig "fig4" (Zoo.paper_fig5 ()) in
   let a = Arch.grade built and b = Arch.grade built in
   check_int "same detected" a.Session.detected b.Session.detected;
   check_int "same total" a.Session.total b.Session.total
@@ -176,7 +181,7 @@ let test_merge_equals_grade () =
       let m =
         match Suite.find name with Some s -> Suite.machine s | None -> assert false
       in
-      let built = Arch.pipeline_of_machine ~jobs:1 m in
+      let built = (Context.of_machine ~cycles:1024 m).Context.fig4 in
       let reports =
         List.mapi
           (fun k (stimuli, observed) ->
@@ -192,7 +197,7 @@ let test_merge_equals_grade () =
     [ "bbara"; "dk27"; "dk512"; "mc"; "shiftreg"; "tav" ]
 
 let test_undetected_by_tag_sums () =
-  let built = Arch.conventional_bist (Zoo.paper_fig5 ()) in
+  let built = fig "fig2" (Zoo.paper_fig5 ()) in
   let report = Arch.grade built in
   let sum =
     List.fold_left (fun acc (_, n) -> acc + n) 0
@@ -204,8 +209,8 @@ let test_dk27_benchmark_comparison () =
   (* An actual Table-1 machine through the full flow. *)
   let spec = match Suite.find "dk27" with Some s -> s | None -> assert false in
   let machine = Suite.machine spec in
-  let fig2 = Arch.conventional_bist machine in
-  let fig4 = Arch.pipeline_of_machine machine in
+  let ctx = flow machine in
+  let fig2 = Context.structure ctx "fig2" and fig4 = ctx.Context.fig4 in
   let r2 = Arch.grade fig2 and r4 = Arch.grade fig4 in
   check_int "fig2 flip-flops = Table 1 conv." spec.Suite.paper.Suite.ff_conventional
     fig2.Arch.flipflops;
@@ -243,9 +248,10 @@ let test_naive_vs_fast_architectures () =
   in
   List.iter
     (fun machine ->
+      let ctx = flow machine in
       List.iter
-        (fun (arch_name, build) ->
-          let built = build machine in
+        (fun arch_name ->
+          let built = Context.structure ctx arch_name in
           let naive = Arch.grade ~naive:true built in
           let name =
             Printf.sprintf "%s/%s" machine.Stc_fsm.Machine.name arch_name
@@ -258,10 +264,7 @@ let test_naive_vs_fast_architectures () =
              must still be identical. *)
           check_reports_equal (name ^ " need_cycles") naive
             (Arch.grade ~need_cycles:true built))
-        [
-          ("fig2", fun m -> Arch.conventional_bist m);
-          ("fig4", fun m -> Arch.pipeline_of_machine m);
-        ])
+        [ "fig2"; "fig4" ])
     [ Zoo.paper_fig5 (); shiftreg; dk27 ]
 
 (* Randomized cross-check: arbitrary two-level netlists, random stimuli,
@@ -353,9 +356,12 @@ let test_detect_cycles_exact () =
     && h_naive.Metrics.sum = h_fast.Metrics.sum)
 
 let test_seqtest_naive_vs_fast () =
-  let naive = Seqtest.run_conventional ~naive:true ~cycles:256 shiftreg in
-  let fast = Seqtest.run_conventional ~cycles:256 shiftreg in
-  let fast2 = Seqtest.run_conventional ~jobs:2 ~cycles:256 shiftreg in
+  let ctx = flow shiftreg in
+  let cover = (Option.get ctx.Context.block_c).Context.minimized in
+  let enc = ctx.Context.tables.Stc_encoding.Tables.enc in
+  let naive = Seqtest.run_conventional ~naive:true ~cycles:256 ~cover enc in
+  let fast = Seqtest.run_conventional ~cycles:256 ~cover enc in
+  let fast2 = Seqtest.run_conventional ~jobs:2 ~cycles:256 ~cover enc in
   check_int "total" naive.Seqtest.total fast.Seqtest.total;
   check_int "detected" naive.Seqtest.detected fast.Seqtest.detected;
   check_bool "identical detection cycles" true
@@ -364,7 +370,7 @@ let test_seqtest_naive_vs_fast () =
     (naive.Seqtest.detection_cycles = fast2.Seqtest.detection_cycles)
 
 let test_aliasing_naive_vs_fast () =
-  let built = Arch.pipeline_of_machine (Zoo.paper_fig5 ()) in
+  let built = fig "fig4" (Zoo.paper_fig5 ()) in
   let naive = Aliasing.measure ~naive:true ~cycles:128 built in
   let fast = Aliasing.measure ~cycles:128 built in
   let fast2 = Aliasing.measure ~jobs:2 ~cycles:128 built in

@@ -136,19 +136,18 @@ let test_kiss_to_kiss () =
 
 (* Minimization contracts along the benchmark flow. *)
 let test_benchmark_minimization_contracts () =
+  let module Context = Stc_analysis.Context in
   List.iter
     (fun name ->
       let spec = match Suite.find name with Some s -> s | None -> assert false in
-      let machine = Suite.machine spec in
-      let enc = Tables.encode machine in
-      let on, dc = Tables.conventional enc in
-      let cover, _ = Minimize.minimize ~dc on in
-      check_bool (name ^ " conventional contract") true
-        (Truth.equivalent_with_dc ~on ~dc cover);
-      let p = Tables.pipeline_of_machine machine in
-      let c1, _ = Minimize.minimize ~dc:p.Tables.c1_dc p.Tables.c1_on in
-      check_bool (name ^ " c1 contract") true
-        (Truth.equivalent_with_dc ~on:p.Tables.c1_on ~dc:p.Tables.c1_dc c1))
+      let ctx = Context.of_machine ~conventional:true (Suite.machine spec) in
+      let contract label (b : Context.block) =
+        check_bool (name ^ " " ^ label ^ " contract") true
+          (Truth.equivalent_with_dc ~on:b.Context.on ~dc:b.Context.dc
+             b.Context.minimized)
+      in
+      contract "conventional" (Option.get ctx.Context.block_c);
+      contract "c1" (List.hd ctx.Context.blocks))
     [ "dk27"; "shiftreg"; "tav" ]
 
 let () =

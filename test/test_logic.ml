@@ -516,16 +516,13 @@ let test_pipeline_covers_pinned () =
       let m =
         match Suite.find name with Some s -> Suite.machine s | None -> assert false
       in
-      let p = Tables.pipeline_of_machine ~jobs:1 m in
+      let ctx = Stc_analysis.Context.of_machine m in
       List.iter2
-        (fun (label, on, dc) expected ->
-          let cover, _ = Minimize.minimize ~dc on in
-          check_string (name ^ "/" ^ label) expected
+        (fun (b : Stc_analysis.Context.block) expected ->
+          let cover = b.Stc_analysis.Context.minimized in
+          check_string (name ^ "/" ^ b.Stc_analysis.Context.block_label) expected
             (Digest.to_hex (Digest.string (Cover.to_string cover))))
-        [ ("c1", p.Tables.c1_on, p.Tables.c1_dc);
-          ("c2", p.Tables.c2_on, p.Tables.c2_dc);
-          ("lambda", p.Tables.lambda_on, p.Tables.lambda_dc) ]
-        digests)
+        ctx.Stc_analysis.Context.blocks digests)
     [ ("bbara",
        [ "3c2cab9f0ad82b0c72a2063c26863505"; "854f5d4d156225abb296ef0001700047";
          "c9f303a53dbd7ce8d304919c78ee2161" ]);

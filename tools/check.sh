@@ -64,18 +64,14 @@ dune exec tools/json_lint.exe -- "$obs_dir/metrics.json" metrics
 dune exec tools/json_lint.exe -- --folded "$obs_dir/prof.folded"
 
 echo "== bench-diff noise gate (same config twice must not regress) =="
-capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_a.json"
-capped dune exec bench/main.exe -- core-quick "$obs_dir/bq_b.json"
-dune exec tools/json_lint.exe -- --bench "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
-dune exec tools/bench_diff.exe -- "$obs_dir/bq_a.json" "$obs_dir/bq_b.json"
-capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_a.json"
-capped dune exec bench/main.exe -- verify-quick "$obs_dir/vq_b.json"
-dune exec tools/json_lint.exe -- --bench "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
-dune exec tools/bench_diff.exe -- "$obs_dir/vq_a.json" "$obs_dir/vq_b.json"
-capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_a.json"
-capped dune exec bench/main.exe -- anytime-quick "$obs_dir/aq_b.json"
-dune exec tools/json_lint.exe -- --bench "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
-dune exec tools/bench_diff.exe -- "$obs_dir/aq_a.json" "$obs_dir/aq_b.json"
+for suite in core-quick verify-quick anytime-quick; do
+  a="$obs_dir/${suite}_a.json"
+  b="$obs_dir/${suite}_b.json"
+  capped dune exec bench/main.exe -- "$suite" "$a"
+  capped dune exec bench/main.exe -- "$suite" "$b"
+  dune exec tools/json_lint.exe -- --bench "$a" "$b"
+  dune exec tools/bench_diff.exe -- "$a" "$b"
+done
 
 echo "== incremental closure vs full-recompute oracle (CLI runs must agree) =="
 # The delta evaluator (--split-ratio/--full-eval live on the same command)
@@ -106,6 +102,9 @@ done
 # forbidden, warnings are expected, so no --werror here.
 echo "   lint fig5 (warnings expected, errors forbidden)"
 dune exec bin/ostr.exe -- lint fig5 > /dev/null
+# A generator spec resolves like every other command's machine argument.
+echo "   lint planted:12x4@1 (generator spec)"
+dune exec bin/ostr.exe -- lint planted:12x4@1 > /dev/null
 
 echo "== lint JSON report must parse and carry the report keys =="
 dune exec bin/ostr.exe -- lint dk16 --json "$obs_dir/lint.json" > /dev/null
