@@ -22,6 +22,7 @@ let m_rounds = Metrics.counter "anytime.rounds"
 let m_sa_accepted = Metrics.counter "anytime.sa_accepted"
 let m_closure_delta = Metrics.counter "anytime.closure_delta"
 let m_closure_full = Metrics.counter "anytime.closure_full"
+let m_closure_rejected = Metrics.counter "anytime.closure_rejected"
 let m_closure_dirty = Metrics.counter "anytime.closure_dirty"
 let m_closure_tt_hits = Metrics.counter "anytime.closure_tt_hits"
 let g_best_bits = Metrics.gauge "anytime.best_bits"
@@ -118,7 +119,7 @@ let make_ctx machine =
    the closure without perturbing the stream: the draw sequence is a
    pure function of the parent, never of how (or whether) the proposal
    gets evaluated. *)
-type move =
+type move = Pair.move =
   | Merge of { on_pi : bool; c : int; d : int }
       (** merge blocks [c] and [d] of the chosen side *)
   | Split of { on_pi : bool; s : int }
@@ -163,21 +164,25 @@ let gen_move ctx ~split_ratio rng (parent : Solver.solution) =
     end
   end
 
-(* Full-recompute closure: materialize the moved side and re-close from
-   scratch — exactly the historical evaluator, kept as the equivalence
-   oracle for the incremental engine.  Splits always come here: a split
-   refines the parent, so the parent's closure caches say nothing. *)
-let close_full memo (parent : Solver.solution) = function
-  | Merge { on_pi; c; d } ->
-    let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
-    let side' = Partition.merge_classes side c d in
-    if on_pi then Pair.close memo side' parent.Solver.rho
-    else Pair.close memo parent.Solver.pi side'
-  | Split { on_pi; s } ->
-    let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
-    let side' = Partition.split_singleton side s in
-    if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
-    else Pair.close memo (Pair.Memo.big_m memo side') side'
+(* Full-recompute closure: materialize the moved side, re-close from
+   scratch and gate on the fused [meet_subseteq] kernel — exactly the
+   historical evaluator, kept as the equivalence oracle for
+   [Pair.close_merge]. *)
+let close_full memo ~equiv (parent : Solver.solution) mv =
+  let pi, rho =
+    match mv with
+    | Merge { on_pi; c; d } ->
+      let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
+      let side' = Partition.merge_classes side c d in
+      if on_pi then Pair.close memo side' parent.Solver.rho
+      else Pair.close memo parent.Solver.pi side'
+    | Split { on_pi; s } ->
+      let side = if on_pi then parent.Solver.pi else parent.Solver.rho in
+      let side' = Partition.split_singleton side s in
+      if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
+      else Pair.close memo (Pair.Memo.big_m memo side') side'
+  in
+  if Partition.meet_subseteq pi rho equiv then Some (pi, rho) else None
 
 (* Per-domain proposal transposition table.  Beam siblings share a
    parent and the move space is only quadratic in its class counts, so
@@ -202,11 +207,10 @@ type local = { memo : Pair.Memo.t; tt : Solver.solution option TT.t }
 let make_local ctx () =
   { memo = Pair.Memo.create ~next:ctx.next; tt = TT.create 256 }
 
-(* Evaluate one proposal: generate, consult the table, then close
-   (delta worklist for merges, full recompute otherwise), gate on the
-   fused [meet_subseteq] kernel, and polish + cost the survivors.  The
-   spans are the frames the profiler attributes anytime flamegraphs
-   to. *)
+(* Evaluate one proposal: generate, consult the table, close and gate
+   in one step (the engine, or the oracle when [incremental] is off),
+   then polish + cost the survivors.  The spans are the frames the
+   profiler attributes anytime flamegraphs to. *)
 let eval_move ctx ~split_ratio ~incremental { memo; tt } rng
     (parent : Solver.solution) =
   Metrics.incr m_evals;
@@ -219,48 +223,43 @@ let eval_move ctx ~split_ratio ~incremental { memo; tt } rng
       Metrics.incr m_closure_tt_hits;
       r
     | None ->
-      let delta = incremental && match mv with Merge _ -> true | Split _ -> false in
-      let pi, rho =
-        if delta then
+      let closed =
+        if incremental then begin
           Trace.span ~cat:"anytime" "closure_delta" @@ fun () ->
-          match mv with
-          | Split _ -> assert false
-          | Merge { on_pi; c; d } ->
-            Metrics.incr m_closure_delta;
-            let pi, rho, dirty =
-              Pair.close_merge ~next:ctx.next ~pi:parent.Solver.pi
-                ~rho:parent.Solver.rho ~on_pi c d
-            in
-            Metrics.add m_closure_dirty dirty;
-            (pi, rho)
-        else
+          Metrics.incr m_closure_delta;
+          let closed, dirty =
+            Pair.close_merge ~next:ctx.next ~equiv:ctx.equiv
+              ~pi:parent.Solver.pi ~rho:parent.Solver.rho mv
+          in
+          Metrics.add m_closure_dirty dirty;
+          if Option.is_none closed then Metrics.incr m_closure_rejected;
+          closed
+        end
+        else begin
           Trace.span ~cat:"anytime" "closure_full" @@ fun () ->
-          begin
-            Metrics.incr m_closure_full;
-            close_full memo parent mv
-          end
+          Metrics.incr m_closure_full;
+          close_full memo ~equiv:ctx.equiv parent mv
+        end
       in
       let r =
-        let feasible =
-          Trace.span ~cat:"anytime" "feasibility_check" @@ fun () ->
-          Partition.meet_subseteq pi rho ctx.equiv
-        in
-        if not feasible then None
-        else begin
+        match closed with
+        | None -> None
+        | Some (pi, rho) ->
           Metrics.incr m_feasible;
           let pi, rho =
             Trace.span ~cat:"anytime" "polish" @@ fun () ->
             (* A merge's closure coarsens the closed parent, so its
                M-images derive from the parent's cached ones. *)
             let from =
-              if delta then Some (parent.Solver.pi, parent.Solver.rho)
-              else None
+              match mv with
+              | Merge _ when incremental ->
+                Some (parent.Solver.pi, parent.Solver.rho)
+              | _ -> None
             in
             Pair.polish ?from memo ~equiv:ctx.equiv pi rho
           in
           let cost = Solver.cost_of ctx.machine ~pi ~rho in
           Some { Solver.pi; rho; cost }
-        end
       in
       TT.add tt key r;
       r)

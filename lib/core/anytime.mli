@@ -10,9 +10,10 @@
     + a {e seeded beam search} whose move set is one-step partition
       merges ({!Stc_partition.Partition.merge_classes}) and singleton
       splits ({!Stc_partition.Partition.split_singleton}), each proposal
-      closed to the least symmetric pair above it and screened by the
-      fused {!Stc_partition.Partition.meet_subseteq} admissibility
-      kernel — feasibility {e is} the fitness gate;
+      closed to the least symmetric pair above it and screened against
+      the meet bound inside the closure
+      ({!Stc_partition.Pair.close_merge}) — feasibility {e is} the
+      fitness gate;
     + a {e simulated-annealing polish} of the incumbent with the same
       move set and a Metropolis acceptance rule over a scalar relaxation
       of the lexicographic cost.
@@ -57,12 +58,13 @@ type config = {
                        the deterministic counters are the only stops *)
   jobs : int;  (** domains to fan proposal evaluation over *)
   incremental : bool;
-      (** evaluate merge proposals with the delta closure engine
-          ({!Stc_partition.Pair.close_merge} seeded by the parent's
-          already-closed pair, M-images derived per class); [false]
-          forces the full-recompute oracle path.  Results are
-          bit-identical either way — the switch exists for equivalence
-          gates and benchmarking *)
+      (** evaluate every proposal, merges and splits alike, with the
+          closure engine ({!Stc_partition.Pair.close_merge}: union-finds
+          seeded from the parent, rejection at the first meet-bound
+          witness, only survivors interned); [false] forces the
+          full-recompute oracle path (materialize, {!Stc_partition.Pair.close},
+          then the meet check).  Results are bit-identical either way —
+          the switch exists for equivalence gates and benchmarking *)
 }
 
 val default_config : config

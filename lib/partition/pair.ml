@@ -86,99 +86,163 @@ let is_mm_pair ~next pi rho =
 (* Incremental closure                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [close_merge] computes the least symmetric pair above
-   [(merge_classes pi c d, rho)] (or the rho-side merge) given that
-   [(pi, rho)] is already a closed symmetric pair - the delta engine of
-   the anytime tier.  Where the from-scratch fixpoint re-derives whole
-   m-images and whole-partition joins per iteration (O(n * k) each), the
-   delta path observes that every constraint of the parent is preserved
-   by coarsening, so only the newly merged groups can force anything:
+(* One-step lattice moves of the anytime tier. *)
+type move =
+  | Merge of { on_pi : bool; c : int; d : int }
+  | Split of { on_pi : bool; s : int }
 
-   - a union-find per side, over the parent's class ids, holds the
-     evolving coarsening;
+(* [close_merge] computes the least symmetric pair above a one-step move
+   of a closed symmetric pair [(pi, rho)], or [None] as soon as that pair
+   is known to fail the meet bound [pi' /\ rho' subseteq equiv] - the
+   closure engine of the anytime tier.  Where the from-scratch fixpoint
+   re-derives whole m-images and whole-partition joins per iteration
+   (O(n * k) each), this engine only replays the constraints of groups
+   that actually merge:
+
+   - a union-find per side holds the evolving coarsening.  Its nodes are
+     the parent's class ids for a merge (every constraint of the closed
+     parent survives coarsening, so only the merged groups can force
+     anything) and the states for a split (a split refines the parent,
+     whose closure then says nothing: the split side is seeded with its
+     blocks, the pi side of a rho-split with [big_m rho'], the other
+     side with singletons - the seeds [close] starts from);
    - each union of two groups enqueues one propagation task carrying a
      representative state of either group (within a group, all members'
      images are pairwise united on the other side by induction, so one
-     state per group is enough);
-   - a task replays the pair constraint for its two states: for every
-     input, the image classes must be united on the other side -
-     O(k) finds per union event, and the total number of union events is
-     bounded by the class counts, not by [n].
+     state per group is enough), and a task unites the two states'
+     images input by input on the other side;
+   - each union is also a witness test: if its two representatives
+     already share a group on the other side but [equiv] separates them,
+     they stay together in the meet of every coarsening, so the closed
+     pair cannot be admissible and the proposal is rejected on the spot
+     (both sides only ever coarsen - Lemma 1's monotonicity);
+   - a proposal that reaches the fixpoint gets the complete meet check,
+     bucketed over the union-find roots ([Partition.meet_subseteq_maps]),
+     and only then is the closed pair materialized and interned (a split
+     also interns its moved side up front: the seed it iterates).
 
-   Materialization goes through [Partition.coarsen_with], which unions
-   only the dirty packed rows.  The result is the same least fixpoint
-   [close] reaches (both compute the least coarsening pair closed
-   under the pair constraints above the same seed), hence bit-identical
-   partitions.
+   Materialization goes through [Partition.coarsen_with] for merges,
+   which unions only the dirty packed rows, and canonicalizes the root
+   maps for splits.  The result is the least fixpoint [close] reaches
+   from the same seed, hence bit-identical partitions.
 
-   Returns [(pi', rho', dirty)], [dirty] being the number of group
-   merges propagated across both sides (0 forces [pi' == pi] and
-   [rho' == rho] up to the initial move).  Precondition: [(pi, rho)] is
-   a symmetric pair ([is_symmetric_pair ~next pi rho]); violating it
-   silently under-closes. *)
-let close_merge ~next ~pi ~rho ~on_pi c d =
+   [dirty] counts the union events propagated, seed unions included.
+   Precondition for merges: [(pi, rho)] is a symmetric pair; violating
+   it silently under-closes. *)
+let rec uf_find parent x =
+  let px = Array.unsafe_get parent x in
+  if px = x then x
+  else begin
+    let gx = Array.unsafe_get parent px in
+    Array.unsafe_set parent x gx;
+    uf_find parent gx
+  end
+
+exception Witness
+
+let close_merge ~next ~equiv ~pi ~rho move =
   let n, k = dims next in
-  if Partition.size pi <> n || Partition.size rho <> n then
-    invalid_arg "Pair.close_merge: size mismatch";
-  let kp = Partition.num_classes pi and kr = Partition.num_classes rho in
-  if on_pi && (c < 0 || c >= kp || d < 0 || d >= kp) then
-    invalid_arg "Pair.close_merge: class out of range";
-  if (not on_pi) && (c < 0 || c >= kr || d < 0 || d >= kr) then
-    invalid_arg "Pair.close_merge: class out of range";
-  (* Smallest member state per class, one backward pass per side. *)
-  let pi_rep = Array.make kp 0 and rho_rep = Array.make kr 0 in
-  for s = n - 1 downto 0 do
-    Array.unsafe_set pi_rep (Partition.class_of pi s) s;
-    Array.unsafe_set rho_rep (Partition.class_of rho s) s
-  done;
-  let pi_parent = Array.init kp (fun i -> i) in
-  let rho_parent = Array.init kr (fun i -> i) in
-  let rec find parent x =
-    let px = Array.unsafe_get parent x in
-    if px = x then x
-    else begin
-      let gx = Array.unsafe_get parent px in
-      Array.unsafe_set parent x gx;
-      find parent gx
-    end
+  if Partition.size pi <> n || Partition.size rho <> n
+     || Partition.size equiv <> n
+  then invalid_arg "Pair.close_merge: size mismatch";
+  let by_state = match move with Merge _ -> false | Split _ -> true in
+  (match move with
+  | Merge { on_pi; c; d } ->
+    let classes = Partition.num_classes (if on_pi then pi else rho) in
+    if c < 0 || c >= classes || d < 0 || d >= classes then
+      invalid_arg "Pair.close_merge: class out of range"
+  | Split { s; _ } ->
+    if s < 0 || s >= n then invalid_arg "Pair.close_merge: state out of range");
+  let np = if by_state then n else Partition.num_classes pi in
+  let nr = if by_state then n else Partition.num_classes rho in
+  let pi_parent = Array.init np Fun.id and rho_parent = Array.init nr Fun.id in
+  (* node -> smallest member state; a union keeps the smaller root, so a
+     root's representative is its group's smallest state *)
+  let pi_rep = if by_state then [||] else Partition.representatives pi in
+  let rho_rep = if by_state then [||] else Partition.representatives rho in
+  let node ~on_pi x =
+    if by_state then x
+    else Partition.class_of (if on_pi then pi else rho) x
   in
-  let queue = Queue.create () in
+  let state ~on_pi r =
+    if by_state then r
+    else Array.unsafe_get (if on_pi then pi_rep else rho_rep) r
+  in
+  (* Every task is pushed by a union, and every union removes a node, so
+     the queue never holds more than [np + nr] tasks: side bit and the
+     first state packed into one int, the second state next to it. *)
+  let queue = Array.make (2 * (np + nr)) 0 in
+  let tail = ref 0 in
   let dirty = ref 0 in
-  let union ~pi_side a b =
-    let parent, rep =
-      if pi_side then (pi_parent, pi_rep) else (rho_parent, rho_rep)
-    in
-    let ra = find parent a and rb = find parent b in
+  let union ~on_pi ~propagate a b =
+    let parent = if on_pi then pi_parent else rho_parent in
+    let other = if on_pi then rho_parent else pi_parent in
+    let ra = uf_find parent a and rb = uf_find parent b in
     if ra <> rb then begin
       incr dirty;
       let lo = min ra rb and hi = max ra rb in
       Array.unsafe_set parent hi lo;
-      Queue.add (pi_side, Array.unsafe_get rep ra, Array.unsafe_get rep rb)
-        queue
+      let sa = state ~on_pi ra and sb = state ~on_pi rb in
+      if
+        Partition.class_of equiv sa <> Partition.class_of equiv sb
+        && uf_find other (node ~on_pi:(not on_pi) sa)
+           = uf_find other (node ~on_pi:(not on_pi) sb)
+      then raise Witness;
+      if propagate then begin
+        Array.unsafe_set queue !tail ((sa lsl 1) lor Bool.to_int on_pi);
+        Array.unsafe_set queue (!tail + 1) sb;
+        tail := !tail + 2
+      end
     end
   in
-  union ~pi_side:on_pi c d;
-  while not (Queue.is_empty queue) do
-    let pi_side, sa, sb = Queue.take queue in
-    let na = next.(sa) and nb = next.(sb) in
-    (* A merge on one side forces the images together on the other:
-       (pi, rho) and (rho, pi) must both stay pairs. *)
-    if pi_side then
+  let seed ~on_pi ~propagate p =
+    Partition.iter_coarse_members p (fun r t -> union ~on_pi ~propagate r t)
+  in
+  match
+    (match move with
+    | Merge { on_pi; c; d } -> union ~on_pi ~propagate:true c d
+    | Split { on_pi; s } ->
+      let side' = Partition.split_singleton (if on_pi then pi else rho) s in
+      seed ~on_pi ~propagate:true side';
+      (* the pi side of a rho-split starts at big_m rho': already a pair
+         with rho', so its seed unions force nothing and enqueue
+         nothing *)
+      if not on_pi then seed ~on_pi:true ~propagate:false (big_m ~next side'));
+    let head = ref 0 in
+    while !head < !tail do
+      let packed = Array.unsafe_get queue !head in
+      let sb = Array.unsafe_get queue (!head + 1) in
+      head := !head + 2;
+      let sa = packed lsr 1 and from_pi = packed land 1 = 1 in
+      (* a merge on one side forces the images together on the other:
+         (pi, rho) and (rho, pi) must both stay pairs *)
+      let na = next.(sa) and nb = next.(sb) in
+      let on_pi = not from_pi in
       for i = 0 to k - 1 do
-        union ~pi_side:false
-          (Partition.class_of rho (Array.unsafe_get na i))
-          (Partition.class_of rho (Array.unsafe_get nb i))
+        union ~on_pi ~propagate:true
+          (node ~on_pi (Array.unsafe_get na i))
+          (node ~on_pi (Array.unsafe_get nb i))
       done
+    done
+  with
+  | exception Witness -> (None, !dirty)
+  | () ->
+    let pi_root =
+      Array.init n (fun t -> uf_find pi_parent (node ~on_pi:true t))
+    in
+    let rho_root =
+      Array.init n (fun t -> uf_find rho_parent (node ~on_pi:false t))
+    in
+    if not (Partition.meet_subseteq_maps pi_root ~na:np rho_root ~nb:nr equiv)
+    then (None, !dirty)
+    else if by_state then
+      (Some (Partition.of_class_map pi_root, Partition.of_class_map rho_root),
+       !dirty)
     else
-      for i = 0 to k - 1 do
-        union ~pi_side:true
-          (Partition.class_of pi (Array.unsafe_get na i))
-          (Partition.class_of pi (Array.unsafe_get nb i))
-      done
-  done;
-  let pi' = Partition.coarsen_with pi (fun x -> find pi_parent x) in
-  let rho' = Partition.coarsen_with rho (fun x -> find rho_parent x) in
-  (pi', rho', !dirty)
+      ( Some
+          ( Partition.coarsen_with pi (uf_find pi_parent),
+            Partition.coarsen_with rho (uf_find rho_parent) ),
+        !dirty )
 
 (* [big_m rho] derived from [bm = big_m base] for a refinement
    [base subseteq rho]: states grouped together by [bm] have identical

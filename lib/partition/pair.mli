@@ -35,31 +35,42 @@ val big_m : next:int array array -> Partition.t -> Partition.t
     [big_m rho = pi] and [m pi = rho] (Definition 5). *)
 val is_mm_pair : next:int array array -> Partition.t -> Partition.t -> bool
 
-(** [close_merge ~next ~pi ~rho ~on_pi c d] is the incremental closure
-    engine of the anytime tier: given a {e closed symmetric pair}
-    [(pi, rho)] and a one-step merge of classes [c] and [d] on the [pi]
-    ([on_pi = true]) or [rho] side, it returns [(pi', rho', dirty)] -
-    the least symmetric pair above the moved pair, equal as partitions
-    to the from-scratch {!close} of the moved pair, plus
-    the number of class-merge events propagated ([dirty]).
+(** One-step moves of the anytime tier on a closed symmetric pair. *)
+type move =
+  | Merge of { on_pi : bool; c : int; d : int }
+      (** merge blocks [c] and [d] of the [pi] ([on_pi]) or [rho] side *)
+  | Split of { on_pi : bool; s : int }
+      (** take state [s] out of its block on the chosen side; the other
+          side restarts from its extremal seed ([m pi'] for a [pi]-split,
+          [big_m rho'] on the [pi] side for a [rho]-split) *)
 
-    Only the touched blocks do work: a worklist of merged groups replays
-    each group's pair constraint through a union-find over the parent's
-    class ids (O(inputs) finds per merge event, events bounded by the
-    class counts), and materialization unions only the dirty packed rows
-    ({!Partition.coarsen_with}).  A side with no forced merges is
-    returned physically unchanged.
+(** [close_merge ~next ~equiv ~pi ~rho move] is the closure engine of
+    the anytime tier.  It returns [(Some (pi', rho'), dirty)], where
+    [(pi', rho')] is the least symmetric pair above the moved pair (equal,
+    and within a domain physically equal, to the from-scratch {!close}
+    of the same seed) when [pi' /\ rho'] refines [equiv], and
+    [(None, dirty)] otherwise.  [dirty] counts the union events done.
 
-    Precondition: [is_symmetric_pair ~next pi rho]; an unclosed parent
-    silently under-closes. *)
+    A union-find per side runs over the parent's class ids for a merge
+    and over the states for a split; a worklist of merged groups replays
+    each group's pair constraint (O(inputs) finds per union event).
+    Every union is also a witness test: two representatives that already
+    share a group on the other side but lie in different [equiv] classes
+    stay together in every coarsening, so the proposal is rejected at
+    once.  A proposal that reaches the fixpoint gets the complete
+    bucketed meet check ({!Partition.meet_subseteq_maps}); only then are
+    the two partitions materialized and interned (a split interns its
+    moved side first, as the seed it iterates).
+
+    Precondition for merges: [is_symmetric_pair ~next pi rho]; an
+    unclosed parent silently under-closes. *)
 val close_merge :
   next:int array array ->
+  equiv:Partition.t ->
   pi:Partition.t ->
   rho:Partition.t ->
-  on_pi:bool ->
-  int ->
-  int ->
-  Partition.t * Partition.t * int
+  move ->
+  (Partition.t * Partition.t) option * int
 
 (** [big_m_coarse ~next ~rho bm] is [big_m ~next rho] derived from
     [bm = big_m ~next base] for any [base] refining [rho]: since [bm]

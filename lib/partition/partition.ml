@@ -581,17 +581,69 @@ let subseteq p q =
           !ok
         end)
 
-let meet_subseteq_slow p q r =
-  let table = Hashtbl.create 16 in
+(* Bucketed meet-refinement kernel over raw id maps: elements are
+   counting-sorted by their [a] id, and each bucket of two or more gets
+   a fresh epoch of one stamped table indexed by [b] id that holds the
+   [r] class seen first - the meet refines [r] iff no bucket sees one
+   [b] id with two [r] classes.  O(n + na) time and O(n + na + nb)
+   reused per-domain scratch, no hashing.  Serves [meet_subseteq] when
+   the flat pair-key table would outgrow [pair_key_cap], and
+   Pair.close_merge's check on its union-find roots. *)
+type buckets = { mutable ends : int array; mutable order : int array }
+
+let bucket_scratch =
+  Domain.DLS.new_key (fun () -> { ends = [||]; order = [||] })
+
+let meet_subseteq_maps a ~na b ~nb r =
+  let n = r.n in
+  if Array.length a < n || Array.length b < n then
+    invalid_arg "Partition.meet_subseteq_maps: map shorter than n";
+  let sc = Domain.DLS.get bucket_scratch in
+  sc.ends <- Arena.ensure sc.ends (na + 1);
+  sc.order <- Arena.ensure sc.order n;
+  let ends = sc.ends and order = sc.order in
+  Array.fill ends 0 (na + 1) 0;
+  for t = 0 to n - 1 do
+    let x = a.(t) in
+    ends.(x) <- ends.(x) + 1
+  done;
+  for x = 1 to na - 1 do
+    Array.unsafe_set ends x
+      (Array.unsafe_get ends x + Array.unsafe_get ends (x - 1))
+  done;
+  ends.(na) <- n;
+  (* placing backwards turns each bucket's end into its start *)
+  for t = n - 1 downto 0 do
+    let x = Array.unsafe_get a t in
+    let pos = Array.unsafe_get ends x - 1 in
+    Array.unsafe_set ends x pos;
+    Array.unsafe_set order pos t
+  done;
+  let st = Domain.DLS.get scratch in
+  Arena.Stamped.ensure st nb;
+  let data = st.data and stamp = st.stamp and rc = r.cls in
   let ok = ref true in
-  let s = ref 0 in
-  while !ok && !s < p.n do
-    let key = (p.cls.(!s), q.cls.(!s)) in
-    let rc = r.cls.(!s) in
-    (match Hashtbl.find_opt table key with
-    | Some rc' -> if rc' <> rc then ok := false
-    | None -> Hashtbl.replace table key rc);
-    incr s
+  let x = ref 0 in
+  while !ok && !x < na do
+    let lo = Array.unsafe_get ends !x and hi = Array.unsafe_get ends (!x + 1) in
+    if hi - lo >= 2 then begin
+      let e = Arena.Stamped.bump st in
+      let i = ref lo in
+      while !ok && !i < hi do
+        let t = Array.unsafe_get order !i in
+        let key = b.(t) in
+        let cr = Array.unsafe_get rc t in
+        if stamp.(key) = e then begin
+          if data.(key) <> cr then ok := false
+        end
+        else begin
+          stamp.(key) <- e;
+          data.(key) <- cr
+        end;
+        incr i
+      done
+    end;
+    incr x
   done;
   !ok
 
@@ -605,7 +657,8 @@ let meet_subseteq p q r =
   else if p == q then subseteq p r
   else if is_universal p then subseteq q r
   else if is_universal q then subseteq p r
-  else if p.count * q.count > pair_key_cap p.n then meet_subseteq_slow p q r
+  else if p.count * q.count > pair_key_cap p.n then
+    meet_subseteq_maps p.cls ~na:p.count q.cls ~nb:q.count r
   else begin
     let a = Domain.DLS.get scratch in
     Arena.Stamped.ensure a (p.count * q.count);

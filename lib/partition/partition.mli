@@ -114,6 +114,17 @@ val subseteq : t -> t -> bool
     and Lemma-1 viability tests in one O(n) pass. *)
 val meet_subseteq : t -> t -> t -> bool
 
+(** [meet_subseteq_maps a ~na b ~nb r] is {!meet_subseteq} for two raw
+    id maps instead of partitions: elements [s] and [t] of the meet lie
+    together iff [a.(s) = a.(t)] and [b.(s) = b.(t)].  The maps need not
+    be canonical or dense, but must cover [0 .. size r - 1] with ids in
+    [\[0, na)] and [\[0, nb)].  Elements are counting-sorted by [a] and
+    each bucket is checked against one epoch of a stamped table indexed
+    by [b]: O(n + na) time, no hashing, no allocation in the steady
+    state.  This is the large-class-count path of {!meet_subseteq} and
+    the final check of {!Pair.close_merge} on its union-find roots. *)
+val meet_subseteq_maps : int array -> na:int -> int array -> nb:int -> t -> bool
+
 (** [equal p q] is semantic (= structural) equality; thanks to interning
     it is usually decided by a pointer comparison. *)
 val equal : t -> t -> bool

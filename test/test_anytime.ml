@@ -135,9 +135,11 @@ let test_incremental_jobs_cross () =
         true (identical full1 inc))
     [ 2; 4 ]
 
-(* The closure_* observability contract: delta evals, full fallbacks
-   (splits always recompute), dirty-class events and transposition-table
-   hits are all recorded. *)
+(* The closure_* observability contract.  Incremental mode sends every
+   fresh proposal, splits included, through the engine: no oracle
+   closures, and each engine run either survives (and is counted
+   feasible) or is rejected inside it.  Oracle mode never touches the
+   engine. *)
 let test_closure_metrics () =
   Metrics.set_enabled true;
   Metrics.reset ();
@@ -148,23 +150,29 @@ let test_closure_metrics () =
     | Some (Metrics.Counter n) -> n
     | _ -> Alcotest.failf "%s not recorded" name
   in
-  check_bool "delta closures ran" true (counter "anytime.closure_delta" > 0);
-  check_bool "full fallbacks ran (splits)" true
-    (counter "anytime.closure_full" > 0);
-  check_bool "dirty classes counted" true (counter "anytime.closure_dirty" > 0);
+  check_bool "engine closures ran" true (counter "anytime.closure_delta" > 0);
+  check_int "no oracle closures (splits go through the engine)" 0
+    (counter "anytime.closure_full");
+  check_bool "engine rejections counted" true
+    (counter "anytime.closure_rejected" > 0);
+  check_int "engine survivors = feasible proposals"
+    (counter "anytime.feasible")
+    (counter "anytime.closure_delta" - counter "anytime.closure_rejected");
+  check_bool "union events counted" true (counter "anytime.closure_dirty" > 0);
   check_bool "tt hits counted" true (counter "anytime.closure_tt_hits" > 0);
-  check_bool "every eval is delta, full, a tt hit, or degenerate" true
-    (counter "anytime.closure_delta"
-     + counter "anytime.closure_full"
-     + counter "anytime.closure_tt_hits"
+  check_bool "every eval is an engine run, a tt hit, or degenerate" true
+    (counter "anytime.closure_delta" + counter "anytime.closure_tt_hits"
     <= counter "anytime.evals");
-  (* with the full oracle forced, no delta closures happen *)
+  (* with the full oracle forced, the engine never runs *)
   Metrics.reset ();
   ignore
     (Anytime.search
        ~config:{ small_config with Anytime.incremental = false }
        m);
-  check_int "oracle path never goes delta" 0 (counter "anytime.closure_delta");
+  check_int "oracle path never runs the engine" 0
+    (counter "anytime.closure_delta");
+  check_int "oracle path rejects nothing in the engine" 0
+    (counter "anytime.closure_rejected");
   check_bool "oracle path counts full closures" true
     (counter "anytime.closure_full" > 0);
   Metrics.set_enabled false

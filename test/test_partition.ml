@@ -679,6 +679,8 @@ let random_closed_pair rng ~next n =
   let rho0 = random_partition rng n in
   close_pair_spec ~next pi0 rho0
 
+(* Under the universal equivalence every proposal is admissible, so the
+   engine must always return the closure itself. *)
 let test_close_merge_matches_oracle =
   QCheck.Test.make ~count:200
     ~name:"close_merge = close_pair o merge_classes (closed parents)"
@@ -692,27 +694,30 @@ let test_close_merge_matches_oracle =
       let side = if on_pi then pi else rho in
       let k = Partition.num_classes side in
       let c = Rng.int rng k and d = Rng.int rng k in
-      let got_pi, got_rho, dirty =
-        Pair.close_merge ~next ~pi ~rho ~on_pi c d
-      in
-      let side' = Partition.merge_classes side c d in
-      let exp_pi, exp_rho =
-        if on_pi then close_pair_spec ~next side' rho
-        else close_pair_spec ~next pi side'
-      in
-      (* the memoized from-scratch closure the solver and the anytime
-         tier share must reach the same fixpoint *)
-      let memo = Pair.Memo.create ~next in
-      let full_pi, full_rho =
-        if on_pi then Pair.close memo side' rho else Pair.close memo pi side'
-      in
-      Partition.equal got_pi exp_pi
-      && Partition.equal got_rho exp_rho
-      && Partition.equal full_pi exp_pi
-      && Partition.equal full_rho exp_rho
-      && dirty >= 0
-      (* a self-merge forces nothing: both sides come back physically *)
-      && (c <> d || (got_pi == pi && got_rho == rho)))
+      match
+        Pair.close_merge ~next ~equiv:(Partition.universal n) ~pi ~rho
+          (Pair.Merge { on_pi; c; d })
+      with
+      | None, _ -> false
+      | Some (got_pi, got_rho), dirty ->
+        let side' = Partition.merge_classes side c d in
+        let exp_pi, exp_rho =
+          if on_pi then close_pair_spec ~next side' rho
+          else close_pair_spec ~next pi side'
+        in
+        (* the memoized from-scratch closure the solver and the anytime
+           tier share must reach the same fixpoint *)
+        let memo = Pair.Memo.create ~next in
+        let full_pi, full_rho =
+          if on_pi then Pair.close memo side' rho else Pair.close memo pi side'
+        in
+        Partition.equal got_pi exp_pi
+        && Partition.equal got_rho exp_rho
+        && Partition.equal full_pi exp_pi
+        && Partition.equal full_rho exp_rho
+        && dirty >= 0
+        (* a self-merge forces nothing: both sides come back physically *)
+        && (c <> d || (got_pi == pi && got_rho == rho)))
 
 (* A partition with only a few random merges above the identity, so
    closures of such seeds stay away from the universal partition. *)
@@ -723,6 +728,94 @@ let sparse_partition rng n =
         (Partition.pair_relation ~n (Rng.int rng n) (Rng.int rng n)))
     (Partition.identity n)
     (List.init (1 + Rng.int rng 2) Fun.id)
+
+(* A closed parent: the closure of a random seed, or of a sparse one
+   (whose closure stays away from the universal partition). *)
+let random_parent rng ~next n =
+  if Rng.bool rng then random_closed_pair rng ~next n
+  else close_pair_spec ~next (sparse_partition rng n) (sparse_partition rng n)
+
+(* The engine against the oracle evaluator: [Pair.close] of the same
+   seed, then the meet bound.  [None] exactly when the oracle's pair
+   fails the bound; otherwise the very same (hash-consed) pair. *)
+let test_close_merge_rejects_exactly =
+  QCheck.Test.make ~count:400
+    ~name:"close_merge rejects iff close of the seed fails the meet bound"
+    QCheck.(pair (int_bound 100000) size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let k_in = 1 + Rng.int rng 4 in
+      let next = random_next rng n k_in in
+      let pi, rho = random_parent rng ~next n in
+      let memo = Pair.Memo.create ~next in
+      let on_pi = Rng.bool rng in
+      let side = if on_pi then pi else rho in
+      let move, (ref_pi, ref_rho) =
+        if Rng.bool rng then begin
+          let k = Partition.num_classes side in
+          let c = Rng.int rng k and d = Rng.int rng k in
+          let side' = Partition.merge_classes side c d in
+          ( Pair.Merge { on_pi; c; d },
+            if on_pi then Pair.close memo side' rho
+            else Pair.close memo pi side' )
+        end
+        else begin
+          let s = Rng.int rng n in
+          let side' = Partition.split_singleton side s in
+          ( Pair.Split { on_pi; s },
+            if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
+            else Pair.close memo (Pair.Memo.big_m memo side') side' )
+        end
+      in
+      let equiv =
+        match Rng.int rng 4 with
+        | 0 -> Partition.identity n
+        | 1 -> Partition.universal n
+        | 2 -> Partition.join (Partition.meet ref_pi ref_rho) (sparse_partition rng n)
+        | _ -> random_partition rng n
+      in
+      match Pair.close_merge ~next ~equiv ~pi ~rho move with
+      | None, _ -> not (Partition.meet_subseteq ref_pi ref_rho equiv)
+      | Some (got_pi, got_rho), _ ->
+        Partition.meet_subseteq ref_pi ref_rho equiv
+        && got_pi == ref_pi && got_rho == ref_rho)
+
+(* The bucketed kernel behind [meet_subseteq] once the class-count
+   product exceeds the pair-key cap ([max 1024 (4 * n)]), on fine
+   partitions of 64..300 elements, plus the raw-map entry point on
+   non-canonical ids. *)
+let test_meet_subseteq_bucketed =
+  QCheck.Test.make ~count:200
+    ~name:"bucketed meet_subseteq = subseteq (meet p q) r"
+    QCheck.(pair (int_bound 100000) (int_range 64 300))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let fine () =
+        let k = (n / 2) + Rng.int rng (n / 2) in
+        Partition.of_class_map (Array.init n (fun _ -> Rng.int rng k))
+      in
+      let p = fine () and q = fine () in
+      QCheck.assume
+        (Partition.num_classes p * Partition.num_classes q > max 1024 (4 * n));
+      let m = Partition.meet p q in
+      let r =
+        match Rng.int rng 3 with
+        | 0 -> Partition.join m (sparse_partition rng n)
+        | 1 -> Partition.of_class_map (wild_class_map rng n)
+        | _ ->
+          Partition.split_singleton
+            (Partition.join m (sparse_partition rng n))
+            (Rng.int rng n)
+      in
+      let expected = Partition.subseteq m r in
+      let spread a = Array.map (fun id -> (3 * id) + 1) (Partition.class_map a) in
+      Partition.meet_subseteq p q r = expected
+      && Partition.meet_subseteq_maps (spread p)
+           ~na:((3 * Partition.num_classes p) + 1)
+           (spread q)
+           ~nb:((3 * Partition.num_classes q) + 1)
+           r
+         = expected)
 
 let test_polish_from_matches =
   QCheck.Test.make ~count:200
@@ -739,8 +832,13 @@ let test_polish_from_matches =
       let side = if on_pi then parent_pi else parent_rho in
       let k = Partition.num_classes side in
       let c = Rng.int rng k and d = Rng.int rng k in
-      let pi, rho, _ =
-        Pair.close_merge ~next ~pi:parent_pi ~rho:parent_rho ~on_pi c d
+      let pi, rho =
+        match
+          Pair.close_merge ~next ~equiv:(Partition.universal n) ~pi:parent_pi
+            ~rho:parent_rho (Pair.Merge { on_pi; c; d })
+        with
+        | Some pair, _ -> pair
+        | None, _ -> Alcotest.fail "universal equivalence rejected a merge"
       in
       (* an equivalence the proposal's meet refines: (pi, rho) is
          admissible, so polish has room to move *)
@@ -844,6 +942,7 @@ let () =
           qcheck test_join_all_matches_reference;
           qcheck test_subseteq_matches_reference;
           qcheck test_meet_subseteq_matches_composition;
+          qcheck test_meet_subseteq_bucketed;
           qcheck test_hash_stable_under_relabeling;
           qcheck test_iter_coarse_members_spec;
           qcheck test_blocks_members_multiword;
@@ -892,6 +991,7 @@ let () =
           qcheck test_class_size_spec;
           qcheck test_coarsen_with_spec;
           qcheck test_close_merge_matches_oracle;
+          qcheck test_close_merge_rejects_exactly;
           qcheck test_big_m_coarse_matches;
           qcheck test_memo_big_m_from;
           qcheck test_polish_from_matches;

@@ -73,16 +73,23 @@ for suite in core-quick verify-quick anytime-quick; do
   dune exec tools/bench_diff.exe -- "$a" "$b"
 done
 
-echo "== incremental closure vs full-recompute oracle (CLI runs must agree) =="
-# The delta evaluator (--split-ratio/--full-eval live on the same command)
+echo "== closure engine vs full-recompute oracle (CLI runs must agree) =="
+# The closure engine (--split-ratio/--full-eval live on the same command)
 # must be bit-identical to the from-scratch closure: same best, same
 # factor counts, same RNG-stream fingerprint.  Only the deterministic
 # report lines are compared - elapsed lines differ by construction.
-dune exec bin/ostr.exe -- anytime dk16 --force-stochastic --evals 400 \
-  | grep -E "stochastic tier:|best:" > "$obs_dir/anytime_incr.txt"
-dune exec bin/ostr.exe -- anytime dk16 --force-stochastic --evals 400 --full-eval \
-  | grep -E "stochastic tier:|best:" > "$obs_dir/anytime_full.txt"
-cmp "$obs_dir/anytime_incr.txt" "$obs_dir/anytime_full.txt"
+# dk16 is forced onto the stochastic tier; planted:512x4@2 (above the
+# 300-state exact cap) covers both move kinds and the witness exit at
+# scale, about 2 s under --full-eval.
+anytime_agree() {
+  dune exec bin/ostr.exe -- anytime "$@" \
+    | grep -E "stochastic tier:|best:" > "$obs_dir/anytime_incr.txt"
+  dune exec bin/ostr.exe -- anytime "$@" --full-eval \
+    | grep -E "stochastic tier:|best:" > "$obs_dir/anytime_full.txt"
+  cmp "$obs_dir/anytime_incr.txt" "$obs_dir/anytime_full.txt"
+}
+anytime_agree dk16 --force-stochastic --evals 400
+anytime_agree planted:512x4@2 --evals 2000
 
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
