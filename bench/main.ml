@@ -309,6 +309,7 @@ type fs_run = {
   fs_raw : int;
   fs_classes : int;
   fs_dom_skips : int;
+  fs_one_operand : int;
   fs_mean_cone : float;
 }
 
@@ -328,6 +329,7 @@ let fs_instrumented f =
       fs_raw = counter_of "faultsim.faults.raw";
       fs_classes = counter_of "faultsim.faults.classes";
       fs_dom_skips = counter_of "faultsim.dominance_skips";
+      fs_one_operand = counter_of "faultsim.one_operand_evals";
       fs_mean_cone = hist_mean "faultsim.cone_size";
     }
   in
@@ -420,6 +422,7 @@ let json_of_fs_row r =
             ("wall_s", Json.Float r.opt.fs_wall);
             ("gate_evals", Json.Int r.opt.fs_gate_evals);
             ("dominance_skips", Json.Int r.opt.fs_dom_skips);
+            ("one_operand_evals", Json.Int r.opt.fs_one_operand);
           ] );
       ( "parallel",
         Json.Obj

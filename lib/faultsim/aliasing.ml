@@ -118,7 +118,7 @@ let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
           let word = ref 0 in
           Array.iter
             (fun gate ->
-              word := (!word lsl 1) lor ((g.(b).(gate) lsr lane) land 1))
+              word := (!word lsl 1) lor ((g.Engine.values.(b).(gate) lsr lane) land 1))
             observed;
           ignore (Misr.absorb misr !word)
         done;

@@ -18,10 +18,12 @@ let word_bits ~width word =
 
 let range first count = List.init count (fun k -> first + k)
 
-(* Evaluate one cycle fault-free (single lane) and read the given gates as
-   a word, MSB-first. *)
-let read_word values gates =
-  Array.fold_left (fun acc g -> (acc lsl 1) lor (values.(g) land 1)) 0 gates
+(* Read the given gates' fault-free values in one simulation lane as a
+   word, MSB-first. *)
+let read_word ?(lane = 0) values gates =
+  Array.fold_left
+    (fun acc g -> (acc lsl 1) lor ((values.(g) lsr lane) land 1))
+    0 gates
 
 (* Session pattern generator.  A width-w LFSR never reaches the all-zero
    state and degenerates entirely for w <= 2; and two separate LFSRs over
@@ -259,31 +261,46 @@ let pipeline ?(cycles = 1024) ~covers:(c1, c2, lambda) (p : Tables.pipeline) =
   let netlist = Builder.finish b in
   let session ~generator ~seed =
     (* generator = `R1: R1 runs as LFSR, R2 compresses C1; `R2 mirrored. *)
-    let stimuli = Array.make cycles [||] in
-    let gen_width = match generator with `R1 -> w1 | `R2 -> w2 in
-    let cap_width = match generator with `R1 -> w2 | `R2 -> w1 in
+    let gen_width, cap_regs, compressed_gates =
+      match generator with `R1 -> (w1, r2, c1_out) | `R2 -> (w2, r1, c2_out)
+    in
+    (* Offsets of the generator and MISR fields in an input vector. *)
+    let gen_at, cap_at =
+      match generator with `R1 -> (iw, iw + w1) | `R2 -> (iw + w1, iw)
+    in
+    (* The compressed block reads only the primary inputs and the
+       generator's L-lines, so its fault-free responses follow from the
+       pattern stream alone: evaluate it 62 cycles per word and step only
+       the MISR cycle by cycle. *)
+    let fanin = Netlist.fanin_cone netlist (Array.to_list compressed_gates) in
+    if Array.exists (fun g -> fanin.(g)) cap_regs then
+      invalid_arg "Arch.pipeline: the compressed block reads the MISR register";
+    let cap_width = Array.length cap_regs in
     let gen = Patterns.create ~widths:[| iw; gen_width |] ~seed in
+    (* MISR bits stay 0 until the responses are known. *)
+    let stimuli =
+      Array.init cycles (fun _ ->
+          let vec = Array.make (iw + w1 + w2) 0 in
+          Array.blit (word_bits ~width:iw (Patterns.field gen 0)) 0 vec 0 iw;
+          Array.blit
+            (word_bits ~width:gen_width (Patterns.field gen 1))
+            0 vec gen_at gen_width;
+          Patterns.step gen;
+          vec)
+    in
     let misr = Misr.create ~width:cap_width ~seed:0 () in
-    let compressed_gates = match generator with `R1 -> c1_out | `R2 -> c2_out in
     let values = Array.make (Netlist.num_gates netlist) 0 in
-    for cycle = 0 to cycles - 1 do
-      let r1_bits, r2_bits =
-        match generator with
-        | `R1 ->
-          ( word_bits ~width:w1 (Patterns.field gen 1),
-            word_bits ~width:w2 (Misr.signature misr) )
-        | `R2 ->
-          ( word_bits ~width:w1 (Misr.signature misr),
-            word_bits ~width:w2 (Patterns.field gen 1) )
-      in
-      let vec =
-        Array.concat [ word_bits ~width:iw (Patterns.field gen 0); r1_bits; r2_bits ]
-      in
-      stimuli.(cycle) <- vec;
-      Netlist.eval_into netlist ~values ~inputs:vec;
-      ignore (Misr.absorb misr (read_word values compressed_gates));
-      Patterns.step gen
-    done;
+    Array.iteri
+      (fun b inputs ->
+        Netlist.eval_into netlist ~values ~inputs;
+        let first = b * Netlist.word_bits in
+        for lane = 0 to min Netlist.word_bits (cycles - first) - 1 do
+          Array.blit
+            (word_bits ~width:cap_width (Misr.signature misr))
+            0 stimuli.(first + lane) cap_at cap_width;
+          ignore (Misr.absorb misr (read_word ~lane values compressed_gates))
+        done)
+      (Engine.pack stimuli).Engine.words;
     let observed =
       match generator with
       | `R1 -> Array.append c1_out lambda_out

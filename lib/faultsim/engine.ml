@@ -54,6 +54,7 @@ let m_raw = Metrics.counter "faultsim.faults.raw"
 let m_classes = Metrics.counter "faultsim.faults.classes"
 let m_dom_skips = Metrics.counter "faultsim.dominance_skips"
 let m_gate_evals = Metrics.counter "faultsim.gate_evals"
+let m_one_operand = Metrics.counter "faultsim.one_operand_evals"
 let m_cone = Metrics.histogram "faultsim.cone_size"
 let m_domain_ms = Metrics.histogram "faultsim.domain_wall_ms"
 
@@ -64,6 +65,7 @@ let m_domain_ms = Metrics.histogram "faultsim.domain_wall_ms"
 type t = {
   net : Netlist.t;
   collapsed : Netlist.collapsed;
+  readers : (int * int) array array;
   cones : int array array;  (* by site gate; [||] where no fault lives *)
 }
 
@@ -71,18 +73,19 @@ let create ?protected net =
   let collapsed = Netlist.collapse ?protected net in
   let rd = Netlist.readers net in
   let cones = Array.make (Netlist.num_gates net) [||] in
+  let seen = Arena.Stamped.create (Netlist.num_gates net) in
   Array.iter
     (fun rep ->
       let g = collapsed.Netlist.faults.(rep).Netlist.gate in
       if Array.length cones.(g) = 0 then begin
-        let c = Netlist.cone ~readers:rd net g in
+        let c = Netlist.cone ~readers:rd ~seen net g in
         cones.(g) <- c;
         Metrics.observe m_cone (Array.length c)
       end)
     collapsed.Netlist.representatives;
   Metrics.add m_raw (Array.length collapsed.Netlist.faults);
   Metrics.add m_classes (Array.length collapsed.Netlist.representatives);
-  { net; collapsed; cones }
+  { net; collapsed; readers = rd; cones }
 
 let netlist t = t.net
 
@@ -92,48 +95,116 @@ let collapsed t = t.collapsed
 (* Golden evaluation: once per batch, full netlist, reused buffers      *)
 (* ------------------------------------------------------------------ *)
 
-type golden = int array array
+(* Per batch, the value of every gate, and for every And (Or) gate the
+   lanes where at least one ([once]) and at least two ([twice]) of its
+   operand pins carry the controlling value 0 (1).  When a single pin's
+   value changes, the other pins hold a controlling value exactly on
+   [twice] where that pin's golden value is controlling and on [once]
+   elsewhere - which gives the gate's new value without reading its other
+   operands. *)
+type golden = {
+  values : int array array;
+  once : int array array;
+  twice : int array array;
+}
+
+let all_ones = -1
+
+let controlling_counts (net : Netlist.t) values =
+  let n = Netlist.num_gates net in
+  let once = Array.make n 0 and twice = Array.make n 0 in
+  Array.iteri
+    (fun idx gate ->
+      let count flip xs =
+        let o = ref 0 and t = ref 0 in
+        Array.iter
+          (fun x ->
+            let c = values.(x) lxor flip in
+            t := !t lor (!o land c);
+            o := !o lor c)
+          xs;
+        once.(idx) <- !o;
+        twice.(idx) <- !t
+      in
+      match gate with
+      | Netlist.And xs -> count all_ones xs
+      | Netlist.Or xs -> count 0 xs
+      | _ -> ())
+    net.Netlist.gates;
+  (once, twice)
 
 let golden t (p : packed) : golden =
   let n = Netlist.num_gates t.net in
-  Array.map
-    (fun inputs ->
-      let values = Array.make n 0 in
-      Netlist.eval_into t.net ~values ~inputs;
-      Metrics.add m_gate_evals n;
-      values)
-    p.words
+  let values =
+    Array.map
+      (fun inputs ->
+        let values = Array.make n 0 in
+        Netlist.eval_into t.net ~values ~inputs;
+        Metrics.add m_gate_evals n;
+        values)
+      p.words
+  in
+  let counts = Array.map (controlling_counts t.net) values in
+  { values; once = Array.map fst counts; twice = Array.map snd counts }
 
 (* ------------------------------------------------------------------ *)
 (* Cone-limited incremental faulty evaluation                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-domain scratch: a faulty-value overlay over the golden buffer -
-   an epoch-stamped arena ([Arena.Stamped]), so clearing between faults
-   is O(1). *)
-type scratch = Arena.Stamped.t
+(* Per-domain scratch.  [faulty] is the faulty-value overlay over the
+   golden buffer, an epoch-stamped arena ([Arena.Stamped]), so clearing
+   between faults is O(1).  Under the same epoch, [pending.(g)] marks a
+   gate with at least one differing operand; [ndiff.(g)] counts its
+   differing operand pins and [dpin.(g)] is one of them. *)
+type scratch = {
+  faulty : Arena.Stamped.t;
+  pending : int array;
+  ndiff : int array;
+  dpin : int array;
+}
 
-let scratch t = Arena.Stamped.create (Netlist.num_gates t.net)
+let scratch t =
+  let n = Netlist.num_gates t.net in
+  { faulty = Arena.Stamped.create n; pending = Array.make n 0;
+    ndiff = Array.make n 0; dpin = Array.make n 0 }
 
-let all_ones = -1
+(* The value of And/Or gate [idx] when exactly one of its pins, reading
+   gate [x], changes to [v]: the other pins force the controlled output
+   exactly on the lanes where one of them is controlling. *)
+let one_operand (g : golden) ~batch ~gv ~idx gate x v =
+  let once = g.once.(batch).(idx) and twice = g.twice.(batch).(idx) in
+  match gate with
+  | Netlist.And _ ->
+    let others = (twice land lnot gv.(x)) lor (once land gv.(x)) in
+    v land lnot others
+  | _ ->
+    let others = (twice land gv.(x)) lor (once land lnot gv.(x)) in
+    v lor others
 
 (* Evaluate [fault] against one packed batch.  Only gates in the fault
    site's output cone are touched, and of those only the ones with a
-   differing fanin are recomputed; a gate whose masked value matches the
-   golden word is not marked, so a fault effect that dies at controlling
-   side-inputs stops costing anything.  Returns the OR over observed
-   gates of the masked faulty-vs-golden difference; with [stop_early]
-   the scan returns at the first observed difference (verdict-only
-   grading does not need the exact first lane). *)
-let eval_fault t scr ~(gv : int array) ~mask ~(obs_mark : bool array)
+   differing fanin are recomputed: a gate whose masked value differs from
+   the golden word marks its readers, and the scan of the cone stops once
+   no marked gate is left, so a fault effect that dies at controlling
+   side-inputs stops costing anything.  An And/Or gate with a single
+   differing operand pin is recomputed from [golden]'s controlling-lane
+   words instead of its whole fanin.  Returns the OR over observed gates
+   of the masked faulty-vs-golden difference; with [stop_early] the scan
+   returns at the first observed difference (verdict-only grading does
+   not need the exact first lane). *)
+let eval_fault t scr (g : golden) ~batch ~mask ~(obs_mark : bool array)
     ~stop_early (fault : Netlist.fault) =
   let gates = t.net.Netlist.gates in
+  let rd = t.readers in
+  let gv = g.values.(batch) in
   let site = fault.Netlist.gate in
   let cone = t.cones.(site) in
-  let ep = Arena.Stamped.bump scr in
-  let stamp = scr.Arena.Stamped.stamp and faulty = scr.Arena.Stamped.data in
+  let fv = scr.faulty in
+  let ep = Arena.Stamped.bump fv in
+  let stamp = fv.Arena.Stamped.stamp and faulty = fv.Arena.Stamped.data in
+  let pending = scr.pending and ndiff = scr.ndiff and dpin = scr.dpin in
   let stuck = if fault.Netlist.stuck_at then all_ones else 0 in
-  let evals = ref 1 in
+  let evals = ref 1 and one_op = ref 0 in
   let site_val =
     match fault.Netlist.pin with
     | None -> stuck
@@ -142,14 +213,9 @@ let eval_fault t scr ~(gv : int array) ~mask ~(obs_mark : bool array)
       (match gates.(site) with
       | Netlist.Buf x -> read 0 x
       | Netlist.Not x -> lnot (read 0 x)
-      | Netlist.And xs ->
-        let acc = ref all_ones in
-        Array.iteri (fun k x -> acc := !acc land read k x) xs;
-        !acc
-      | Netlist.Or xs ->
-        let acc = ref 0 in
-        Array.iteri (fun k x -> acc := !acc lor read k x) xs;
-        !acc
+      | (Netlist.And xs | Netlist.Or xs) as gate ->
+        incr one_op;
+        one_operand g ~batch ~gv ~idx:site gate xs.(fpin) stuck
       | Netlist.Xor xs ->
         let acc = ref 0 in
         Array.iteri (fun k x -> acc := !acc lxor read k x) xs;
@@ -162,60 +228,80 @@ let eval_fault t scr ~(gv : int array) ~mask ~(obs_mark : bool array)
         gv.(site))
   in
   let site_diff = (site_val lxor gv.(site)) land mask in
-  if site_diff = 0 then begin
-    (* The injected value agrees with the golden one on every valid lane:
-       the whole cone is unaffected (lanes are independent). *)
-    Metrics.add m_gate_evals !evals;
-    0
-  end
-  else begin
-    faulty.(site) <- site_val;
-    stamp.(site) <- ep;
-    let diff_obs = ref (if obs_mark.(site) then site_diff else 0) in
-    let nc = Array.length cone in
-    (try
-       for ci = 1 to nc - 1 do
-         if stop_early && !diff_obs <> 0 then raise Exit;
-         let idx = cone.(ci) in
-         let ops = Netlist.operands gates.(idx) in
-         let dirty = ref false in
-         Array.iter (fun x -> if stamp.(x) = ep then dirty := true) ops;
-         if !dirty then begin
-           let read x = if stamp.(x) = ep then faulty.(x) else gv.(x) in
-           let v =
-             match gates.(idx) with
-             | Netlist.Buf x -> read x
-             | Netlist.Not x -> lnot (read x)
-             | Netlist.And xs ->
-               let acc = ref all_ones in
-               Array.iter (fun x -> acc := !acc land read x) xs;
-               !acc
-             | Netlist.Or xs ->
-               let acc = ref 0 in
-               Array.iter (fun x -> acc := !acc lor read x) xs;
-               !acc
-             | Netlist.Xor xs ->
-               let acc = ref 0 in
-               Array.iter (fun x -> acc := !acc lxor read x) xs;
-               !acc
-             | Netlist.Mux { sel; a; b } ->
-               let s = read sel in
-               (lnot s land read a) lor (s land read b)
-             | Netlist.Input _ | Netlist.Const _ -> gv.(idx)
-           in
-           incr evals;
-           let d = (v lxor gv.(idx)) land mask in
-           if d <> 0 then begin
-             faulty.(idx) <- v;
-             stamp.(idx) <- ep;
-             if obs_mark.(idx) then diff_obs := !diff_obs lor d
-           end
-         end
-       done
-     with Exit -> ());
-    Metrics.add m_gate_evals !evals;
-    !diff_obs
-  end
+  let result =
+    if site_diff = 0 then
+      (* The injected value agrees with the golden one on every valid
+         lane: the whole cone is unaffected (lanes are independent). *)
+      0
+    else begin
+      (* Marked readers not yet reached by the scan. *)
+      let open_marks = ref 0 in
+      let differs x v =
+        faulty.(x) <- v;
+        stamp.(x) <- ep;
+        Array.iter
+          (fun (r, pin) ->
+            if pending.(r) = ep then ndiff.(r) <- ndiff.(r) + 1
+            else begin
+              pending.(r) <- ep;
+              ndiff.(r) <- 1;
+              dpin.(r) <- pin;
+              incr open_marks
+            end)
+          rd.(x)
+      in
+      differs site site_val;
+      let diff_obs = ref (if obs_mark.(site) then site_diff else 0) in
+      let nc = Array.length cone in
+      let ci = ref 1 in
+      while
+        !ci < nc && !open_marks > 0 && not (stop_early && !diff_obs <> 0)
+      do
+        let idx = cone.(!ci) in
+        incr ci;
+        if pending.(idx) = ep then begin
+          decr open_marks;
+          let read x = if stamp.(x) = ep then faulty.(x) else gv.(x) in
+          let gate = gates.(idx) in
+          let v =
+            match gate with
+            | (Netlist.And xs | Netlist.Or xs) when ndiff.(idx) = 1 ->
+              incr one_op;
+              let x = xs.(dpin.(idx)) in
+              one_operand g ~batch ~gv ~idx gate x faulty.(x)
+            | Netlist.Buf x -> read x
+            | Netlist.Not x -> lnot (read x)
+            | Netlist.And xs ->
+              let acc = ref all_ones in
+              Array.iter (fun x -> acc := !acc land read x) xs;
+              !acc
+            | Netlist.Or xs ->
+              let acc = ref 0 in
+              Array.iter (fun x -> acc := !acc lor read x) xs;
+              !acc
+            | Netlist.Xor xs ->
+              let acc = ref 0 in
+              Array.iter (fun x -> acc := !acc lxor read x) xs;
+              !acc
+            | Netlist.Mux { sel; a; b } ->
+              let s = read sel in
+              (lnot s land read a) lor (s land read b)
+            | Netlist.Input _ | Netlist.Const _ -> gv.(idx)
+          in
+          incr evals;
+          let d = (v lxor gv.(idx)) land mask in
+          if d <> 0 then begin
+            differs idx v;
+            if obs_mark.(idx) then diff_obs := !diff_obs lor d
+          end
+        end
+      done;
+      !diff_obs
+    end
+  in
+  Metrics.add m_gate_evals !evals;
+  Metrics.add m_one_operand !one_op;
+  result
 
 let obs_marks t observed =
   let mark = Array.make (Netlist.num_gates t.net) false in
@@ -223,13 +309,15 @@ let obs_marks t observed =
   mark
 
 let response t scr (g : golden) (p : packed) ~batch fault ~observed ~into =
-  let gv = g.(batch) in
+  let gv = g.values.(batch) in
   let obs_mark = obs_marks t observed in
   let diff =
-    eval_fault t scr ~gv ~mask:p.masks.(batch) ~obs_mark ~stop_early:false fault
+    eval_fault t scr g ~batch ~mask:p.masks.(batch) ~obs_mark ~stop_early:false
+      fault
   in
   Array.iteri
-    (fun j gate -> into.(j) <- Arena.Stamped.get scr gate ~default:gv.(gate))
+    (fun j gate ->
+      into.(j) <- Arena.Stamped.get scr.faulty gate ~default:gv.(gate))
     observed;
   diff <> 0
 
@@ -268,7 +356,7 @@ let grade t ~jobs ~need_cycles ?(dominance = true) (p : packed) (g : golden)
       if b >= nb then Undetected
       else
         let diff =
-          eval_fault t scr ~gv:g.(b) ~mask:p.masks.(b) ~obs_mark
+          eval_fault t scr g ~batch:b ~mask:p.masks.(b) ~obs_mark
             ~stop_early:(not need_cycles) fault
         in
         if diff <> 0 then

@@ -9,15 +9,20 @@
       already implied;
     - {b cone-limited incremental evaluation}: the golden circuit is
       evaluated once per pattern batch; each fault then re-evaluates only
-      the gates in its output cone whose fanin actually differs, with an
-      early exit when the difference frontier dies out;
+      the gates in its output cone whose fanin actually differs (a
+      differing gate marks its readers), with an early exit when the
+      difference frontier dies out; an And/Or gate with one differing
+      operand is recomputed from two per-batch golden words instead of
+      its whole fanin;
     - {b fault-parallel multicore grading}: the collapsed class list is
       sharded over OCaml domains through an atomic cursor, one scratch
       buffer per domain.
 
     Instrumentation (when {!Stc_obs.Metrics} is enabled): counters
     [faultsim.faults.raw], [faultsim.faults.classes],
-    [faultsim.dominance_skips], [faultsim.gate_evals]; histograms
+    [faultsim.dominance_skips], [faultsim.gate_evals],
+    [faultsim.one_operand_evals] (gate evaluations, site pin faults
+    included, that took the one-operand path); histograms
     [faultsim.cone_size] and [faultsim.domain_wall_ms]. *)
 
 (** One input vector per cycle (0/1 per input, in netlist input order). *)
@@ -55,8 +60,17 @@ val netlist : t -> Netlist.t
 
 val collapsed : t -> Netlist.collapsed
 
-(** Golden values, one full evaluation per batch: [g.(b).(gate)]. *)
-type golden = int array array
+(** Golden evaluation, one full pass per batch: [values.(b).(gate)] is
+    the fault-free word of [gate].  For every And (Or) gate, [once.(b)]
+    and [twice.(b)] hold the lanes where at least one, resp. at least
+    two, of its operand pins carry the controlling value 0 (1): with them
+    the grader recomputes a gate with a single differing operand without
+    reading the others.  Other gates read 0 there. *)
+type golden = {
+  values : int array array;
+  once : int array array;
+  twice : int array array;
+}
 
 val golden : t -> packed -> golden
 

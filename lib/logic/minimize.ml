@@ -19,12 +19,54 @@ let with_dc ?dc on =
 
 let off_set ?jobs ?dc on = Cover.complement ?jobs (with_dc ?dc on)
 
-let rows_conflict nw a b =
-  let conflict = ref false in
-  for i = 0 to nw - 1 do
-    if R.words_conflict (a.(i) land b.(i)) then conflict := true
-  done;
-  !conflict
+(* The off-set as EXPAND reads it, built once per [minimize] call: the
+   input part of every off-cube as one row of a flat row-major array
+   ([nw] words per row), and for each output the ids of the off-cubes
+   asserting it, ascending.  A cube's blocking matrix is built from the
+   buckets of its own outputs only, and each output raise is decided by
+   an early-exit scan of one bucket. *)
+type off_index = {
+  nw : int;
+  noff : int;
+  rows : int array;
+  by_output : int array array;
+}
+
+let index_off (off : Cover.t) =
+  let nw = R.in_words off.Cover.num_vars in
+  let no = off.Cover.num_outputs in
+  let cubes = off.Cover.cubes in
+  let noff = Array.length cubes in
+  let rows = Array.make (noff * nw) 0 in
+  Array.iteri (fun i r -> Array.blit (R.input_words r) 0 rows (i * nw) nw) cubes;
+  let sizes = Array.make no 0 in
+  Array.iter
+    (fun r ->
+      for o = 0 to no - 1 do
+        if Cube.output_bit r o then sizes.(o) <- sizes.(o) + 1
+      done)
+    cubes;
+  let by_output = Array.map (fun k -> Array.make k 0) sizes in
+  Array.fill sizes 0 no 0;
+  Array.iteri
+    (fun i r ->
+      for o = 0 to no - 1 do
+        if Cube.output_bit r o then begin
+          by_output.(o).(sizes.(o)) <- i;
+          sizes.(o) <- sizes.(o) + 1
+        end
+      done)
+    cubes;
+  { nw; noff; rows; by_output }
+
+(* Does input part [cin] miss off-row [i] (some column conflicts)? *)
+let row_conflicts idx cin i =
+  let base = i * idx.nw in
+  let rec go w =
+    w < idx.nw
+    && (R.words_conflict (cin.(w) land idx.rows.(base + w)) || go (w + 1))
+  in
+  go 0
 
 (* Per-domain scratch for the blocking matrix, reused across cubes so the
    hot loop allocates nothing proportional to the off-set.  [sets] holds
@@ -32,19 +74,23 @@ let rows_conflict nw a b =
    each row's number of conflict columns, and [planes] a bit-sliced
    vertical counter of conflicts per column: word [j * nw + w] holds bit
    [j] of the count of every column of input word [w], at the column's
-   low pair bit. *)
+   low pair bit.  [seen] stamps the off-cubes already entered for the
+   current cube ([epoch]), so an off-cube asserting several of the
+   cube's outputs gives one row. *)
 type scratch = {
   mutable sets : int array;
   mutable counts : int array;
   mutable planes : int array;
   mutable col_count : int array;
   mutable blocked : bool array;
+  mutable seen : int array;
+  mutable epoch : int;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       { sets = [||]; counts = [||]; planes = [||]; col_count = [||];
-        blocked = [||] })
+        blocked = [||]; seen = [||]; epoch = 0 })
 
 let ensure = Stc_bits.Arena.ensure
 
@@ -62,18 +108,18 @@ let bit_length n =
    remaining column.  Columns are tried in ascending blocker count (then
    index), as in espresso; the counts come from a carry-save add of each
    set into the counter planes, so building them costs a few word
-   operations per row instead of one step per conflict bit.  Output parts
-   are raised afterwards: one disjointness scan of the raised input part
-   over the off-set collects every blocked output at once. *)
-let expand_cube ~(off : Cover.t) cube =
+   operations per row instead of one step per conflict bit.  Neither the
+   counts nor the blocked columns depend on the order of the rows.
+   Output parts are raised afterwards: output [o] may be added iff the
+   raised input part misses every off-cube of [o]'s bucket. *)
+let expand_cube idx cube =
   let nv = Cube.num_vars cube in
   let no = Cube.num_outputs cube in
-  let nw = R.in_words nv in
-  let ow = R.out_words no in
+  let nw = idx.nw in
   let cin = Array.copy (R.input_words cube) in
   let cout = Array.copy (R.output_words cube) in
-  let off_cubes = off.Cover.cubes in
-  let noff = Array.length off_cubes in
+  let rows = idx.rows in
+  let noff = idx.noff in
   (* A column's count is at most the number of off-cubes. *)
   let np = bit_length noff in
   let s = Domain.DLS.get scratch_key in
@@ -84,6 +130,10 @@ let expand_cube ~(off : Cover.t) cube =
   s.col_count <- ensure s.col_count nv;
   s.blocked <- Stc_bits.Arena.ensure_bool s.blocked nv;
   Array.fill s.blocked 0 nv false;
+  (* A grown [seen] is all zeros, below every epoch handed out. *)
+  s.seen <- ensure s.seen noff;
+  s.epoch <- s.epoch + 1;
+  let epoch = s.epoch in
   let col_of w b = (w * R.vars_per_word) + (R.popcount (b - 1) / 2) in
   (* Only meaningful for rows with a single conflict bit left: the one
      nonzero word then holds exactly that bit, which [col_of] maps to
@@ -96,37 +146,44 @@ let expand_cube ~(off : Cover.t) cube =
     !j
   in
   (* Conflict-column sets of the output-overlapping off-cubes; a set with
-     a single column blocks it. *)
+     a single column blocks it.  No conflict column means the cube
+     already intersects the off-set (an invalid input): it is returned
+     unraised. *)
   let nrel = ref 0 in
+  (* Enter off-row [i]; true when it has no conflict column. *)
+  let add_row i =
+    let rbase = i * nw in
+    let cnt = ref 0 in
+    let base = !nrel * nw in
+    for w = 0 to nw - 1 do
+      let v = cin.(w) land rows.(rbase + w) in
+      let e = lnot (v lor (v lsr 1)) land R.mask01 in
+      s.sets.(base + w) <- e;
+      cnt := !cnt + R.popcount e;
+      let carry = ref e and pi = ref w in
+      while !carry <> 0 do
+        let plane = s.planes.(!pi) in
+        s.planes.(!pi) <- plane lxor !carry;
+        carry := plane land !carry;
+        pi := !pi + nw
+      done
+    done;
+    if !cnt = 1 then s.blocked.(last_col base) <- true;
+    s.counts.(!nrel) <- !cnt;
+    incr nrel;
+    !cnt = 0
+  in
   let invalid = ref false in
-  Array.iter
-    (fun r ->
-      if not !invalid && Cube.output_overlap r cube then begin
-        let rin = R.input_words r in
-        let cnt = ref 0 in
-        let base = !nrel * nw in
-        for w = 0 to nw - 1 do
-          let v = cin.(w) land rin.(w) in
-          let e = lnot (v lor (v lsr 1)) land R.mask01 in
-          s.sets.(base + w) <- e;
-          cnt := !cnt + R.popcount e;
-          let carry = ref e and idx = ref w in
-          while !carry <> 0 do
-            let plane = s.planes.(!idx) in
-            s.planes.(!idx) <- plane lxor !carry;
-            carry := plane land !carry;
-            idx := !idx + nw
-          done
-        done;
-        (* No conflict column means the cube already intersects the
-           off-set (an invalid input): mirror the old engine and return
-           it unraised. *)
-        if !cnt = 0 then invalid := true;
-        if !cnt = 1 then s.blocked.(last_col base) <- true;
-        s.counts.(!nrel) <- !cnt;
-        incr nrel
-      end)
-    off_cubes;
+  for o = 0 to no - 1 do
+    if Cube.output_bit cube o then
+      Array.iter
+        (fun i ->
+          if (not !invalid) && s.seen.(i) <> epoch then begin
+            s.seen.(i) <- epoch;
+            if add_row i then invalid := true
+          end)
+        idx.by_output.(o)
+  done;
   if !invalid then cube
   else begin
     let nrel = !nrel in
@@ -159,34 +216,22 @@ let expand_cube ~(off : Cover.t) cube =
           (* Drop column [k] from every set holding it. *)
           let bit = 1 lsl p in
           for i = 0 to nrel - 1 do
-            let idx = (i * nw) + wi in
-            let e = s.sets.(idx) in
+            let si = (i * nw) + wi in
+            let e = s.sets.(si) in
             if e land bit <> 0 then begin
-              s.sets.(idx) <- e lxor bit;
+              s.sets.(si) <- e lxor bit;
               s.counts.(i) <- s.counts.(i) - 1;
               if s.counts.(i) = 1 then s.blocked.(last_col (i * nw)) <- true
             end
           done
         end)
       order;
-    (* Output raising: output [o] may be added iff the (now raised) input
-       part is disjoint from every off-cube asserting [o].  One scan over
-       the off-set accumulates every blocked output. *)
-    let blocked_out = Array.make ow 0 in
-    Array.iter
-      (fun r ->
-        if not (rows_conflict nw cin (R.input_words r)) then begin
-          let rout = R.output_words r in
-          for w = 0 to ow - 1 do
-            blocked_out.(w) <- blocked_out.(w) lor rout.(w)
-          done
-        end)
-      off_cubes;
     for o = 0 to no - 1 do
       let wi = o / R.outs_per_word and p = o mod R.outs_per_word in
       if cout.(wi) land (1 lsl p) = 0 then begin
         Stc_obs.Metrics.incr m_raise_att;
-        if blocked_out.(wi) land (1 lsl p) = 0 then begin
+        let bucket = idx.by_output.(o) in
+        if Array.for_all (row_conflicts idx cin) bucket then begin
           cout.(wi) <- cout.(wi) lor (1 lsl p);
           Stc_obs.Metrics.incr m_raise_acc
         end
@@ -195,19 +240,29 @@ let expand_cube ~(off : Cover.t) cube =
     R.make_packed ~num_vars:nv ~num_outputs:no cin cout
   end
 
-let expand ?(jobs = 1) ~off cover =
+(* EXPAND over a cover whose cubes flagged in [prime] are already prime
+   against the indexed off-set: those pass through unchanged (EXPAND
+   leaves a prime cube as it is, so re-raising it would only repeat the
+   same blocked attempts). *)
+let expand_indexed ~jobs ?prime idx cover =
   Stc_obs.Trace.span ~cat:"logic" "expand" @@ fun () ->
-  let n = Array.length cover.Cover.cubes in
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
   let raised =
     if n = 0 then [||]
     else
       Stc_util.Parallel.map_range ~jobs n
-        (fun i -> expand_cube ~off cover.Cover.cubes.(i))
-        ~init:cover.Cover.cubes.(0)
+        (fun i ->
+          match prime with
+          | Some p when p.(i) -> cubes.(i)
+          | _ -> expand_cube idx cubes.(i))
+        ~init:cubes.(0)
   in
   Cover.single_cube_containment
     (Cover.of_array ~num_vars:cover.Cover.num_vars
        ~num_outputs:cover.Cover.num_outputs raised)
+
+let expand ?(jobs = 1) ~off cover = expand_indexed ~jobs (index_off off) cover
 
 (* Index filter for "every other cube plus dc" in a shared
    [cover + dc]: cube [i] under test and the dropped cover cubes are
@@ -259,7 +314,8 @@ let irredundant ?(jobs = 1) ?dc cover =
       ~num_outputs:cover.Cover.num_outputs !kept
   end
 
-let reduce ?dc cover =
+(* REDUCE, also flagging each kept cube that came out unchanged. *)
+let reduce_marked ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "reduce" @@ fun () ->
   let n = Array.length cover.Cover.cubes in
   let num_vars = cover.Cover.num_vars
@@ -281,11 +337,16 @@ let reduce ?dc cover =
       (* Never grow: reduction stays inside the original cube. *)
       if Cube.contains cubes.(i) shrunk then cubes.(i) <- shrunk
   done;
-  let kept = ref [] in
+  let kept = ref [] and unchanged = ref [] in
   for i = n - 1 downto 0 do
-    if alive.(i) then kept := cubes.(i) :: !kept
+    if alive.(i) then begin
+      kept := cubes.(i) :: !kept;
+      unchanged := Cube.equal cubes.(i) cover.Cover.cubes.(i) :: !unchanged
+    end
   done;
-  Cover.make ~num_vars ~num_outputs !kept
+  (Cover.make ~num_vars ~num_outputs !kept, Array.of_list !unchanged)
+
+let reduce ?dc cover = fst (reduce_marked ?dc cover)
 
 let verify ~on ?dc result =
   let care_on =
@@ -319,9 +380,11 @@ let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->
   Stc_obs.Metrics.incr m_calls;
   let initial_cubes, initial_literals = Cover.cost on in
-  let off = off_set ~jobs ?dc on in
+  let off = index_off (off_set ~jobs ?dc on) in
   let current =
-    ref (irredundant ~jobs ?dc (expand ~jobs ~off (Cover.single_cube_containment on)))
+    ref
+      (irredundant ~jobs ?dc
+         (expand_indexed ~jobs off (Cover.single_cube_containment on)))
   in
   let best = ref !current in
   let best_cost = ref (Cover.cost !current) in
@@ -329,8 +392,10 @@ let minimize ?(jobs = 1) ?dc on =
   let improving = ref true in
   while !improving && !iterations < 10 do
     incr iterations;
-    let reduced = reduce ?dc !current in
-    let expanded = expand ~jobs ~off reduced in
+    (* Every cube of [current] came out of EXPAND, so the ones REDUCE
+       leaves unchanged are still prime. *)
+    let reduced, prime = reduce_marked ?dc !current in
+    let expanded = expand_indexed ~jobs ~prime off reduced in
     let cleaned = irredundant ~jobs ?dc expanded in
     current := cleaned;
     let cost = Cover.cost cleaned in

@@ -7,7 +7,9 @@
 
     The hot loop is bit-parallel: EXPAND raises columns against per-cube
     blocking matrices derived from the off-set (one word-AND per
-    off-cube), IRREDUNDANT splits cubes into relatively-essential and
+    off-cube asserting one of the cube's outputs, read from an off-set
+    index built once per [minimize] call; cubes that REDUCE leaves
+    unchanged are prime and skip EXPAND), IRREDUNDANT splits cubes into relatively-essential and
     partially-redundant classes before the sequential greedy drop, and
     the optional [jobs] argument fans the per-cube work of EXPAND and
     the classification pass of IRREDUNDANT (plus the per-output off-set

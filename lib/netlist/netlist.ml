@@ -289,38 +289,39 @@ let readers (net : t) =
     net.gates;
   out
 
-let cone ?readers:rd (net : t) g =
+let cone ?readers:rd ?seen (net : t) g =
   let rd = match rd with Some r -> r | None -> readers net in
   let n = num_gates net in
   if g < 0 || g >= n then invalid_arg "Netlist.cone: gate out of range";
-  let seen = Array.make n false in
-  let stack = ref [ g ] in
-  let count = ref 0 in
-  seen.(g) <- true;
+  let module S = Stc_bits.Arena.Stamped in
+  let seen =
+    match seen with
+    | Some s ->
+      S.ensure s n;
+      s
+    | None -> S.create n
+  in
+  ignore (S.bump seen);
+  let visited = ref [ g ] and stack = ref [ g ] in
+  S.set seen g 0;
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | x :: rest ->
       stack := rest;
-      incr count;
       Array.iter
         (fun (r, _) ->
-          if not seen.(r) then begin
-            seen.(r) <- true;
+          if not (S.mem seen r) then begin
+            S.set seen r 0;
+            visited := r :: !visited;
             stack := r :: !stack
           end)
         rd.(x)
   done;
-  (* Collect in ascending index order: gate indices are topological, so
-     the cone can be replayed with a single left-to-right pass. *)
-  let cone = Array.make !count 0 in
-  let k = ref 0 in
-  for idx = g to n - 1 do
-    if seen.(idx) then begin
-      cone.(!k) <- idx;
-      incr k
-    end
-  done;
+  (* Ascending index order: gate indices are topological, so the cone
+     can be replayed with a single left-to-right pass. *)
+  let cone = Array.of_list !visited in
+  Array.sort Int.compare cone;
   cone
 
 (* Operands always precede their reader, so one descending sweep closes
@@ -345,10 +346,21 @@ type collapsed = {
 let collapse_uncached ?protected (net : t) =
   let faults = Array.of_list (fault_sites net) in
   let nf = Array.length faults in
-  let idx_of = Hashtbl.create (2 * nf) in
-  Array.iteri (fun i f -> Hashtbl.replace idx_of f i) faults;
-  let fidx gate pin stuck_at = Hashtbl.find_opt idx_of { gate; pin; stuck_at } in
   let n = num_gates net in
+  (* [fault_sites] lists each gate's faults contiguously, gates in
+     ascending order: output s-a-0, s-a-1, then s-a-0, s-a-1 of each
+     pin.  [first.(g)] is the index of gate [g]'s first fault. *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun f -> first.(f.gate + 1) <- first.(f.gate + 1) + 1) faults;
+  for g = 1 to n do
+    first.(g) <- first.(g) + first.(g - 1)
+  done;
+  let fidx gate pin stuck_at =
+    let slot = match pin with None -> 0 | Some p -> 2 + (2 * p) in
+    let k = slot + Bool.to_int stuck_at in
+    if k < first.(gate + 1) - first.(gate) then Some (first.(gate) + k)
+    else None
+  in
   let prot = Array.make n false in
   (match protected with
   | Some ps -> Array.iter (fun g -> prot.(g) <- true) ps
@@ -426,8 +438,7 @@ let collapse_uncached ?protected (net : t) =
         (fun pf ->
           match pf with
           | Some pi when class_of.(pi) <> d ->
-            if not (List.mem class_of.(pi) dom.(d)) then
-              dom.(d) <- class_of.(pi) :: dom.(d)
+            dom.(d) <- class_of.(pi) :: dom.(d)
           | _ -> ())
         pin_faults
   in
@@ -443,7 +454,7 @@ let collapse_uncached ?protected (net : t) =
       | Input _ | Const _ | Buf _ | Not _ | Xor _ | Mux _ -> ())
     net.gates;
   let dominated_by =
-    Array.map (fun ds -> Array.of_list (List.sort compare ds)) dom
+    Array.map (fun ds -> Array.of_list (List.sort_uniq Int.compare ds)) dom
   in
   { faults; class_of; classes; representatives; dominated_by }
 

@@ -124,11 +124,17 @@ val fault_sites : t -> fault list
     [(reader, pin)] pairs that consume gate [g], in gate order. *)
 val readers : t -> (int * int) array array
 
-(** [cone ?readers net g] is the output cone of gate [g]: every gate whose
-    value can change when [g]'s value changes ([g] included), in ascending
-    (= topological) index order.  Pass a precomputed [readers] map to
-    amortize the fanout scan across many cones. *)
-val cone : ?readers:(int * int) array array -> t -> int -> int array
+(** [cone ?readers ?seen net g] is the output cone of gate [g]: every gate
+    whose value can change when [g]'s value changes ([g] included), in
+    ascending (= topological) index order.  Pass a precomputed [readers]
+    map to amortize the fanout scan across many cones, and a [seen] arena
+    (any size; grown on demand) to reuse one visited-set buffer. *)
+val cone :
+  ?readers:(int * int) array array ->
+  ?seen:Stc_bits.Arena.Stamped.t ->
+  t ->
+  int ->
+  int array
 
 (** [fanin_cone net roots] marks every gate in the transitive fanin of
     [roots] (roots included): [(fanin_cone net roots).(g)] holds iff [g]

@@ -205,6 +205,95 @@ let test_undetected_by_tag_sums () =
   in
   check_int "tag buckets cover all undetected" (List.length report.Session.undetected) sum
 
+(* The per-cycle scalar loop that generated the fig. 4 session stimuli
+   before the word-parallel generator, kept here as its oracle: every
+   cycle the pattern generator fills the primary inputs and the
+   generating register, the MISR's current signature fills the other
+   register, one full netlist evaluation gives the compressed block's
+   outputs, and the MISR absorbs them. *)
+let fig4_oracle_session (built : Arch.built) ~iw ~w1 ~w2 ~cycles ~generator
+    ~seed =
+  let net = built.Arch.netlist in
+  let outputs prefix =
+    Array.of_list
+      (List.filter_map
+         (fun (name, g) ->
+           if String.starts_with ~prefix name then Some g else None)
+         (Array.to_list net.N.outputs))
+  in
+  let bits ~width word =
+    Array.init width (fun k -> (word lsr (width - 1 - k)) land 1)
+  in
+  let gen_width, cap_width, compressed =
+    match generator with
+    | `R1 -> (w1, w2, outputs "r2n")
+    | `R2 -> (w2, w1, outputs "r1n")
+  in
+  let lfsr =
+    Stc_bist.Lfsr.create
+      ~width:(min 32 (max 8 (iw + gen_width + 2)))
+      ~seed:(max 1 seed) ()
+  in
+  let field offset width =
+    (Stc_bist.Lfsr.state lfsr lsr offset) land ((1 lsl width) - 1)
+  in
+  let misr = Stc_bist.Misr.create ~width:cap_width ~seed:0 () in
+  Array.init cycles (fun _ ->
+      let gen_bits = bits ~width:gen_width (field iw gen_width) in
+      let cap_bits = bits ~width:cap_width (Stc_bist.Misr.signature misr) in
+      let vec =
+        Array.concat
+          (bits ~width:iw (field 0 iw)
+          :: (match generator with
+             | `R1 -> [ gen_bits; cap_bits ]
+             | `R2 -> [ cap_bits; gen_bits ]))
+      in
+      let values = N.eval net ~inputs:vec in
+      let word =
+        Array.fold_left
+          (fun acc g -> (acc lsl 1) lor (values.(g) land 1))
+          0 compressed
+      in
+      ignore (Stc_bist.Misr.absorb misr word);
+      ignore (Stc_bist.Lfsr.step lfsr);
+      vec)
+
+(* Every corpus machine's fig. 4 sessions against the scalar oracle.  The
+   stimuli do not depend on the covers being minimized, so the blocks go
+   in as their on-sets (s1's minimization alone takes most of a
+   minute); 300 cycles end in a partial simulation word. *)
+let test_fig4_stimuli_oracle () =
+  let cycles = 300 in
+  List.iter
+    (fun name ->
+      let m =
+        match Suite.find name with Some s -> Suite.machine s | None -> assert false
+      in
+      let r = (Stc_core.Ostr.run ~jobs:1 m).Stc_core.Ostr.realization in
+      let p = Stc_encoding.Tables.pipeline r in
+      let built =
+        Arch.pipeline ~cycles
+          ~covers:
+            Stc_encoding.Tables.(p.c1_on, p.c2_on, p.lambda_on)
+          p
+      in
+      let iw = p.Stc_encoding.Tables.enc.Stc_encoding.Tables.input_width in
+      let w1 = p.Stc_encoding.Tables.code1.Stc_encoding.Code.width in
+      let w2 = p.Stc_encoding.Tables.code2.Stc_encoding.Code.width in
+      let expected =
+        [ fig4_oracle_session built ~iw ~w1 ~w2 ~cycles ~generator:`R1
+            ~seed:0b101;
+          fig4_oracle_session built ~iw ~w1 ~w2 ~cycles ~generator:`R2
+            ~seed:0b111 ]
+      in
+      List.iteri
+        (fun k ((stimuli, _), oracle) ->
+          check_bool
+            (Printf.sprintf "%s session %d stimuli" name (k + 1))
+            true (stimuli = oracle))
+        (List.combine built.Arch.sessions expected))
+    Suite.names
+
 let test_dk27_benchmark_comparison () =
   (* An actual Table-1 machine through the full flow. *)
   let spec = match Suite.find "dk27" with Some s -> s | None -> assert false in
@@ -269,13 +358,18 @@ let test_naive_vs_fast_architectures () =
 
 (* Randomized cross-check: arbitrary two-level netlists, random stimuli,
    random observation subsets - the collapsed cone-limited grader must
-   reproduce the naive grader's report exactly, serial and sharded. *)
+   reproduce the naive grader's report exactly, serial and sharded.  One
+   case in three has 30-80 cubes, so Or gates reach fan-ins above 16 and
+   their pin faults are graded too; one in two adds gates that read an
+   operand twice, where a single differing gate is two differing pins and
+   the grader must fall back to full evaluation. *)
 let test_random_netlists_equivalent =
   QCheck.Test.make ~count:60 ~name:"naive and optimized graders agree"
     QCheck.(int_bound 1000000)
     (fun seed ->
       let rng = Rng.create seed in
-      let num_vars = 2 + Rng.int rng 4 in
+      let wide = Rng.int rng 3 = 0 in
+      let num_vars = if wide then 4 + Rng.int rng 3 else 2 + Rng.int rng 4 in
       let num_outputs = 1 + Rng.int rng 3 in
       let cube _ =
         let input =
@@ -289,15 +383,20 @@ let test_random_netlists_equivalent =
         if not (Array.exists Fun.id output) then output.(0) <- true;
         Stc_logic.Cube.make ~input ~output
       in
-      let cover =
-        Cover.make ~num_vars ~num_outputs (List.init (1 + Rng.int rng 6) cube)
-      in
+      let num_cubes = if wide then 30 + Rng.int rng 51 else 1 + Rng.int rng 6 in
+      let cover = Cover.make ~num_vars ~num_outputs (List.init num_cubes cube) in
       let b = B.create "rand" in
       let inputs =
         Array.init num_vars (fun k -> B.input b (Printf.sprintf "x%d" k))
       in
       let outs = B.emit_cover b ~inputs cover in
       Array.iteri (fun o g -> B.output b (Printf.sprintf "y%d" o) g) outs;
+      if Rng.bool rng then begin
+        let x0 = inputs.(0) and x1 = inputs.(1) in
+        B.output b "dup_and" (B.and_ b [ x0; x1; x0 ]);
+        B.output b "dup_or"
+          (B.or_ b (outs.(0) :: outs.(0) :: Array.to_list inputs))
+      end;
       let net = B.finish b in
       let observed =
         Array.of_list
@@ -319,6 +418,87 @@ let test_random_netlists_equivalent =
       in
       agree (Session.run ~jobs:1 ~label:"f1" net ~stimuli ~observed)
       && agree (Session.run ~jobs:2 ~label:"f2" net ~stimuli ~observed))
+
+(* A hand-built netlist with a 21-pin Or that reads an inverter twice,
+   and a 20-input And: faults on most inputs leave one differing pin at
+   the wide gate (the one-operand path), faults on the inverter leave two
+   (the full-evaluation fallback), and the inverter reaches no other
+   gate, so only that fallback detects its stuck-at-0.  Both paths, and
+   the wide gates' own pin faults, must match the naive grader. *)
+let test_wide_gates_one_operand () =
+  let b = B.create "wide" in
+  let xs = List.init 20 (fun k -> B.input b (Printf.sprintf "x%d" k)) in
+  let inv = B.not_ b (List.hd xs) in
+  let wide_or = B.or_ b (inv :: inv :: List.tl xs) in
+  let wide_and = B.and_ b xs in
+  let mixed = B.and_ b [ wide_or; List.nth xs 1; wide_or ] in
+  B.output b "or" wide_or;
+  B.output b "and" wide_and;
+  B.output b "mixed" mixed;
+  let net = B.finish b in
+  let rng = Rng.create 7 in
+  (* Sparse ones for the Or, dense ones for the And: both gates then see
+     each pin at its sensitizing value in some cycles. *)
+  let stimuli =
+    Array.init 400 (fun c ->
+        Array.init 20 (fun _ ->
+            if c mod 2 = 0 then Bool.to_int (Rng.int rng 20 = 0)
+            else Bool.to_int (Rng.int rng 20 <> 0)))
+  in
+  let observed = Array.map snd net.N.outputs in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  Metrics.reset ();
+  let naive = Session.run ~naive:true ~label:"na" net ~stimuli ~observed in
+  let fast = Session.run ~jobs:1 ~label:"f1" net ~stimuli ~observed in
+  check_reports_equal "jobs=1" naive fast;
+  check_reports_equal "jobs=2" naive
+    (Session.run ~jobs:2 ~label:"f2" net ~stimuli ~observed);
+  check_reports_equal "need_cycles" naive
+    (Session.run ~need_cycles:true ~label:"f3" net ~stimuli ~observed);
+  check_bool "one-operand evaluations happened" true
+    (match Metrics.find "faultsim.one_operand_evals" with
+    | Some (Metrics.Counter n) -> n > 0
+    | _ -> false)
+
+(* tbk's fig. 4 structure, pinned to the figures the engine produced
+   before the offset-indexed fault collapse, the reader-marking grader and
+   the word-parallel stimuli: the collapsed classes (representatives and
+   dominance included), both sessions' stimuli, and the number of gate
+   evaluations with and without exact first-detection cycles. *)
+let test_tbk_fig4_pinned () =
+  let m =
+    match Suite.find "tbk" with Some s -> Suite.machine s | None -> assert false
+  in
+  let built = (Context.of_machine m).Context.fig4 in
+  let net = built.Arch.netlist in
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
+  let cl = N.collapse net in
+  Alcotest.(check string) "collapse" "33411478fe2392d5888c3d744ecbed09"
+    (digest
+       ( cl.N.class_of, cl.N.classes, cl.N.representatives,
+         cl.N.dominated_by ));
+  Alcotest.(check (list string)) "stimuli"
+    [ "00d7b16196f381b083983da6214390c1"; "46b1b264f12c2eabef1fd99ca73be5bc" ]
+    (List.map (fun (stimuli, _) -> digest stimuli) built.Arch.sessions);
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  let gate_evals need_cycles =
+    Metrics.reset ();
+    List.iteri
+      (fun k (stimuli, observed) ->
+        ignore
+          (Session.run ~need_cycles ~label:(string_of_int k) net ~stimuli
+             ~observed))
+      built.Arch.sessions;
+    match Metrics.find "faultsim.gate_evals" with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "faultsim.gate_evals missing"
+  in
+  check_int "gate evals, exact cycles" 123448 (gate_evals true);
+  check_int "gate evals, verdicts only" 105390 (gate_evals false)
 
 (* First-detection cycles feed the coverage-over-patterns histograms; in
    cycle-accurate mode the optimized grader must produce the identical
@@ -411,6 +591,8 @@ let () =
           Alcotest.test_case "undetected by tag sums" `Quick test_undetected_by_tag_sums;
           Alcotest.test_case "merge of sessions = grade" `Quick test_merge_equals_grade;
           Alcotest.test_case "dk27 comparison" `Quick test_dk27_benchmark_comparison;
+          Alcotest.test_case "fig4 stimuli = per-cycle oracle" `Quick
+            test_fig4_stimuli_oracle;
         ] );
       ( "engine",
         [
@@ -418,6 +600,9 @@ let () =
           Alcotest.test_case "naive vs fast on architectures" `Quick
             test_naive_vs_fast_architectures;
           qcheck test_random_netlists_equivalent;
+          Alcotest.test_case "wide gates: one-operand path and fallback"
+            `Quick test_wide_gates_one_operand;
+          Alcotest.test_case "tbk fig4 pinned" `Quick test_tbk_fig4_pinned;
           Alcotest.test_case "detect cycles exact" `Quick
             test_detect_cycles_exact;
           Alcotest.test_case "seqtest naive vs fast" `Quick

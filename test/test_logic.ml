@@ -507,9 +507,37 @@ let test_expand_vs_reference =
       in
       same_cover (Minimize.expand ~off on) (reference_expand ~off on))
 
+(* The premise of the minimizer's prime skip: a cube that came out of
+   EXPAND (and survived IRREDUNDANT) is a fixed point of EXPAND against
+   the same off-set, so a cube REDUCE leaves unchanged need not be raised
+   again. *)
+let test_expand_fixed_point =
+  QCheck.Test.make ~count:200 ~name:"irredundant (expand ...) cubes are EXPAND fixed points"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let num_vars, num_outputs = dims ~wide:true rng in
+      let on, dc, off =
+        if Rng.bool rng then
+          let on, off = planted_expand_case rng ~num_vars ~num_outputs in
+          (on, None, off)
+        else begin
+          let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+          let dc = random_cover rng ~num_vars ~num_outputs ~max_cubes:3 in
+          (on, Some dc, Minimize.off_set ~dc on)
+        end
+      in
+      let primes = Minimize.irredundant ?dc (Minimize.expand ~off on) in
+      Array.for_all
+        (fun cube ->
+          let single = Cover.of_array ~num_vars ~num_outputs [| cube |] in
+          same_cover (Minimize.expand ~off single) single)
+        primes.Cover.cubes)
+
 (* Digests of the minimized fig. 4 blocks, recorded before the EXPAND
-   counter and the shared-context IRREDUNDANT/REDUCE: speed work on the
-   minimizer must leave every cover byte-identical. *)
+   counter and the shared-context IRREDUNDANT/REDUCE (tbk's before the
+   indexed off-set and the prime skip): speed work on the minimizer must
+   leave every cover byte-identical. *)
 let test_pipeline_covers_pinned () =
   List.iter
     (fun (name, digests) ->
@@ -531,7 +559,10 @@ let test_pipeline_covers_pinned () =
          "8d9ef6186b5df60d68cc56868ca7db87" ]);
       ("dk512",
        [ "09046236df4c1de67947b7abc24d38c2"; "69bfa9f9ac8afe211468eaaf4ca5dd09";
-         "52ab88a3079a5e6816d75bc57aee77e5" ]) ]
+         "52ab88a3079a5e6816d75bc57aee77e5" ]);
+      ("tbk",
+       [ "9774a276d8df0173ff4ddf8bb80a2895"; "43a1f5986169d843b97b3269edd560e9";
+         "82b7b6fd7fe27c869825bc192ea29a84" ]) ]
 
 let test_minimize_jobs_deterministic =
   QCheck.Test.make ~count:60 ~name:"minimize jobs:1 = jobs:2, cube for cube"
@@ -665,6 +696,7 @@ let () =
           qcheck test_minimize_vs_reference;
           qcheck test_minimize_jobs_deterministic;
           qcheck test_expand_vs_reference;
+          qcheck test_expand_fixed_point;
           Alcotest.test_case "pipeline covers pinned" `Quick
             test_pipeline_covers_pinned;
           Alcotest.test_case "of_string edge chars" `Quick

@@ -91,6 +91,13 @@ anytime_agree() {
 anytime_agree dk16 --force-stochastic --evals 400
 anytime_agree planted:512x4@2 --evals 2000
 
+echo "== selftest tbk: --jobs 1 and --jobs 2 reports must be identical =="
+# The minimizer shares one off-set index across its worker domains and
+# the grader keeps per-domain scratch; neither may change a figure.
+dune exec bin/ostr.exe -- selftest tbk --jobs 1 > "$obs_dir/selftest_j1.txt"
+dune exec bin/ostr.exe -- selftest tbk --jobs 2 > "$obs_dir/selftest_j2.txt"
+cmp "$obs_dir/selftest_j1.txt" "$obs_dir/selftest_j2.txt"
+
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
 # zero warnings; --werror turns any regression into a nonzero exit.  Keep
