@@ -627,21 +627,19 @@ let selftest_cmd =
       m.Machine.name built.Arch.flipflops
       (Stc_netlist.Netlist.num_gates built.Arch.netlist);
     let reports =
-      List.mapi
-        (fun k (stimuli, observed) ->
-          let report =
-            Session.run ~jobs
-              ~label:(Printf.sprintf "session %d" (k + 1))
-              built.Arch.netlist ~stimuli ~observed
-          in
-          Format.printf
-            "session %d: %d cycles, %d observed nets, coverage %.1f%% (%d/%d)@."
-            (k + 1) (Array.length stimuli) (Array.length observed)
-            (100.0 *. report.Session.coverage)
-            report.Session.detected report.Session.total;
-          report)
-        built.Arch.sessions
+      Session.run_each ~jobs built.Arch.netlist
+        (List.mapi
+           (fun k session -> (Printf.sprintf "session %d" (k + 1), session))
+           built.Arch.sessions)
     in
+    List.iteri
+      (fun k ((stimuli, observed), report) ->
+        Format.printf
+          "session %d: %d cycles, %d observed nets, coverage %.1f%% (%d/%d)@."
+          (k + 1) (Array.length stimuli) (Array.length observed)
+          (100.0 *. report.Session.coverage)
+          report.Session.detected report.Session.total)
+      (List.combine built.Arch.sessions reports);
     let merged = Session.merge ~label:built.Arch.label reports in
     Format.printf "both sessions combined: %.1f%% (%d/%d)@."
       (100.0 *. merged.Session.coverage)

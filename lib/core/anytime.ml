@@ -25,6 +25,7 @@ let m_closure_full = Metrics.counter "anytime.closure_full"
 let m_closure_rejected = Metrics.counter "anytime.closure_rejected"
 let m_closure_dirty = Metrics.counter "anytime.closure_dirty"
 let m_closure_tt_hits = Metrics.counter "anytime.closure_tt_hits"
+let m_split_collapsed = Metrics.counter "anytime.split_collapsed"
 let g_best_bits = Metrics.gauge "anytime.best_bits"
 
 type engage_reason = Forced | Budget_exhausted | Too_large
@@ -227,11 +228,12 @@ let eval_move ctx ~split_ratio ~incremental { memo; tt } rng
         if incremental then begin
           Trace.span ~cat:"anytime" "closure_delta" @@ fun () ->
           Metrics.incr m_closure_delta;
-          let closed, dirty =
-            Pair.close_merge ~next:ctx.next ~equiv:ctx.equiv
-              ~pi:parent.Solver.pi ~rho:parent.Solver.rho mv
+          let { Pair.closed; dirty; collapsed } =
+            Pair.close_merge memo ~equiv:ctx.equiv ~pi:parent.Solver.pi
+              ~rho:parent.Solver.rho mv
           in
           Metrics.add m_closure_dirty dirty;
+          if collapsed then Metrics.incr m_split_collapsed;
           if Option.is_none closed then Metrics.incr m_closure_rejected;
           closed
         end

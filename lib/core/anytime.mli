@@ -59,9 +59,10 @@ type config = {
   jobs : int;  (** domains to fan proposal evaluation over *)
   incremental : bool;
       (** evaluate every proposal, merges and splits alike, with the
-          closure engine ({!Stc_partition.Pair.close_merge}: union-finds
-          seeded from the parent, rejection at the first meet-bound
-          witness, only survivors interned); [false] forces the
+          closure engine ({!Stc_partition.Pair.close_merge}: for merges
+          union-finds over the parent's classes, rejection at the first
+          meet-bound witness, only survivors interned; for splits the
+          closed form); [false] forces the
           full-recompute oracle path (materialize, {!Stc_partition.Pair.close},
           then the meet check).  Results are bit-identical either way —
           the switch exists for equivalence gates and benchmarking *)

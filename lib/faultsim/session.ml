@@ -113,49 +113,69 @@ let union_observed sessions =
   List.concat_map (fun (_, observed) -> Array.to_list observed) sessions
   |> List.sort_uniq compare |> Array.of_list
 
-let run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions =
-  (* Protect every gate any session observes: equivalences must never fold
-     a fault across an observation point. *)
-  let eng =
-    Trace.span ~cat:"faultsim" "collapse" (fun () ->
-        Engine.create ~protected:(union_observed sessions) netlist)
-  in
+(* The engine that grades [sessions]: every gate any session observes is
+   protected, so equivalences never fold a fault across an observation
+   point of any of them. *)
+let engine_for sessions netlist =
+  Trace.span ~cat:"faultsim" "collapse" (fun () ->
+      Engine.create ~protected:(union_observed sessions) netlist)
+
+(* Grade one session on [eng], over the classes still [active]; detected
+   classes are switched off.  Returns the raw faults it detected. *)
+let grade_session eng ~jobs ~need_cycles ~active session_label
+    (stimuli, observed) =
+  Trace.span ~cat:"faultsim" ("session:" ^ session_label) @@ fun () ->
+  let cl = Engine.collapsed eng in
+  let p = Engine.pack stimuli in
+  let g = Engine.golden eng p in
+  let verdicts = Engine.grade eng ~jobs ~need_cycles p g ~observed ~active in
+  let hist = detect_histogram session_label in
+  let detected = ref 0 in
+  Array.iteri
+    (fun c verdict ->
+      if active.(c) then
+        match verdict with
+        | Engine.Undetected -> ()
+        | Engine.Detected cyc ->
+          active.(c) <- false;
+          let members = cl.Netlist.classes.(c) in
+          detected := !detected + Array.length members;
+          (* Equivalent faults share the exact same faulty responses,
+             hence the same first-detection cycle: credit each raw
+             member so histograms count raw faults. *)
+          (match cyc with
+          | Some cycle ->
+            Array.iter (fun _ -> observe_detect hist ~cycle) members
+          | None -> ()))
+    verdicts;
+  !detected
+
+(* The report of a grading run: raw faults whose class is still active
+   are undetected. *)
+let report_of eng ~label ~detected active =
   let cl = Engine.collapsed eng in
   let faults = cl.Netlist.faults in
-  let num_classes = Array.length cl.Netlist.representatives in
-  let active = Array.make num_classes true in
-  let detected = ref 0 in
-  List.iter2
-    (fun session_label (stimuli, observed) ->
-      Trace.span ~cat:"faultsim" ("session:" ^ session_label) @@ fun () ->
-      let p = Engine.pack stimuli in
-      let g = Engine.golden eng p in
-      let verdicts = Engine.grade eng ~jobs ~need_cycles p g ~observed ~active in
-      let hist = detect_histogram session_label in
-      Array.iteri
-        (fun c verdict ->
-          if active.(c) then
-            match verdict with
-            | Engine.Undetected -> ()
-            | Engine.Detected cyc ->
-              active.(c) <- false;
-              let members = cl.Netlist.classes.(c) in
-              detected := !detected + Array.length members;
-              (* Equivalent faults share the exact same faulty responses,
-                 hence the same first-detection cycle: credit each raw
-                 member so histograms count raw faults. *)
-              (match cyc with
-              | Some cycle ->
-                Array.iter (fun _ -> observe_detect hist ~cycle) members
-              | None -> ()))
-        verdicts)
-    session_labels sessions;
   let undetected = ref [] in
   for i = Array.length faults - 1 downto 0 do
     if active.(cl.Netlist.class_of.(i)) then
       undetected := faults.(i) :: !undetected
   done;
-  (!detected, !undetected, Array.length faults)
+  report ~label ~total:(Array.length faults) ~detected ~undetected:!undetected
+
+let all_active eng =
+  Array.make (Array.length (Engine.collapsed eng).Netlist.representatives) true
+
+let run_sessions_fast ~jobs ~need_cycles ~label ~session_labels netlist
+    sessions =
+  let eng = engine_for sessions netlist in
+  let active = all_active eng in
+  let detected =
+    List.fold_left2
+      (fun acc session_label session ->
+        acc + grade_session eng ~jobs ~need_cycles ~active session_label session)
+      0 session_labels sessions
+  in
+  report_of eng ~label ~detected active
 
 let defaults ?(jobs = 1) ?(naive = false) ?need_cycles () =
   let need_cycles =
@@ -175,13 +195,10 @@ let run ?jobs ?naive ?need_cycles ~label netlist ~stimuli ~observed =
         faults
     in
     report ~label ~total:(List.length faults) ~detected ~undetected
-  else begin
-    let detected, undetected, total =
-      run_sessions_fast ~jobs ~need_cycles ~session_labels:[ label ] netlist
-        [ (stimuli, observed) ]
-    in
-    report ~label ~total ~detected ~undetected
-  end
+  else
+    run_sessions_fast ~jobs ~need_cycles ~label ~session_labels:[ label ]
+      netlist
+      [ (stimuli, observed) ]
 
 let run_sessions ?jobs ?naive ?need_cycles ~label netlist sessions =
   let jobs, naive, need_cycles = defaults ?jobs ?naive ?need_cycles () in
@@ -191,11 +208,20 @@ let run_sessions ?jobs ?naive ?need_cycles ~label netlist sessions =
     let session_labels =
       List.mapi (fun k _ -> Printf.sprintf "%s.s%d" label (k + 1)) sessions
     in
-    let detected, undetected, total =
-      run_sessions_fast ~jobs ~need_cycles ~session_labels netlist sessions
-    in
-    report ~label ~total ~detected ~undetected
+    run_sessions_fast ~jobs ~need_cycles ~label ~session_labels netlist sessions
   end
+
+let run_each ?jobs ?need_cycles netlist sessions =
+  let jobs, _, need_cycles = defaults ?jobs ?need_cycles () in
+  let eng = engine_for (List.map snd sessions) netlist in
+  List.map
+    (fun (label, session) ->
+      let active = all_active eng in
+      let detected =
+        grade_session eng ~jobs ~need_cycles ~active label session
+      in
+      report_of eng ~label ~detected active)
+    sessions
 
 let merge ~label = function
   | [] -> invalid_arg "Session.merge: no reports"

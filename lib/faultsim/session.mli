@@ -64,6 +64,20 @@ val run_sessions :
   (stimuli * int array) list ->
   report
 
+(** [run_each netlist sessions] is [List.map] of {!run} over the
+    labelled sessions, each graded on its own against the whole fault
+    universe, but on one shared engine: one collapse, protecting the
+    gates any session observes ({!union_observed}), and one set of
+    cones.  The reports equal those of separate {!run} calls, because
+    protecting more gates only makes the fault classes finer.  Options
+    as in {!run}, without the naive grader. *)
+val run_each :
+  ?jobs:int ->
+  ?need_cycles:bool ->
+  Netlist.t ->
+  (string * (stimuli * int array)) list ->
+  report list
+
 (** [merge ~label reports] combines the reports of sessions graded
     separately on one netlist: a fault stays undetected only if every
     session left it undetected, the rest count as detected, and [total]

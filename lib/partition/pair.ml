@@ -1,4 +1,5 @@
 module Union_find = Stc_util.Union_find
+module Arena = Stc_bits.Arena
 
 let dims next =
   let n = Array.length next in
@@ -81,168 +82,6 @@ let big_m ~next rho =
 
 let is_mm_pair ~next pi rho =
   Partition.equal (big_m ~next rho) pi && Partition.equal (m ~next pi) rho
-
-(* ------------------------------------------------------------------ *)
-(* Incremental closure                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One-step lattice moves of the anytime tier. *)
-type move =
-  | Merge of { on_pi : bool; c : int; d : int }
-  | Split of { on_pi : bool; s : int }
-
-(* [close_merge] computes the least symmetric pair above a one-step move
-   of a closed symmetric pair [(pi, rho)], or [None] as soon as that pair
-   is known to fail the meet bound [pi' /\ rho' subseteq equiv] - the
-   closure engine of the anytime tier.  Where the from-scratch fixpoint
-   re-derives whole m-images and whole-partition joins per iteration
-   (O(n * k) each), this engine only replays the constraints of groups
-   that actually merge:
-
-   - a union-find per side holds the evolving coarsening.  Its nodes are
-     the parent's class ids for a merge (every constraint of the closed
-     parent survives coarsening, so only the merged groups can force
-     anything) and the states for a split (a split refines the parent,
-     whose closure then says nothing: the split side is seeded with its
-     blocks, the pi side of a rho-split with [big_m rho'], the other
-     side with singletons - the seeds [close] starts from);
-   - each union of two groups enqueues one propagation task carrying a
-     representative state of either group (within a group, all members'
-     images are pairwise united on the other side by induction, so one
-     state per group is enough), and a task unites the two states'
-     images input by input on the other side;
-   - each union is also a witness test: if its two representatives
-     already share a group on the other side but [equiv] separates them,
-     they stay together in the meet of every coarsening, so the closed
-     pair cannot be admissible and the proposal is rejected on the spot
-     (both sides only ever coarsen - Lemma 1's monotonicity);
-   - a proposal that reaches the fixpoint gets the complete meet check,
-     bucketed over the union-find roots ([Partition.meet_subseteq_maps]),
-     and only then is the closed pair materialized and interned (a split
-     also interns its moved side up front: the seed it iterates).
-
-   Materialization goes through [Partition.coarsen_with] for merges,
-   which unions only the dirty packed rows, and canonicalizes the root
-   maps for splits.  The result is the least fixpoint [close] reaches
-   from the same seed, hence bit-identical partitions.
-
-   [dirty] counts the union events propagated, seed unions included.
-   Precondition for merges: [(pi, rho)] is a symmetric pair; violating
-   it silently under-closes. *)
-let rec uf_find parent x =
-  let px = Array.unsafe_get parent x in
-  if px = x then x
-  else begin
-    let gx = Array.unsafe_get parent px in
-    Array.unsafe_set parent x gx;
-    uf_find parent gx
-  end
-
-exception Witness
-
-let close_merge ~next ~equiv ~pi ~rho move =
-  let n, k = dims next in
-  if Partition.size pi <> n || Partition.size rho <> n
-     || Partition.size equiv <> n
-  then invalid_arg "Pair.close_merge: size mismatch";
-  let by_state = match move with Merge _ -> false | Split _ -> true in
-  (match move with
-  | Merge { on_pi; c; d } ->
-    let classes = Partition.num_classes (if on_pi then pi else rho) in
-    if c < 0 || c >= classes || d < 0 || d >= classes then
-      invalid_arg "Pair.close_merge: class out of range"
-  | Split { s; _ } ->
-    if s < 0 || s >= n then invalid_arg "Pair.close_merge: state out of range");
-  let np = if by_state then n else Partition.num_classes pi in
-  let nr = if by_state then n else Partition.num_classes rho in
-  let pi_parent = Array.init np Fun.id and rho_parent = Array.init nr Fun.id in
-  (* node -> smallest member state; a union keeps the smaller root, so a
-     root's representative is its group's smallest state *)
-  let pi_rep = if by_state then [||] else Partition.representatives pi in
-  let rho_rep = if by_state then [||] else Partition.representatives rho in
-  let node ~on_pi x =
-    if by_state then x
-    else Partition.class_of (if on_pi then pi else rho) x
-  in
-  let state ~on_pi r =
-    if by_state then r
-    else Array.unsafe_get (if on_pi then pi_rep else rho_rep) r
-  in
-  (* Every task is pushed by a union, and every union removes a node, so
-     the queue never holds more than [np + nr] tasks: side bit and the
-     first state packed into one int, the second state next to it. *)
-  let queue = Array.make (2 * (np + nr)) 0 in
-  let tail = ref 0 in
-  let dirty = ref 0 in
-  let union ~on_pi ~propagate a b =
-    let parent = if on_pi then pi_parent else rho_parent in
-    let other = if on_pi then rho_parent else pi_parent in
-    let ra = uf_find parent a and rb = uf_find parent b in
-    if ra <> rb then begin
-      incr dirty;
-      let lo = min ra rb and hi = max ra rb in
-      Array.unsafe_set parent hi lo;
-      let sa = state ~on_pi ra and sb = state ~on_pi rb in
-      if
-        Partition.class_of equiv sa <> Partition.class_of equiv sb
-        && uf_find other (node ~on_pi:(not on_pi) sa)
-           = uf_find other (node ~on_pi:(not on_pi) sb)
-      then raise Witness;
-      if propagate then begin
-        Array.unsafe_set queue !tail ((sa lsl 1) lor Bool.to_int on_pi);
-        Array.unsafe_set queue (!tail + 1) sb;
-        tail := !tail + 2
-      end
-    end
-  in
-  let seed ~on_pi ~propagate p =
-    Partition.iter_coarse_members p (fun r t -> union ~on_pi ~propagate r t)
-  in
-  match
-    (match move with
-    | Merge { on_pi; c; d } -> union ~on_pi ~propagate:true c d
-    | Split { on_pi; s } ->
-      let side' = Partition.split_singleton (if on_pi then pi else rho) s in
-      seed ~on_pi ~propagate:true side';
-      (* the pi side of a rho-split starts at big_m rho': already a pair
-         with rho', so its seed unions force nothing and enqueue
-         nothing *)
-      if not on_pi then seed ~on_pi:true ~propagate:false (big_m ~next side'));
-    let head = ref 0 in
-    while !head < !tail do
-      let packed = Array.unsafe_get queue !head in
-      let sb = Array.unsafe_get queue (!head + 1) in
-      head := !head + 2;
-      let sa = packed lsr 1 and from_pi = packed land 1 = 1 in
-      (* a merge on one side forces the images together on the other:
-         (pi, rho) and (rho, pi) must both stay pairs *)
-      let na = next.(sa) and nb = next.(sb) in
-      let on_pi = not from_pi in
-      for i = 0 to k - 1 do
-        union ~on_pi ~propagate:true
-          (node ~on_pi (Array.unsafe_get na i))
-          (node ~on_pi (Array.unsafe_get nb i))
-      done
-    done
-  with
-  | exception Witness -> (None, !dirty)
-  | () ->
-    let pi_root =
-      Array.init n (fun t -> uf_find pi_parent (node ~on_pi:true t))
-    in
-    let rho_root =
-      Array.init n (fun t -> uf_find rho_parent (node ~on_pi:false t))
-    in
-    if not (Partition.meet_subseteq_maps pi_root ~na:np rho_root ~nb:nr equiv)
-    then (None, !dirty)
-    else if by_state then
-      (Some (Partition.of_class_map pi_root, Partition.of_class_map rho_root),
-       !dirty)
-    else
-      ( Some
-          ( Partition.coarsen_with pi (uf_find pi_parent),
-            Partition.coarsen_with rho (uf_find rho_parent) ),
-        !dirty )
 
 (* [big_m rho] derived from [bm = big_m base] for a refinement
    [base subseteq rho]: states grouped together by [bm] have identical
@@ -409,12 +248,13 @@ let rec close memo pi rho =
 
 (* If (pi, rho) is a symmetric pair then so is (M rho, rho): it is a pair
    by definition of M, and (rho, M rho) is one because (rho, pi) is and
-   pi refines M rho.  Symmetrically for (pi, M pi).  Coarsening only
-   shrinks class counts, so each accepted step is a monotone improvement.
+   pi refines M rho.  Symmetrically for (pi, M pi).  So from a symmetric
+   input every iterate is symmetric, and admissibility reduces to the
+   meet bound.  Coarsening only shrinks class counts, so each accepted
+   step is a monotone improvement.
    With [from], every iterate coarsens the closed parent, so the M-images
    are derived from the parent's cached images ([Memo.big_m_from]). *)
 let polish ?from memo ~equiv pi rho =
-  let next = memo.Memo.next in
   let image_of_rho, image_of_pi =
     match from with
     | None -> (Memo.big_m memo, Memo.big_m memo)
@@ -423,16 +263,386 @@ let polish ?from memo ~equiv pi rho =
   in
   let rec go pi rho =
     let pi' = image_of_rho rho in
-    if (not (Partition.equal pi' pi)) && admissible ~next ~equiv pi' rho then
+    if (not (Partition.equal pi' pi)) && Partition.meet_subseteq pi' rho equiv then
       go pi' rho
     else begin
       let rho' = image_of_pi pi in
-      if (not (Partition.equal rho' rho)) && admissible ~next ~equiv pi rho'
+      if (not (Partition.equal rho' rho)) && Partition.meet_subseteq pi rho' equiv
       then go pi rho'
       else (pi, rho)
     end
   in
   go pi rho
+
+(* ------------------------------------------------------------------ *)
+(* Incremental closure                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One-step lattice moves of the anytime tier. *)
+type move =
+  | Merge of { on_pi : bool; c : int; d : int }
+  | Split of { on_pi : bool; s : int }
+
+type outcome = {
+  closed : (Partition.t * Partition.t) option;
+  dirty : int;
+  collapsed : bool;
+}
+
+(* [close_merge] computes the least symmetric pair above a one-step move
+   of a closed symmetric pair [(pi, rho)], or [None] when that pair fails
+   the meet bound [pi' /\ rho' subseteq equiv] - the closure engine of
+   the anytime tier.
+
+   Merges run a dirty-group worklist instead of the from-scratch
+   fixpoint (which re-derives whole m-images and joins per iteration):
+
+   - a union-find per side over the parent's class ids holds the
+     evolving coarsening (every constraint of the closed parent survives
+     coarsening, so only merged groups can force anything);
+   - each union of two groups enqueues one propagation task carrying a
+     member state of either group (within a group, all members' images
+     are pairwise united on the other side by induction, so one state
+     per group is enough), and a task unites the two states' images
+     input by input on the other side;
+   - each union is also a witness test: if its two states already share
+     a group on the other side but [equiv] separates them, they stay
+     together in the meet of every coarsening, so the closed pair cannot
+     be admissible and the proposal is rejected on the spot (both sides
+     only ever coarsen - Lemma 1's monotonicity);
+   - a proposal that reaches the fixpoint gets the complete meet check,
+     bucketed over the union-find roots ([Partition.meet_subseteq_maps]),
+     and only then is the closed pair materialized
+     ([Partition.coarsen_with]) and interned.
+
+   Splits have closed forms (the split bound lemma, DESIGN.md section
+   10): the closure's split side is [side'] or [side] (collapsed: [s] is
+   pulled back), decided by one pair test - see [close_split_pi] and
+   [close_split_rho].
+
+   All union-find forests, the worklist and the root maps live in
+   per-domain scratch, so a rejected merge allocates nothing; the
+   results are the partitions [close] reaches from the same seed,
+   interned, hence pointer-equal within a domain. *)
+
+type scratch = {
+  mutable pi_parent : int array;  (* union-find forests *)
+  mutable rho_parent : int array;
+  mutable queue : int array;  (* merge worklist *)
+  mutable pi_root : int array;  (* root maps; [M rho'] ids in a rho-split *)
+  mutable rho_root : int array;
+  blocks : Arena.Stamped.t;  (* first member per block *)
+  marks : Arena.Stamped.t;  (* blocks near [s]; renumbering of [M rho'] *)
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      {
+        pi_parent = [||];
+        rho_parent = [||];
+        queue = [||];
+        pi_root = [||];
+        rho_root = [||];
+        blocks = Arena.Stamped.create 256;
+        marks = Arena.Stamped.create 256;
+      })
+
+let rec uf_find parent x =
+  let px = Array.unsafe_get parent x in
+  if px = x then x
+  else begin
+    let gx = Array.unsafe_get parent px in
+    Array.unsafe_set parent x gx;
+    uf_find parent gx
+  end
+
+(* [uf_reset parent n] is a fresh forest over [0 .. n - 1]. *)
+let uf_reset parent n =
+  let parent = Arena.ensure parent n in
+  for x = 0 to n - 1 do
+    Array.unsafe_set parent x x
+  done;
+  parent
+
+(* Union keeping the smaller root; [true] when two groups merged. *)
+let uf_union parent a b =
+  let ra = uf_find parent a and rb = uf_find parent b in
+  if ra = rb then false
+  else begin
+    if ra < rb then Array.unsafe_set parent rb ra
+    else Array.unsafe_set parent ra rb;
+    true
+  end
+
+(* [iter_split_members sc p s f] calls [f r t] for every element [t] of
+   [Partition.split_singleton p s] that is not the smallest member [r] of
+   its block - [Partition.iter_coarse_members] of the split partition
+   without building it, in element order, in one pass over the class
+   map.  [s = -1] iterates [p] itself. *)
+let iter_split_members sc p s f =
+  let st = sc.blocks in
+  Arena.Stamped.ensure st (Partition.num_classes p);
+  let e = Arena.Stamped.bump st in
+  let stamp = st.stamp and data = st.data in
+  for t = 0 to Partition.size p - 1 do
+    if t <> s then begin
+      let c = Partition.class_of p t in
+      if Array.unsafe_get stamp c = e then f (Array.unsafe_get data c) t
+      else begin
+        Array.unsafe_set stamp c e;
+        Array.unsafe_set data c t
+      end
+    end
+  done
+
+exception Witness
+
+let close_merge_classes sc ~next ~k ~equiv ~pi ~rho ~on_pi c d =
+  let n = Array.length next in
+  let np = Partition.num_classes pi and nr = Partition.num_classes rho in
+  let pi_parent = uf_reset sc.pi_parent np in
+  let rho_parent = uf_reset sc.rho_parent nr in
+  sc.pi_parent <- pi_parent;
+  sc.rho_parent <- rho_parent;
+  (* Every task is pushed by a union, and every union removes a node, so
+     the queue never holds more than [np + nr] tasks: side bit and the
+     first state packed into one int, the second state next to it. *)
+  let queue = Arena.ensure sc.queue (2 * (np + nr)) in
+  sc.queue <- queue;
+  let tail = ref 0 in
+  let dirty = ref 0 in
+  (* unite the groups of states [ta] and [tb] on one side *)
+  let union ~on_pi ta tb =
+    let side = if on_pi then pi else rho in
+    let parent = if on_pi then pi_parent else rho_parent in
+    if uf_union parent (Partition.class_of side ta) (Partition.class_of side tb)
+    then begin
+      incr dirty;
+      let other_side = if on_pi then rho else pi in
+      let other = if on_pi then rho_parent else pi_parent in
+      if
+        Partition.class_of equiv ta <> Partition.class_of equiv tb
+        && uf_find other (Partition.class_of other_side ta)
+           = uf_find other (Partition.class_of other_side tb)
+      then raise Witness;
+      Array.unsafe_set queue !tail ((ta lsl 1) lor Bool.to_int on_pi);
+      Array.unsafe_set queue (!tail + 1) tb;
+      tail := !tail + 2
+    end
+  in
+  (* the smallest member of class [c]: canonical ids number classes by
+     first occurrence, so it is at least [c] *)
+  let first_member p c =
+    let rec go s = if Partition.class_of p s = c then s else go (s + 1) in
+    go c
+  in
+  match
+    (let side = if on_pi then pi else rho in
+     union ~on_pi (first_member side c) (first_member side d));
+    let head = ref 0 in
+    while !head < !tail do
+      let packed = Array.unsafe_get queue !head in
+      let tb = Array.unsafe_get queue (!head + 1) in
+      head := !head + 2;
+      (* a merge on one side forces the images together on the other:
+         (pi, rho) and (rho, pi) must both stay pairs *)
+      let na = next.(packed lsr 1) and nb = next.(tb) in
+      let on_pi = packed land 1 = 0 in
+      for i = 0 to k - 1 do
+        union ~on_pi (Array.unsafe_get na i) (Array.unsafe_get nb i)
+      done
+    done
+  with
+  | exception Witness -> { closed = None; dirty = !dirty; collapsed = false }
+  | () ->
+    let pi_root = Arena.ensure sc.pi_root n in
+    let rho_root = Arena.ensure sc.rho_root n in
+    sc.pi_root <- pi_root;
+    sc.rho_root <- rho_root;
+    for t = 0 to n - 1 do
+      Array.unsafe_set pi_root t (uf_find pi_parent (Partition.class_of pi t));
+      Array.unsafe_set rho_root t
+        (uf_find rho_parent (Partition.class_of rho t))
+    done;
+    let closed =
+      if Partition.meet_subseteq_maps pi_root ~na:np rho_root ~nb:nr equiv
+      then
+        Some
+          ( Partition.coarsen_with pi (uf_find pi_parent),
+            Partition.coarsen_with rho (uf_find rho_parent) )
+      else None
+    in
+    { closed; dirty = !dirty; collapsed = false }
+
+(* The seed [(pi', m pi')] lies below [(pi, rho)] ([m pi' subseteq m pi
+   subseteq rho]), so the closure's pi side is [pi'] or [pi].  It stays
+   [pi'] iff [(m pi', pi')] is a pair.  States that [m pi'] joins have
+   [pi]-equal images (they are [rho]-equal, and [(rho, pi)] is a pair),
+   so the test only asks whether [s] is the image of one and not of the
+   other, input by input - which only a predecessor of [s] can be.
+
+   So only the blocks of [m pi] holding a predecessor of [s] matter:
+   [m pi'] refines [m pi], and restricted to those blocks it is generated
+   by the image pairs that land in them.  The union-find runs over those
+   alone; the rest of [m pi'] is built only when the split survives. *)
+let close_split_pi memo sc ~next ~k ~equiv ~pi s =
+  let n = Array.length next in
+  let mpi = Memo.m memo pi in
+  let marks = sc.marks in
+  Arena.Stamped.ensure marks (Partition.num_classes mpi);
+  let e = Arena.Stamped.bump marks in
+  let stamp = marks.stamp in
+  for t = 0 to n - 1 do
+    let nt = next.(t) in
+    for i = 0 to k - 1 do
+      if Array.unsafe_get nt i = s then
+        Array.unsafe_set stamp (Partition.class_of mpi t) e
+    done
+  done;
+  let near_s x = Array.unsafe_get stamp (Partition.class_of mpi x) = e in
+  let uf = uf_reset sc.pi_parent n in
+  sc.pi_parent <- uf;
+  let unite ~all =
+    iter_split_members sc pi s (fun a b ->
+        let na = next.(a) and nb = next.(b) in
+        for i = 0 to k - 1 do
+          let x = Array.unsafe_get na i in
+          if all || near_s x then ignore (uf_union uf x (Array.unsafe_get nb i))
+        done)
+  in
+  unite ~all:false;
+  let collapsed = ref false in
+  let u = ref 0 in
+  while (not !collapsed) && !u < n do
+    if near_s !u then begin
+      let r = uf_find uf !u in
+      let nu = next.(!u) and nr = next.(r) in
+      for i = 0 to k - 1 do
+        if (Array.unsafe_get nu i = s) <> (Array.unsafe_get nr i = s) then
+          collapsed := true
+      done
+    end;
+    incr u
+  done;
+  let pi', rho' =
+    if !collapsed then (pi, mpi)
+    else begin
+      unite ~all:true;
+      ( Partition.split_singleton pi s,
+        Partition.of_class_map (Array.init n (uf_find uf)) )
+    end
+  in
+  let closed =
+    if Partition.meet_subseteq pi' rho' equiv then Some (pi', rho') else None
+  in
+  { closed; dirty = 0; collapsed = !collapsed }
+
+(* The seed [(M rho', rho')] lies below [(M rho, rho)], a symmetric pair
+   ([m rho subseteq pi subseteq M rho]), so the closure's rho side is
+   [rho'] or [rho].  It stays [rho'] iff [(rho', M rho')] is a pair;
+   otherwise the least pi side above [M rho'] that pairs with [rho] both
+   ways is [M rho' \/ m rho], which is [M rho] itself when [m rho]
+   rejoins every split block.
+
+   [M rho'] refines the memoized [M rho]: a state's successor signature
+   under [rho'] is its signature under [rho] plus the set of inputs that
+   lead to [s], so only blocks holding a predecessor of [s] split.  The
+   renumbering below hands out dense first-occurrence ids - a stamped
+   table for [M rho]'s blocks, a hash table only for predecessors. *)
+let close_split_rho memo sc ~next ~k ~equiv ~rho s =
+  let n = Array.length next in
+  let bm = Memo.big_m memo rho in
+  let ids = Arena.ensure sc.pi_root n in
+  sc.pi_root <- ids;
+  let marks = sc.marks in
+  Arena.Stamped.ensure marks (Partition.num_classes bm);
+  let e = Arena.Stamped.bump marks in
+  let stamp = marks.stamp and data = marks.data in
+  let preds = Hashtbl.create 8 in
+  let count = ref 0 in
+  let fresh () =
+    let id = !count in
+    incr count;
+    id
+  in
+  for t = 0 to n - 1 do
+    let nt = next.(t) in
+    let hits = ref [] in
+    for i = k - 1 downto 0 do
+      if Array.unsafe_get nt i = s then hits := i :: !hits
+    done;
+    let c = Partition.class_of bm t in
+    Array.unsafe_set ids t
+      (match !hits with
+      | [] ->
+        if Array.unsafe_get stamp c = e then Array.unsafe_get data c
+        else begin
+          let id = fresh () in
+          Array.unsafe_set stamp c e;
+          Array.unsafe_set data c id;
+          id
+        end
+      | hits -> (
+        match Hashtbl.find_opt preds (c, hits) with
+        | Some id -> id
+        | None ->
+          let id = fresh () in
+          Hashtbl.replace preds (c, hits) id;
+          id))
+  done;
+  let collapsed =
+    match
+      iter_split_members sc rho s (fun a b ->
+          let na = next.(a) and nb = next.(b) in
+          for i = 0 to k - 1 do
+            if
+              Array.unsafe_get ids (Array.unsafe_get na i)
+              <> Array.unsafe_get ids (Array.unsafe_get nb i)
+            then raise Exit
+          done)
+    with
+    | () -> false
+    | exception Exit -> true
+  in
+  let pi', rho' =
+    if not collapsed then
+      (Partition.of_class_map (Array.sub ids 0 n), Partition.split_singleton rho s)
+    else begin
+      let uf = uf_reset sc.rho_parent !count in
+      sc.rho_parent <- uf;
+      let classes = ref !count in
+      iter_split_members sc (Memo.m memo rho) (-1) (fun a b ->
+          if uf_union uf (Array.unsafe_get ids a) (Array.unsafe_get ids b) then
+            decr classes);
+      if !classes = Partition.num_classes bm then (bm, rho)
+      else
+        ( Partition.of_class_map
+            (Array.init n (fun t -> uf_find uf (Array.unsafe_get ids t))),
+          rho )
+    end
+  in
+  let closed =
+    if Partition.meet_subseteq pi' rho' equiv then Some (pi', rho') else None
+  in
+  { closed; dirty = 0; collapsed }
+
+let close_merge memo ~equiv ~pi ~rho move =
+  let next = memo.Memo.next in
+  let n, k = dims next in
+  if Partition.size pi <> n || Partition.size rho <> n
+     || Partition.size equiv <> n
+  then invalid_arg "Pair.close_merge: size mismatch";
+  let sc = Domain.DLS.get scratch in
+  match move with
+  | Merge { on_pi; c; d } ->
+    let classes = Partition.num_classes (if on_pi then pi else rho) in
+    if c < 0 || c >= classes || d < 0 || d >= classes then
+      invalid_arg "Pair.close_merge: class out of range";
+    close_merge_classes sc ~next ~k ~equiv ~pi ~rho ~on_pi c d
+  | Split { on_pi; s } ->
+    if s < 0 || s >= n then invalid_arg "Pair.close_merge: state out of range";
+    if on_pi then close_split_pi memo sc ~next ~k ~equiv ~pi s
+    else close_split_rho memo sc ~next ~k ~equiv ~rho s
 
 let mm_pairs ~next =
   let n, _ = dims next in

@@ -35,43 +35,6 @@ val big_m : next:int array array -> Partition.t -> Partition.t
     [big_m rho = pi] and [m pi = rho] (Definition 5). *)
 val is_mm_pair : next:int array array -> Partition.t -> Partition.t -> bool
 
-(** One-step moves of the anytime tier on a closed symmetric pair. *)
-type move =
-  | Merge of { on_pi : bool; c : int; d : int }
-      (** merge blocks [c] and [d] of the [pi] ([on_pi]) or [rho] side *)
-  | Split of { on_pi : bool; s : int }
-      (** take state [s] out of its block on the chosen side; the other
-          side restarts from its extremal seed ([m pi'] for a [pi]-split,
-          [big_m rho'] on the [pi] side for a [rho]-split) *)
-
-(** [close_merge ~next ~equiv ~pi ~rho move] is the closure engine of
-    the anytime tier.  It returns [(Some (pi', rho'), dirty)], where
-    [(pi', rho')] is the least symmetric pair above the moved pair (equal,
-    and within a domain physically equal, to the from-scratch {!close}
-    of the same seed) when [pi' /\ rho'] refines [equiv], and
-    [(None, dirty)] otherwise.  [dirty] counts the union events done.
-
-    A union-find per side runs over the parent's class ids for a merge
-    and over the states for a split; a worklist of merged groups replays
-    each group's pair constraint (O(inputs) finds per union event).
-    Every union is also a witness test: two representatives that already
-    share a group on the other side but lie in different [equiv] classes
-    stay together in every coarsening, so the proposal is rejected at
-    once.  A proposal that reaches the fixpoint gets the complete
-    bucketed meet check ({!Partition.meet_subseteq_maps}); only then are
-    the two partitions materialized and interned (a split interns its
-    moved side first, as the seed it iterates).
-
-    Precondition for merges: [is_symmetric_pair ~next pi rho]; an
-    unclosed parent silently under-closes. *)
-val close_merge :
-  next:int array array ->
-  equiv:Partition.t ->
-  pi:Partition.t ->
-  rho:Partition.t ->
-  move ->
-  (Partition.t * Partition.t) option * int
-
 (** [big_m_coarse ~next ~rho bm] is [big_m ~next rho] derived from
     [bm = big_m ~next base] for any [base] refining [rho]: since [bm]
     only ever merges whole blocks when [rho] coarsens, grouping the
@@ -123,6 +86,63 @@ module Memo : sig
   val misses : t -> int
 end
 
+(** One-step moves of the anytime tier on a closed symmetric pair. *)
+type move =
+  | Merge of { on_pi : bool; c : int; d : int }
+      (** merge blocks [c] and [d] of the [pi] ([on_pi]) or [rho] side *)
+  | Split of { on_pi : bool; s : int }
+      (** take state [s] out of its block on the chosen side; the other
+          side restarts from its extremal seed ([m pi'] for a [pi]-split,
+          [big_m rho'] on the [pi] side for a [rho]-split) *)
+
+(** What {!close_merge} found for one move. *)
+type outcome = {
+  closed : (Partition.t * Partition.t) option;
+      (** the closed pair, or [None] when it fails the meet bound *)
+  dirty : int;
+      (** union events the merge worklist propagated, up to the fixpoint
+          or the rejecting witness; [0] for a split, which has no
+          worklist *)
+  collapsed : bool;
+      (** a split whose closure pulled [s] back into its block: the
+          split side came back unchanged *)
+}
+
+(** [close_merge memo ~equiv ~pi ~rho move] is the closure engine of the
+    anytime tier.  Its [closed] is [Some (pi', rho')], the least
+    symmetric pair above the moved pair (equal, and within a domain
+    physically equal, to the from-scratch {!close} of the same seed),
+    when [pi' /\ rho'] refines [equiv], and [None] otherwise.
+
+    A merge runs a union-find per side over the parent's class ids; a
+    worklist of merged groups replays each group's pair constraint
+    (O(inputs) finds per union event).  Every union is also a witness
+    test: two states that already share a group on the other side but
+    lie in different [equiv] classes stay together in every coarsening,
+    so the proposal is rejected at once.  A proposal that reaches the
+    fixpoint gets the complete bucketed meet check
+    ({!Partition.meet_subseteq_maps}); only then are the two partitions
+    materialized and interned.  The forests, worklist and root maps are
+    per-domain scratch.
+
+    A split is closed in closed form, in O(states * inputs): a
+    [pi]-split of [s] closes to [(pi', m pi')] when [(m pi', pi')] is a
+    pair and to [(pi, m pi)] otherwise; a [rho]-split to
+    [(big_m rho', rho')] when [(rho', big_m rho')] is a pair and to
+    [(big_m rho' \/ m rho, rho)] otherwise.  [m pi], [m rho] and
+    [big_m rho] come from [memo], [big_m rho'] is derived from
+    [big_m rho].
+
+    Precondition: [is_symmetric_pair ~next pi rho]; on an unclosed
+    parent the result is unspecified (a merge silently under-closes). *)
+val close_merge :
+  Memo.t ->
+  equiv:Partition.t ->
+  pi:Partition.t ->
+  rho:Partition.t ->
+  move ->
+  outcome
+
 (** [admissible ~next ~equiv pi rho] is the OSTR feasibility test
     (Theorem 1): [(pi, rho)] is a symmetric partition pair and
     [pi /\ rho] refines the state equivalence [equiv]. *)
@@ -138,7 +158,8 @@ val close : Memo.t -> Partition.t -> Partition.t -> Partition.t * Partition.t
 (** [polish ?from memo ~equiv pi rho] coarsens an admissible symmetric
     pair with the [M] operator while it stays {!admissible}: first
     [pi <- M rho], then [rho <- M pi], until neither move is accepted.
-    Each accepted move keeps the pair symmetric and never adds classes.
+    Each move keeps a symmetric pair symmetric, so only the meet bound
+    is tested; each accepted one never adds classes.
 
     Without [from] the [M] images come from {!Memo.big_m}.  With
     [~from:(parent_pi, parent_rho)] - a closed pair that [(pi, rho)]

@@ -339,15 +339,20 @@ let blocks p =
   done;
   !out
 
+(* Classes are numbered by first occurrence, so scanning the class map
+   meets them in id order: element [s] is the smallest member of its
+   class iff its id is the next one not seen yet. *)
 let representatives p =
-  Array.init p.count (fun c ->
-      let base = c * p.wpr in
-      let rec go wi =
-        (* every block is non-empty, so this terminates within the row *)
-        let w = Array.unsafe_get p.rows (base + wi) in
-        if w = 0 then go (wi + 1) else (wi * wb) + Word.ffs w
-      in
-      go 0)
+  let reps = Array.make p.count 0 in
+  let seen = ref 0 and s = ref 0 in
+  while !seen < p.count do
+    if Array.unsafe_get p.cls !s = !seen then begin
+      Array.unsafe_set reps !seen !s;
+      incr seen
+    end;
+    incr s
+  done;
+  reps
 
 let members p c =
   let acc = ref [] in

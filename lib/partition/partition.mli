@@ -137,7 +137,8 @@ val compare : t -> t -> int
     interning time over the full class map and cached, so this is O(1). *)
 val hash : t -> int
 
-(** [representatives p] maps each class to its smallest member. *)
+(** [representatives p] maps each class to its smallest member, in one
+    O(n) pass over the class map. *)
 val representatives : t -> int array
 
 (** [members p c] lists the elements of class [c], sorted. *)

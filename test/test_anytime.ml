@@ -163,6 +163,20 @@ let test_closure_metrics () =
   check_bool "every eval is an engine run, a tt hit, or degenerate" true
     (counter "anytime.closure_delta" + counter "anytime.closure_tt_hits"
     <= counter "anytime.evals");
+  (* on a planted machine the closed-form splits mostly pull the state
+     back into its block *)
+  Metrics.reset ();
+  let planted =
+    match Generate.of_spec "planted:128x4@3" with
+    | Some m -> m
+    | None -> Alcotest.fail "planted spec did not parse"
+  in
+  ignore (Anytime.search ~config:small_config planted);
+  check_int "planted: engine survivors = feasible proposals"
+    (counter "anytime.feasible")
+    (counter "anytime.closure_delta" - counter "anytime.closure_rejected");
+  check_bool "planted: collapsed splits counted" true
+    (counter "anytime.split_collapsed" > 0);
   (* with the full oracle forced, the engine never runs *)
   Metrics.reset ();
   ignore

@@ -174,7 +174,8 @@ let test_grade_deterministic () =
 (* Grading each session on its own and merging the reports must give
    exactly the combined grade, undetected list included.  Merging the
    reports twice over changes nothing: a fault stays undetected only if
-   every report leaves it undetected. *)
+   every report leaves it undetected.  Grading the sessions on one shared
+   engine ([run_each], finer classes) gives the very same reports. *)
 let test_merge_equals_grade () =
   List.iter
     (fun name ->
@@ -189,6 +190,14 @@ let test_merge_equals_grade () =
               built.Arch.netlist ~stimuli ~observed)
           built.Arch.sessions
       in
+      let shared =
+        Session.run_each built.Arch.netlist
+          (List.mapi
+             (fun k session -> (Printf.sprintf "session %d" (k + 1), session))
+             built.Arch.sessions)
+      in
+      check_bool (name ^ ": one engine = one engine per session") true
+        (shared = reports);
       let merged = Session.merge ~label:built.Arch.label reports in
       let graded = Arch.grade built in
       check_bool (name ^ ": merge = grade") true (merged = graded);

@@ -694,12 +694,13 @@ let test_close_merge_matches_oracle =
       let side = if on_pi then pi else rho in
       let k = Partition.num_classes side in
       let c = Rng.int rng k and d = Rng.int rng k in
+      let memo = Pair.Memo.create ~next in
       match
-        Pair.close_merge ~next ~equiv:(Partition.universal n) ~pi ~rho
+        Pair.close_merge memo ~equiv:(Partition.universal n) ~pi ~rho
           (Pair.Merge { on_pi; c; d })
       with
-      | None, _ -> false
-      | Some (got_pi, got_rho), dirty ->
+      | { Pair.closed = None; _ } -> false
+      | { Pair.closed = Some (got_pi, got_rho); dirty; _ } ->
         let side' = Partition.merge_classes side c d in
         let exp_pi, exp_rho =
           if on_pi then close_pair_spec ~next side' rho
@@ -707,7 +708,6 @@ let test_close_merge_matches_oracle =
         in
         (* the memoized from-scratch closure the solver and the anytime
            tier share must reach the same fixpoint *)
-        let memo = Pair.Memo.create ~next in
         let full_pi, full_rho =
           if on_pi then Pair.close memo side' rho else Pair.close memo pi side'
         in
@@ -774,11 +774,109 @@ let test_close_merge_rejects_exactly =
         | 2 -> Partition.join (Partition.meet ref_pi ref_rho) (sparse_partition rng n)
         | _ -> random_partition rng n
       in
-      match Pair.close_merge ~next ~equiv ~pi ~rho move with
-      | None, _ -> not (Partition.meet_subseteq ref_pi ref_rho equiv)
-      | Some (got_pi, got_rho), _ ->
+      match (Pair.close_merge memo ~equiv ~pi ~rho move).Pair.closed with
+      | None -> not (Partition.meet_subseteq ref_pi ref_rho equiv)
+      | Some (got_pi, got_rho) ->
         Partition.meet_subseteq ref_pi ref_rho equiv
         && got_pi == ref_pi && got_rho == ref_rho)
+
+(* The bound lemma behind the closed-form splits: a split seed lies
+   below a symmetric pair that differs from the closed parent only on
+   the split side, so the closure's split side is [split_singleton side
+   s] or [side] itself - and the engine returns exactly the oracle's
+   (hash-consed) pair, reporting [collapsed] when it is [side]. *)
+let test_split_bound_lemma =
+  QCheck.Test.make ~count:400 ~name:"split closure: split side is side' or side"
+    QCheck.(pair (int_bound 100000) size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let k_in = 1 + Rng.int rng 4 in
+      let next = random_next rng n k_in in
+      let pi, rho = random_parent rng ~next n in
+      let memo = Pair.Memo.create ~next in
+      let on_pi = Rng.bool rng in
+      let s = Rng.int rng n in
+      let side = if on_pi then pi else rho in
+      let side' = Partition.split_singleton side s in
+      let ref_pi, ref_rho =
+        if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
+        else Pair.close memo (Pair.Memo.big_m memo side') side'
+      in
+      let closed_side = if on_pi then ref_pi else ref_rho in
+      let equiv =
+        if Rng.bool rng then Partition.universal n else random_partition rng n
+      in
+      let out =
+        Pair.close_merge memo ~equiv ~pi ~rho (Pair.Split { on_pi; s })
+      in
+      (closed_side == side' || closed_side == side)
+      && out.Pair.dirty = 0
+      && (side' == side || out.Pair.collapsed = (closed_side == side))
+      &&
+      match out.Pair.closed with
+      | None -> not (Partition.meet_subseteq ref_pi ref_rho equiv)
+      | Some (got_pi, got_rho) ->
+        Partition.meet_subseteq ref_pi ref_rho equiv
+        && got_pi == ref_pi && got_rho == ref_rho)
+
+(* Hand-built parent on which splits keep the state apart: one input,
+   delta = 0 1 2 0 2 4.  Splitting 1 off pi, or 0 (the smallest member,
+   so the engine re-elects its block's representative) off rho, closes
+   to the split partition itself; every other split is checked against
+   the oracle, collapsed or not, under two bounds. *)
+let test_split_keeps_state_apart () =
+  let next = [| [| 0 |]; [| 1 |]; [| 2 |]; [| 0 |]; [| 2 |]; [| 4 |] |] in
+  let n = 6 in
+  let blocks b = Partition.of_blocks ~n b in
+  let pi = blocks [ [ 0; 1; 2; 4 ]; [ 3; 5 ] ]
+  and rho = blocks [ [ 0; 1; 2; 4; 5 ]; [ 3 ] ] in
+  check_bool "parent is a symmetric pair" true
+    (Pair.is_symmetric_pair ~next pi rho);
+  let memo = Pair.Memo.create ~next in
+  let close ?(equiv = Partition.universal n) on_pi s =
+    Pair.close_merge memo ~equiv ~pi ~rho (Pair.Split { on_pi; s })
+  in
+  let expect name on_pi s (exp_pi, exp_rho) =
+    let out = close on_pi s in
+    check_bool (name ^ ": not collapsed") false out.Pair.collapsed;
+    match out.Pair.closed with
+    | Some (got_pi, got_rho) ->
+      check_bool (name ^ ": pi") true (got_pi == blocks exp_pi);
+      check_bool (name ^ ": rho") true (got_rho == blocks exp_rho)
+    | None -> Alcotest.failf "%s: rejected under the universal bound" name
+  in
+  expect "pi-split of 1" true 1
+    ([ [ 0; 2; 4 ]; [ 1 ]; [ 3; 5 ] ], [ [ 0; 2; 4 ]; [ 1 ]; [ 3 ]; [ 5 ] ]);
+  expect "rho-split of 0" false 0
+    ([ [ 0; 3 ]; [ 1; 2; 4; 5 ] ], [ [ 0 ]; [ 1; 2; 4; 5 ]; [ 3 ] ]);
+  List.iter
+    (fun on_pi ->
+      for s = 0 to n - 1 do
+        let side = if on_pi then pi else rho in
+        let side' = Partition.split_singleton side s in
+        let ref_pi, ref_rho =
+          if on_pi then Pair.close memo side' (Pair.Memo.m memo side')
+          else Pair.close memo (Pair.Memo.big_m memo side') side'
+        in
+        List.iter
+          (fun equiv ->
+            let out = close ~equiv on_pi s in
+            let name = Printf.sprintf "on_pi=%b s=%d" on_pi s in
+            if side' != side then
+              check_bool (name ^ ": collapsed flag")
+                ((if on_pi then ref_pi else ref_rho) == side)
+                out.Pair.collapsed;
+            match out.Pair.closed with
+            | Some (got_pi, got_rho) ->
+              check_bool (name ^ ": oracle pair") true
+                (got_pi == ref_pi && got_rho == ref_rho
+                && Partition.meet_subseteq ref_pi ref_rho equiv)
+            | None ->
+              check_bool (name ^ ": rejected by the bound") false
+                (Partition.meet_subseteq ref_pi ref_rho equiv))
+          [ Partition.universal n; Partition.identity n ]
+      done)
+    [ true; false ]
 
 (* The bucketed kernel behind [meet_subseteq] once the class-count
    product exceeds the pair-key cap ([max 1024 (4 * n)]), on fine
@@ -834,11 +932,13 @@ let test_polish_from_matches =
       let c = Rng.int rng k and d = Rng.int rng k in
       let pi, rho =
         match
-          Pair.close_merge ~next ~equiv:(Partition.universal n) ~pi:parent_pi
-            ~rho:parent_rho (Pair.Merge { on_pi; c; d })
+          (Pair.close_merge (Pair.Memo.create ~next)
+             ~equiv:(Partition.universal n) ~pi:parent_pi ~rho:parent_rho
+             (Pair.Merge { on_pi; c; d }))
+            .Pair.closed
         with
-        | Some pair, _ -> pair
-        | None, _ -> Alcotest.fail "universal equivalence rejected a merge"
+        | Some pair -> pair
+        | None -> Alcotest.fail "universal equivalence rejected a merge"
       in
       (* an equivalence the proposal's meet refines: (pi, rho) is
          admissible, so polish has room to move *)
@@ -992,6 +1092,9 @@ let () =
           qcheck test_coarsen_with_spec;
           qcheck test_close_merge_matches_oracle;
           qcheck test_close_merge_rejects_exactly;
+          qcheck test_split_bound_lemma;
+          Alcotest.test_case "split keeps the state apart" `Quick
+            test_split_keeps_state_apart;
           qcheck test_big_m_coarse_matches;
           qcheck test_memo_big_m_from;
           qcheck test_polish_from_matches;

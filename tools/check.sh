@@ -90,6 +90,9 @@ anytime_agree() {
 }
 anytime_agree dk16 --force-stochastic --evals 400
 anytime_agree planted:512x4@2 --evals 2000
+# Split-heavy: one proposal in two is a split, so the closed-form split
+# closures of both kinds meet the oracle at scale.
+anytime_agree planted:512x4@2 --evals 2000 --split-ratio 2
 
 echo "== selftest tbk: --jobs 1 and --jobs 2 reports must be identical =="
 # The minimizer shares one off-set index across its worker domains and
