@@ -9,8 +9,10 @@
    - `tables`: artifacts only.
    - `micro`: micro-benchmarks only.
    - `quick`: solver smoke test - solve the three heavy Table-1 rows
-     (dk16, dk512, tbk) under a hard wall-clock cap and check the factor
-     sizes against the paper; nonzero exit on timeout or mismatch.  This
+     (dk16, dk512, tbk) under a hard wall-clock cap, check the factor
+     sizes against the paper and the jobs-1 investigated / deduped /
+     pruned counts against the `sequential` columns of BENCH_solver.json
+     in the working directory; nonzero exit on timeout or mismatch.  This
      is the CI entry point (tools/check.sh).
    - `json`: write BENCH_solver.json - per-row sequential vs parallel
      wall time, investigated / deduped node counts and speedup.
@@ -172,28 +174,87 @@ let solver_runs ~timeout =
       { spec; seq; par })
     heavy_names
 
-(* Quick smoke: hard wall-clock cap, factors checked against the paper.
-   Exit status is the number of failing rows, so CI can gate on it. *)
+(* Work figures of the jobs-1 search.  The sequential traversal is
+   deterministic, so they are exact: any drift from the committed
+   BENCH_solver.json is a change in the search, never noise. *)
+let work_figures =
+  [
+    ("investigated", fun s -> s.Solver.investigated);
+    ("deduped", fun s -> s.Solver.deduped);
+    ("pruned", fun s -> s.Solver.pruned);
+  ]
+
+(* The [sequential] objects of a BENCH_solver.json, by row name. *)
+let committed_sequential path =
+  match Json.parse_file path with
+  | exception Sys_error msg -> Error msg
+  | Error msg -> Error (path ^ ": " ^ msg)
+  | Ok doc ->
+    let rows =
+      match Json.member "rows" doc with Some (Json.List rows) -> rows | _ -> []
+    in
+    Ok
+      (List.filter_map
+         (fun row ->
+           match (Json.member "name" row, Json.member "sequential" row) with
+           | Some (Json.String name), Some seq -> Some (name, seq)
+           | _ -> None)
+         rows)
+
+(* Quick smoke: hard wall-clock cap, factors checked against the paper,
+   jobs-1 work figures checked against BENCH_solver.json.  Exit status
+   is the number of failing rows, so CI can gate on it. *)
 let run_quick () =
   let cap = 30.0 in
+  let committed =
+    match committed_sequential "BENCH_solver.json" with
+    | Ok rows -> rows
+    | Error msg ->
+      Printf.printf "FAIL work figures: %s\n" msg;
+      []
+  in
   let failures = ref 0 in
   List.iter
     (fun name ->
       let spec = Option.get (Suite.find name) in
       let machine = Suite.machine spec in
       let r, wall = timed (fun () -> Solver.solve ~timeout:cap machine) in
+      let stats = r.Solver.stats in
       let s1 = Partition.num_classes r.Solver.best.Solver.pi
       and s2 = Partition.num_classes r.Solver.best.Solver.rho in
       let expected = (spec.Suite.paper.Suite.s1, spec.Suite.paper.Suite.s2) in
-      let ok = (not r.Solver.stats.Solver.timed_out) && (s1, s2) = expected in
+      let drift =
+        List.filter_map
+          (fun (key, figure) ->
+            let v = figure stats in
+            let recorded =
+              match
+                Option.bind (List.assoc_opt name committed) (Json.member key)
+              with
+              | Some (Json.Int x) -> Some x
+              | _ -> None
+            in
+            if recorded = Some v then None
+            else
+              Some
+                (Printf.sprintf "%s %d (BENCH_solver.json %s)" key v
+                   (match recorded with
+                   | Some x -> string_of_int x
+                   | None -> "missing")))
+          work_figures
+      in
+      let ok =
+        (not stats.Solver.timed_out) && (s1, s2) = expected && drift = []
+      in
       if not ok then incr failures;
       Printf.printf
         "%-8s %s  %.2fs  factors %d/%d (paper %d/%d)  investigated %d  deduped %d%s\n"
         name
         (if ok then "ok  " else "FAIL")
         wall s1 s2 (fst expected) (snd expected)
-        r.Solver.stats.Solver.investigated r.Solver.stats.Solver.deduped
-        (if r.Solver.stats.Solver.timed_out then "  (timeout)" else ""))
+        stats.Solver.investigated stats.Solver.deduped
+        (if stats.Solver.timed_out then "  (timeout)" else "");
+      List.iter (Printf.printf "         work figure differs: %s\n") drift)
     heavy_names;
   if !failures > 0 then
     Printf.printf "quick smoke: %d of %d rows failed\n" !failures

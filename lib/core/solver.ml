@@ -89,14 +89,20 @@ end)
    candidates as starting points for the final hill climb. *)
 let pool_capacity = 16
 
+(* Transposition-table entry.  [Open] nodes were expanded from branch
+   index [lowest] on and keep their m-image, so a re-arrival below
+   [lowest] expands without recomputing it.  [Closed] nodes are never
+   expanded again: pruned by Lemma 1, or the root, whose branches the
+   fan-out hands out.  [Closed] acts as [lowest = 0] - no arrival sits
+   below index 0. *)
+type node = Closed | Open of { lowest : int; m_pi : Partition.t }
+
 (* Per-domain search state.  Everything here is owned by exactly one domain
    during the parallel walk and merged after the joins. *)
 type worker = {
   memo : Pair.Memo.t;
-  (* Transposition table over the Mm-sub-lattice: partition -> lowest
-     [from_index] it has been expanded with ([closed_node] once the node
-     can never need re-expansion, e.g. after Lemma-1 pruning). *)
-  seen : int PTbl.t;
+  (* Transposition table over the Mm-sub-lattice. *)
+  seen : node PTbl.t;
   mutable investigated : int;
   mutable deduped : int;
   mutable pruned : int;
@@ -104,8 +110,6 @@ type worker = {
   (* Sorted best-first, at most [pool_capacity] entries. *)
   mutable pool : solution list;
 }
-
-let closed_node = 0
 
 let new_worker ~next () =
   {
@@ -148,9 +152,12 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
   let next = machine.next in
   let n = machine.num_states in
   let equiv = equivalence_partition machine in
-  let basis =
+  (* [basis_m.(j)] = m(basis.(j)): m is join-homomorphic, so a child's
+     m-image is its parent's joined with the branch's. *)
+  let basis, basis_m =
     Trace.span ~cat:"solver" "basis" (fun () ->
-        Array.of_list (Pair.basis ~next))
+        let basis = Array.of_list (Pair.basis ~next) in
+        (basis, Array.map (Pair.m ~next) basis))
   in
   let num_basis = Array.length basis in
   let jobs =
@@ -259,84 +266,86 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
 
      Each (pi, j) join is thus computed at most once, collapsing the
      2^|MM| subset tree to the Mm-sub-lattice it generates.  Lemma-1
-     pruning marks pi [closed_node] (= index 0): no re-arrival can sit
-     below index 0, so pruned nodes are never touched again. *)
-  let rec visit w pi from_index =
+     pruning marks pi [Closed], so pruned nodes are never touched
+     again. *)
+  let arrive w =
+    (* The root always runs to completion so that the trivial solution is
+       recorded even under a zero timeout. *)
+    if Atomic.get node_count > 0 then begin
+      Progress.tick progress;
+      if Atomic.get cancelled then raise Timeout;
+      if Atomic.get node_count >= max_nodes then raise Timeout;
+      if Clock.now () -. start > timeout then raise Timeout
+    end;
+    Atomic.incr node_count;
+    w.investigated <- w.investigated + 1;
+    Metrics.incr m_investigated
+  in
+  (* First arrival at pi, whose m-image is [m_a \/ m_b].  Lemma 1 comes
+     first: if m(pi) /\ pi does not refine equivalence, no successor can
+     yield an admissible pair with right member above pi, and neither
+     candidate at pi is admissible either (DESIGN.md section 11) - so a
+     pruned node costs one fused test and builds nothing.  Otherwise the
+     candidates are recorded: the Mm-pair (M(pi), pi), then (m(pi), pi),
+     whose intersection with pi is minimal among all pairs bracketed by
+     the Mm-pair (Theorem 2 discussion).  Returns m(pi) when pi is to be
+     expanded. *)
+  let evaluate w pi m_a m_b =
+    if prune && not (Partition.join_meet_subseteq m_a m_b pi equiv) then begin
+      w.pruned <- w.pruned + 1;
+      Metrics.incr m_pruned;
+      PTbl.replace w.seen pi Closed;
+      None
+    end
+    else begin
+      let m_pi = Partition.join m_a m_b in
+      let big_m_pi = Pair.Memo.big_m w.memo pi in
+      record w big_m_pi pi;
+      if not (Partition.equal m_pi big_m_pi) then record w m_pi pi;
+      Some m_pi
+    end
+  in
+  let rec visit w pi m_a m_b from_index =
     match PTbl.find_opt w.seen pi with
-    | Some lowest when lowest <= from_index ->
+    | Some (Open { lowest; m_pi }) when from_index < lowest ->
+      arrive w;
+      expand w pi m_pi from_index lowest
+    | Some _ ->
       w.deduped <- w.deduped + 1;
       Metrics.incr m_deduped
-    | prior ->
-      (* The root always runs to completion so that the trivial solution is
-         recorded even under a zero timeout. *)
-      if Atomic.get node_count > 0 then begin
-        Progress.tick progress;
-        if Atomic.get cancelled then raise Timeout;
-        if Atomic.get node_count >= max_nodes then raise Timeout;
-        if Clock.now () -. start > timeout then raise Timeout
-      end;
-      Atomic.incr node_count;
-      w.investigated <- w.investigated + 1;
-      Metrics.incr m_investigated;
-      let upto = match prior with None -> num_basis | Some lowest -> lowest in
-      let expand () =
-        PTbl.replace w.seen pi from_index;
-        for j = from_index to upto - 1 do
-          visit w (Partition.join pi basis.(j)) (j + 1)
-        done
-      in
-      match prior with
-      | Some _ -> expand ()
-      | None ->
-        let mpi = Pair.Memo.m w.memo pi in
-        let big_mpi = Pair.Memo.big_m w.memo pi in
-        (* Candidate 1: the Mm-pair (M(pi), pi). *)
-        record w big_mpi pi;
-        (* Candidate 2: (m(pi), pi), whose intersection with pi is minimal
-           among all pairs bracketed by the Mm-pair (Theorem 2 discussion). *)
-        if not (Partition.equal mpi big_mpi) then record w mpi pi;
-        (* Lemma 1: if m(pi) /\ pi does not refine equivalence, no successor
-           can yield an admissible pair with right member above pi. *)
-        let viable = Partition.meet_subseteq mpi pi equiv in
-        if prune && not viable then begin
-          w.pruned <- w.pruned + 1;
-          Metrics.incr m_pruned;
-          PTbl.replace w.seen pi closed_node
-        end
-        else expand ()
+    | None -> (
+      arrive w;
+      match evaluate w pi m_a m_b with
+      | Some m_pi -> expand w pi m_pi from_index num_basis
+      | None -> ())
+  and expand w pi m_pi from_index upto =
+    PTbl.replace w.seen pi (Open { lowest = from_index; m_pi });
+    for j = from_index to upto - 1 do
+      visit w (Partition.join pi basis.(j)) m_pi basis_m.(j) (j + 1)
+    done
   in
-  (* Root node, handled in the calling domain before any fan-out. *)
+  (* Root node, handled in the calling domain before any fan-out.  It is
+     always viable: m(identity) = identity. *)
   let root = Partition.identity n in
   let main_worker = new_worker ~next () in
   workers_ref := [ main_worker ];
-  Atomic.incr node_count;
-  main_worker.investigated <- 1;
-  Metrics.incr m_investigated;
-  let root_viable =
+  let m_root =
     Trace.span ~cat:"solver" "root" (fun () ->
-        let m_root = Pair.Memo.m main_worker.memo root in
-        let big_m_root = Pair.Memo.big_m main_worker.memo root in
-        record main_worker big_m_root root;
-        if not (Partition.equal m_root big_m_root) then
-          record main_worker m_root root;
-        Partition.meet_subseteq m_root root equiv)
+        arrive main_worker;
+        evaluate main_worker root root root)
   in
-  PTbl.replace main_worker.seen root closed_node;
-  if prune && not root_viable then begin
-    main_worker.pruned <- main_worker.pruned + 1;
-    Metrics.incr m_pruned
-  end;
+  PTbl.replace main_worker.seen root Closed;
   (* Fan the top-level basis branches out over domains: a shared atomic
      cursor hands branch j (= subtree rooted at basis.(j)) to the next free
      worker.  Each domain dedupes against its own transposition table;
      overlap across domains costs repeated work, never correctness. *)
-  let run_worker w =
+  let run_worker w m_root =
     try
       Trace.span ~cat:"solver" "dfs" @@ fun () ->
       let rec loop () =
         let j = Atomic.fetch_and_add next_branch 1 in
         if j < num_basis && not (Atomic.get cancelled) then begin
-          visit w (Partition.join root basis.(j)) (j + 1);
+          visit w (Partition.join root basis.(j)) m_root basis_m.(j) (j + 1);
           loop ()
         end
       in
@@ -346,29 +355,28 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
       Atomic.set timed_out true
   in
   let workers =
-    if (not prune) || root_viable then begin
-      if jobs = 1 || num_basis <= 1 then begin
-        (* Sequential fast path: identical traversal order (hence identical
-           stats) on every run, no domain overhead. *)
-        run_worker main_worker;
-        [ main_worker ]
-      end
-      else begin
-        let extras =
-          List.init
-            (min (jobs - 1) (num_basis - 1))
-            (fun _ -> new_worker ~next ())
-        in
-        workers_ref := main_worker :: extras;
-        let domains =
-          List.map (fun w -> Domain.spawn (fun () -> run_worker w)) extras
-        in
-        run_worker main_worker;
-        List.iter Domain.join domains;
-        main_worker :: extras
-      end
-    end
-    else [ main_worker ]
+    match m_root with
+    | None -> [ main_worker ]
+    | Some m_root when jobs = 1 || num_basis <= 1 ->
+      (* Sequential fast path: identical traversal order (hence identical
+         stats) on every run, no domain overhead. *)
+      run_worker main_worker m_root;
+      [ main_worker ]
+    | Some m_root ->
+      let extras =
+        List.init
+          (min (jobs - 1) (num_basis - 1))
+          (fun _ -> new_worker ~next ())
+      in
+      workers_ref := main_worker :: extras;
+      let domains =
+        List.map
+          (fun w -> Domain.spawn (fun () -> run_worker w m_root))
+          extras
+      in
+      run_worker main_worker m_root;
+      List.iter Domain.join domains;
+      main_worker :: extras
   in
   let best =
     match Atomic.get best with

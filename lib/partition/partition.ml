@@ -497,28 +497,38 @@ let join_rows p q =
   done;
   intern ~rows ~n ~count cls
 
-(* Fine-regime join: union-find over [p]'s class ids (path halving, no
-   ranks - the forests are tiny), unioning along each coarse block of
-   [q] - singleton [q]-blocks merge nothing and are skipped via the
-   rows.  The output pass fuses find with the stamped first-occurrence
-   renumbering, so the whole join is one scan of [q]'s coarse members
-   plus one scan of the elements. *)
+(* Union-find over [p]'s class ids (path halving, no ranks - the forests
+   are tiny), unioning along each coarse block of [q]: singleton
+   [q]-blocks merge nothing and are skipped via the rows.  Afterwards
+   classes [c] and [d] of [p] lie in one block of [join p q] iff
+   [uf_find parent c = uf_find parent d].  [parent] needs [p.count]
+   slots. *)
+let rec uf_find parent c =
+  let pc = Array.unsafe_get parent c in
+  if pc = c then c
+  else begin
+    let gp = Array.unsafe_get parent pc in
+    Array.unsafe_set parent c gp;
+    uf_find parent gp
+  end
+
+let uf_join_classes parent p q =
+  for c = 0 to p.count - 1 do
+    Array.unsafe_set parent c c
+  done;
+  iter_coarse_members q (fun rep s ->
+      let a = uf_find parent (Array.unsafe_get p.cls rep)
+      and b = uf_find parent (Array.unsafe_get p.cls s) in
+      if a <> b then Array.unsafe_set parent b a)
+
+(* Fine-regime join: the class-id union-find above, then one output pass
+   that fuses find with the stamped first-occurrence renumbering - the
+   whole join is one scan of [q]'s coarse members plus one scan of the
+   elements. *)
 let join_uf p q =
   let n = p.n in
-  let parent = Array.init p.count (fun c -> c) in
-  let rec find c =
-    let pc = Array.unsafe_get parent c in
-    if pc = c then c
-    else begin
-      let gp = Array.unsafe_get parent pc in
-      Array.unsafe_set parent c gp;
-      find gp
-    end
-  in
-  iter_coarse_members q (fun rep s ->
-      let a = find (Array.unsafe_get p.cls rep)
-      and b = find (Array.unsafe_get p.cls s) in
-      if a <> b then Array.unsafe_set parent b a);
+  let parent = Array.make p.count 0 in
+  uf_join_classes parent p q;
   let a = Domain.DLS.get scratch in
   Arena.Stamped.ensure a p.count;
   let e = Arena.Stamped.bump a in
@@ -526,7 +536,7 @@ let join_uf p q =
   let out = Array.make n 0 in
   let count = ref 0 in
   for s = 0 to n - 1 do
-    let c = find (Array.unsafe_get p.cls s) in
+    let c = uf_find parent (Array.unsafe_get p.cls s) in
     if Array.unsafe_get stamp c = e then
       Array.unsafe_set out s (Array.unsafe_get data c)
     else begin
@@ -586,24 +596,52 @@ let subseteq p q =
           !ok
         end)
 
-(* Bucketed meet-refinement kernel over raw id maps: elements are
-   counting-sorted by their [a] id, and each bucket of two or more gets
-   a fresh epoch of one stamped table indexed by [b] id that holds the
-   [r] class seen first - the meet refines [r] iff no bucket sees one
-   [b] id with two [r] classes.  O(n + na) time and O(n + na + nb)
-   reused per-domain scratch, no hashing.  Serves [meet_subseteq] when
-   the flat pair-key table would outgrow [pair_key_cap], and
-   Pair.close_merge's check on its union-find roots. *)
-type buckets = { mutable ends : int array; mutable order : int array }
+(* Meet-refinement kernel over raw id maps: the meet of [a] and [b]
+   refines [r] iff all elements sharing an ([a], [b]) id pair share
+   their [r] class.
 
-let bucket_scratch =
-  Domain.DLS.new_key (fun () -> { ends = [||]; order = [||] })
+   Small key spaces ([na * nb] within [pair_key_cap]) stamp one table
+   indexed by the pair key with the [r] class seen first.  Larger ones
+   counting-sort the elements by their [a] id, and each bucket of two or
+   more gets a fresh epoch of one stamped table indexed by [b] id: O(n +
+   na) time and O(n + na + nb) reused per-domain scratch, no hashing.
+   Both paths stop at the first witness, and both index their stamped
+   table with checked accesses: the maps come from outside the module. *)
+type map_scratch = {
+  mutable ends : int array;
+  mutable order : int array;
+  mutable parent : int array;  (* union-find of [join_meet_subseteq] *)
+  mutable roots : int array;  (* its root map, one id per element *)
+}
 
-let meet_subseteq_maps a ~na b ~nb r =
+let map_scratch =
+  Domain.DLS.new_key (fun () ->
+      { ends = [||]; order = [||]; parent = [||]; roots = [||] })
+
+let meet_subseteq_pairs a ~na b ~nb r =
+  let st = Domain.DLS.get scratch in
+  Arena.Stamped.ensure st (na * nb);
+  let ok = ref true in
+  let e = Arena.Stamped.bump st in
+  let data = st.data and stamp = st.stamp and rc = r.cls in
+  let s = ref 0 in
+  while !ok && !s < r.n do
+    let key = (Array.unsafe_get a !s * nb) + Array.unsafe_get b !s in
+    let cr = Array.unsafe_get rc !s in
+    if stamp.(key) = e then begin
+      if data.(key) <> cr then ok := false
+    end
+    else begin
+      stamp.(key) <- e;
+      data.(key) <- cr
+    end;
+    incr s
+  done;
+  !ok
+
+let meet_subseteq_buckets a ~na b ~nb r =
   let n = r.n in
-  if Array.length a < n || Array.length b < n then
-    invalid_arg "Partition.meet_subseteq_maps: map shorter than n";
-  let sc = Domain.DLS.get bucket_scratch in
+  let sc = Domain.DLS.get map_scratch in
   sc.ends <- Arena.ensure sc.ends (na + 1);
   sc.order <- Arena.ensure sc.order n;
   let ends = sc.ends and order = sc.order in
@@ -652,9 +690,12 @@ let meet_subseteq_maps a ~na b ~nb r =
   done;
   !ok
 
-(* [subseteq (meet p q) r] without materializing (or interning) the
-   meet: the meet refines r iff all elements sharing a (p, q) class
-   pair share their r class. *)
+let meet_subseteq_maps a ~na b ~nb r =
+  if Array.length a < r.n || Array.length b < r.n then
+    invalid_arg "Partition.meet_subseteq_maps: map shorter than n";
+  if na * nb <= pair_key_cap r.n then meet_subseteq_pairs a ~na b ~nb r
+  else meet_subseteq_buckets a ~na b ~nb r
+
 let meet_subseteq p q r =
   if p.n <> q.n || p.n <> r.n then
     invalid_arg "Partition.meet_subseteq: size mismatch";
@@ -662,29 +703,29 @@ let meet_subseteq p q r =
   else if p == q then subseteq p r
   else if is_universal p then subseteq q r
   else if is_universal q then subseteq p r
-  else if p.count * q.count > pair_key_cap p.n then
-    meet_subseteq_maps p.cls ~na:p.count q.cls ~nb:q.count r
+  else meet_subseteq_maps p.cls ~na:p.count q.cls ~nb:q.count r
+
+(* [subseteq (meet (join a b) p) r] with neither the join nor the meet
+   built: the class-id union-find of [join_uf] gives every element the
+   root of its [join a b] block, and that root map goes straight into
+   the meet kernel.  The forest and the root map are per-domain
+   scratch, so a test allocates nothing but the closure of the member
+   walk. *)
+let join_meet_subseteq a b p r =
+  if a.n <> b.n || a.n <> p.n || a.n <> r.n then
+    invalid_arg "Partition.join_meet_subseteq: size mismatch";
+  if a == b || is_identity b || is_universal a then meet_subseteq a p r
+  else if is_identity a || is_universal b then meet_subseteq b p r
   else begin
-    let a = Domain.DLS.get scratch in
-    Arena.Stamped.ensure a (p.count * q.count);
-    let e = Arena.Stamped.bump a in
-    let data = a.data and stamp = a.stamp in
-    let pc = p.cls and qc = q.cls and rc = r.cls and qn = q.count in
-    let ok = ref true in
-    let s = ref 0 in
-    while !ok && !s < p.n do
-      let key = (Array.unsafe_get pc !s * qn) + Array.unsafe_get qc !s in
-      let cr = Array.unsafe_get rc !s in
-      if Array.unsafe_get stamp key = e then begin
-        if Array.unsafe_get data key <> cr then ok := false
-      end
-      else begin
-        Array.unsafe_set stamp key e;
-        Array.unsafe_set data key cr
-      end;
-      incr s
+    let sc = Domain.DLS.get map_scratch in
+    sc.parent <- Arena.ensure sc.parent a.count;
+    sc.roots <- Arena.ensure sc.roots a.n;
+    let parent = sc.parent and roots = sc.roots in
+    uf_join_classes parent a b;
+    for s = 0 to a.n - 1 do
+      Array.unsafe_set roots s (uf_find parent (Array.unsafe_get a.cls s))
     done;
-    !ok
+    meet_subseteq_maps roots ~na:a.count p.cls ~nb:p.count r
   end
 
 let equal p q =

@@ -118,12 +118,23 @@ val meet_subseteq : t -> t -> t -> bool
     id maps instead of partitions: elements [s] and [t] of the meet lie
     together iff [a.(s) = a.(t)] and [b.(s) = b.(t)].  The maps need not
     be canonical or dense, but must cover [0 .. size r - 1] with ids in
-    [\[0, na)] and [\[0, nb)].  Elements are counting-sorted by [a] and
-    each bucket is checked against one epoch of a stamped table indexed
-    by [b]: O(n + na) time, no hashing, no allocation in the steady
-    state.  This is the large-class-count path of {!meet_subseteq} and
-    the final check of {!Pair.close_merge} on its union-find roots. *)
+    [\[0, na)] and [\[0, nb)].  A key space [na * nb] of at most
+    [max 1024 (4 n)] is checked through one epoch of a stamped table
+    indexed by the id pair; beyond it, elements are counting-sorted by
+    [a] and each bucket is checked against one epoch of a stamped table
+    indexed by [b]: O(n + na) time, no hashing, no allocation in the
+    steady state.  This is the kernel behind {!meet_subseteq},
+    {!join_meet_subseteq} and the final check of {!Pair.close_merge} on
+    its union-find roots. *)
 val meet_subseteq_maps : int array -> na:int -> int array -> nb:int -> t -> bool
+
+(** [join_meet_subseteq a b p r] is [subseteq (meet (join a b) p) r]
+    with neither the join nor the meet materialized (or interned): a
+    union-find over [a]'s class ids along [b]'s non-singleton blocks
+    gives each element its [join a b] block, and that root map goes to
+    {!meet_subseteq_maps}.  The exact solver's Lemma-1 test on a child
+    [pi \/ b_j], whose m-image is [m pi \/ m b_j]. *)
+val join_meet_subseteq : t -> t -> t -> t -> bool
 
 (** [equal p q] is semantic (= structural) equality; thanks to interning
     it is usually decided by a pointer comparison. *)

@@ -8,6 +8,7 @@ module Solver = Stc_core.Solver
 module Realization = Stc_core.Realization
 module Ostr = Stc_core.Ostr
 module Rng = Stc_util.Rng
+module Suite = Stc_benchmarks.Suite
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -232,6 +233,63 @@ let test_solver_dedupe_accounting () =
   check_bool "investigated bounded" true
     (float_of_int r.stats.investigated <= r.stats.search_space)
 
+(* The solver tests Lemma 1 before it builds M(pi) or records anything:
+   a node whose m(pi) /\ pi does not refine equivalence must admit
+   neither candidate.  Nodes are drawn from the DFS's own lattice (joins
+   of basis elements) and from arbitrary partitions. *)
+let test_solver_nonviable_admits_nothing =
+  QCheck.Test.make ~count:200 ~name:"non-viable pi admits neither candidate"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 7 in
+      let m =
+        Generate.random ~rng ~name:"v" ~num_states:n
+          ~num_inputs:(1 lsl Rng.int rng 3) ~num_outputs:2 ~ensure_reduced:false
+          ()
+      in
+      let next = m.Machine.next in
+      let equiv = Solver.equivalence_partition m in
+      let basis = Array.of_list (Pair.basis ~next) in
+      let lattice_node () =
+        Array.fold_left
+          (fun acc b -> if Rng.int rng 3 = 0 then Partition.join acc b else acc)
+          (Partition.identity n) basis
+      in
+      let arbitrary () =
+        Partition.of_class_map (Array.init n (fun _ -> Rng.int rng n))
+      in
+      List.for_all
+        (fun pi ->
+          let m_pi = Pair.m ~next pi in
+          Partition.meet_subseteq m_pi pi equiv
+          || not
+               (Pair.admissible ~next ~equiv (Pair.big_m ~next pi) pi
+               || Pair.admissible ~next ~equiv m_pi pi))
+        (List.init 8 (fun i ->
+             if i < 4 then lattice_node () else arbitrary ())))
+
+(* The jobs-1 traversal is deterministic, so its work figures are pinned:
+   evaluation order inside a node may change, the walk may not.  The node
+   cap stops a walk that grows one node past the pinned count, so a
+   search that lost its pruning fails here instead of running on. *)
+let test_solver_pinned_counters () =
+  List.iter
+    (fun (name, investigated, deduped, pruned, solutions, bits) ->
+      let m = Suite.machine (Option.get (Suite.find name)) in
+      let r = Solver.solve ~jobs:1 ~max_nodes:(investigated + 1) m in
+      check_bool (name ^ ": walk completes") false r.stats.timed_out;
+      check_int (name ^ ": investigated") investigated r.stats.investigated;
+      check_int (name ^ ": deduped") deduped r.stats.deduped;
+      check_int (name ^ ": pruned") pruned r.stats.pruned;
+      check_int (name ^ ": solutions") solutions r.stats.solutions;
+      check_int (name ^ ": bits") bits r.best.cost.bits)
+    [
+      ("dk16", 49_374, 5_686, 48_641, 13, 10);
+      ("dk512", 72_430, 57_123, 63_249, 3, 8);
+      ("tbk", 170, 448, 130, 3, 8);
+    ]
+
 let test_solver_unreduced_machine () =
   (* A machine with equivalent states: pi /\ rho only needs to refine the
      equivalence, so the twins can share a class in both factors. *)
@@ -411,6 +469,8 @@ let () =
           Alcotest.test_case "counter is trivial" `Quick test_solver_counter_trivial;
           Alcotest.test_case "toggle is trivial" `Quick test_solver_toggle_trivial;
           Alcotest.test_case "stats accounting" `Quick test_solver_stats_accounting;
+          Alcotest.test_case "pinned corpus counters" `Quick
+            test_solver_pinned_counters;
           qcheck test_solver_pruning_soundness;
           qcheck test_solver_matches_exhaustive;
           qcheck test_solver_solutions_always_valid;
@@ -424,6 +484,7 @@ let () =
           Alcotest.test_case "dedupe accounting" `Quick
             test_solver_dedupe_accounting;
           Alcotest.test_case "unreduced machine" `Quick test_solver_unreduced_machine;
+          qcheck test_solver_nonviable_admits_nothing;
           Alcotest.test_case "validate rejects bad pairs" `Quick
             test_validate_rejects_bad_pairs;
           Alcotest.test_case "cost ordering" `Quick test_compare_cost_ordering;

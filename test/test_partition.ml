@@ -348,6 +348,20 @@ let test_m_monotone =
       Partition.subseteq (Pair.m ~next p) (Pair.m ~next q)
       && Partition.subseteq (Pair.big_m ~next p) (Pair.big_m ~next q))
 
+(* The exact solver carries m down the DFS: a child's m-image is its
+   parent's joined with the branch's, and interning makes it the very
+   value [m] builds. *)
+let test_m_join_homomorphic =
+  QCheck.Test.make ~count:300 ~name:"m (join p q) == join (m p) (m q)"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 10 and k = 1 + Rng.int rng 3 in
+      let next = random_next rng n k in
+      let p = random_partition rng n and q = random_partition rng n in
+      let m = Pair.m ~next in
+      m (Partition.join p q) == Partition.join (m p) (m q))
+
 (* The identity behind the search tree: m(pi) is the join of the basis
    elements m(p_{s,t}) over the pairs (s,t) inside pi. *)
 let test_m_is_join_of_basis =
@@ -501,6 +515,31 @@ let test_meet_subseteq_matches_composition =
       direct = Partition.subseteq (Partition.meet p q) r
       (* and a guaranteed-true instance *)
       && Partition.meet_subseteq p q (Partition.meet p q))
+
+(* The exact solver's fused Lemma-1 test.  Identity and universal
+   operands take the kernel's short cuts, so each operand is replaced by
+   one of them now and then. *)
+let test_join_meet_subseteq_matches_composition =
+  QCheck.Test.make ~count:400
+    ~name:"join_meet_subseteq a b p r = subseteq (meet (join a b) p) r"
+    QCheck.(pair (int_bound 100000) size_gen)
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let operand () =
+        match Rng.int rng 6 with
+        | 0 -> Partition.identity n
+        | 1 -> Partition.universal n
+        | _ -> Partition.of_class_map (wild_class_map rng n)
+      in
+      let a = operand () in
+      let b = operand () in
+      let p = operand () in
+      let r = operand () in
+      let composed = Partition.meet (Partition.join a b) p in
+      Partition.join_meet_subseteq a b p r = Partition.subseteq composed r
+      && Partition.join_meet_subseteq a a p r = Partition.meet_subseteq a p r
+      (* and a guaranteed-true instance *)
+      && Partition.join_meet_subseteq a b p composed)
 
 (* Relabeling the input class map must not change the partition - and
    therefore not its hash. *)
@@ -1042,6 +1081,7 @@ let () =
           qcheck test_join_all_matches_reference;
           qcheck test_subseteq_matches_reference;
           qcheck test_meet_subseteq_matches_composition;
+          qcheck test_join_meet_subseteq_matches_composition;
           qcheck test_meet_subseteq_bucketed;
           qcheck test_hash_stable_under_relabeling;
           qcheck test_iter_coarse_members_spec;
@@ -1083,6 +1123,7 @@ let () =
           qcheck test_adjunction_identities;
           qcheck test_m_monotone;
           qcheck test_m_is_join_of_basis;
+          qcheck test_m_join_homomorphic;
           Alcotest.test_case "basis properties" `Quick test_basis_properties;
           qcheck test_mm_pairs_are_mm;
         ] );

@@ -1,8 +1,10 @@
 #!/bin/sh
 # CI gate: full build, the complete test suite, and the solver smoke
 # benchmark (dk16 / dk512 / tbk must reproduce the paper's Table-1 factors
-# under a hard wall-clock cap - the bench exits nonzero on timeout or
-# factor mismatch).  Run from the repository root.
+# under a hard wall-clock cap, with the jobs-1 investigated / deduped /
+# pruned counts of BENCH_solver.json - the bench exits nonzero on
+# timeout, factor mismatch or a differing work figure).  Run from the
+# repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
