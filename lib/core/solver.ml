@@ -94,8 +94,9 @@ let pool_capacity = 16
    [lowest] expands without recomputing it.  [Closed] nodes are never
    expanded again: pruned by Lemma 1, or the root, whose branches the
    fan-out hands out.  [Closed] acts as [lowest = 0] - no arrival sits
-   below index 0. *)
-type node = Closed | Open of { lowest : int; m_pi : Partition.t }
+   below index 0.  [Viable] nodes passed Lemma 1 in a parent's phase 1
+   and wait for their first visit. *)
+type node = Closed | Viable | Open of { lowest : int; m_pi : Partition.t }
 
 (* Per-domain search state.  Everything here is owned by exactly one domain
    during the parallel walk and merged after the joins. *)
@@ -103,6 +104,12 @@ type worker = {
   memo : Pair.Memo.t;
   (* Transposition table over the Mm-sub-lattice. *)
   seen : node PTbl.t;
+  (* Survivor stack: an expanding node pushes the branch indices of its
+     children that passed Lemma 1 (and the children themselves) above its
+     ancestors' entries, visits them, and pops them again. *)
+  mutable live : int array;
+  mutable kids : Partition.t array;
+  mutable top : int;
   mutable investigated : int;
   mutable deduped : int;
   mutable pruned : int;
@@ -115,12 +122,30 @@ let new_worker ~next () =
   {
     memo = Pair.Memo.create ~next;
     seen = PTbl.create 4096;
+    live = [||];
+    kids = [||];
+    top = 0;
     investigated = 0;
     deduped = 0;
     pruned = 0;
     solutions = 0;
     pool = [];
   }
+
+(* Growth copies into fresh arrays, so a slice of the old [live] array that
+   a caller still holds keeps its contents. *)
+let push_survivor w j kid =
+  if w.top = Array.length w.live then begin
+    let cap = max 64 (2 * w.top) in
+    let live = Array.make cap 0 and kids = Array.make cap kid in
+    Array.blit w.live 0 live 0 w.top;
+    Array.blit w.kids 0 kids 0 w.top;
+    w.live <- live;
+    w.kids <- kids
+  end;
+  w.live.(w.top) <- j;
+  w.kids.(w.top) <- kid;
+  w.top <- w.top + 1
 
 (* Bounded insertion sort keyed by [compare_cost]: O(pool_capacity) per
    candidate instead of the former sort of the whole pool. *)
@@ -177,9 +202,11 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
   let node_count = Atomic.make 0 in
   let cancelled = Atomic.make false in
   let timed_out = Atomic.make false in
-  (* Top-level branch cursor for the domain fan-out (declared here so the
+  (* Top-level branch cursor for the domain fan-out and the number of
+     branches the root's Lemma-1 pass leaves (declared here so the
      progress reporter can render the remaining queue depth). *)
   let next_branch = Atomic.make 0 in
+  let branches = ref num_basis in
   let rec offer_best sol =
     let current = Atomic.get best in
     let better =
@@ -225,8 +252,8 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
           (float_of_int nodes /. elapsed)
           best_bits (pct hits misses)
           (pct deduped investigated)
-          (max 0 (num_basis - Atomic.get next_branch))
-          num_basis
+          (max 0 (!branches - Atomic.get next_branch))
+          !branches
           (List.length !workers_ref))
       ()
   in
@@ -267,7 +294,19 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
      Each (pi, j) join is thus computed at most once, collapsing the
      2^|MM| subset tree to the Mm-sub-lattice it generates.  Lemma-1
      pruning marks pi [Closed], so pruned nodes are never touched
-     again. *)
+     again.
+
+     Non-viability is upward-closed (DESIGN.md section 11): once
+     pi \/ b_j fails Lemma 1, so does every join above pi that adds b_j.
+     An expansion therefore tests its children first and hands each
+     survivor only the surviving indices above its own, a sorted slice
+     [live.(lo .. hi - 1)]; an index dead at a node is never joined again
+     in its subtree.  Every skipped child is non-viable (or, for a basis
+     element equal to the identity, the node itself), so it would have
+     recorded and expanded nothing: the viable nodes, their order and
+     their [lowest] indices are those of the full walk, and an
+     [Open {lowest}] entry still covers every viable child from [lowest]
+     on. *)
   let arrive w =
     (* The root always runs to completion so that the trivial solution is
        recorded even under a zero timeout. *)
@@ -281,102 +320,145 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
     w.investigated <- w.investigated + 1;
     Metrics.incr m_investigated
   in
-  (* First arrival at pi, whose m-image is [m_a \/ m_b].  Lemma 1 comes
-     first: if m(pi) /\ pi does not refine equivalence, no successor can
-     yield an admissible pair with right member above pi, and neither
-     candidate at pi is admissible either (DESIGN.md section 11) - so a
-     pruned node costs one fused test and builds nothing.  Otherwise the
-     candidates are recorded: the Mm-pair (M(pi), pi), then (m(pi), pi),
-     whose intersection with pi is minimal among all pairs bracketed by
-     the Mm-pair (Theorem 2 discussion).  Returns m(pi) when pi is to be
-     expanded. *)
-  let evaluate w pi m_a m_b =
-    if prune && not (Partition.join_meet_subseteq m_a m_b pi equiv) then begin
-      w.pruned <- w.pruned + 1;
-      Metrics.incr m_pruned;
-      PTbl.replace w.seen pi Closed;
-      None
-    end
-    else begin
-      let m_pi = Partition.join m_a m_b in
-      let big_m_pi = Pair.Memo.big_m w.memo pi in
-      record w big_m_pi pi;
-      if not (Partition.equal m_pi big_m_pi) then record w m_pi pi;
-      Some m_pi
-    end
+  let dedup w =
+    w.deduped <- w.deduped + 1;
+    Metrics.incr m_deduped
   in
-  let rec visit w pi m_a m_b from_index =
+  (* First visit of a viable pi, whose m-image is [m_a \/ m_b]: record the
+     Mm-pair (M(pi), pi), then (m(pi), pi), whose intersection with pi is
+     minimal among all pairs bracketed by the Mm-pair (Theorem 2
+     discussion).  Returns m(pi). *)
+  let evaluate w pi m_a m_b =
+    let m_pi = Partition.join m_a m_b in
+    let big_m_pi = Pair.Memo.big_m w.memo pi in
+    record w big_m_pi pi;
+    if not (Partition.equal m_pi big_m_pi) then record w m_pi pi;
+    m_pi
+  in
+  (* Phase 1 of an expansion of pi: push every child pi \/ b_j, for j in
+     [live.(lo .. hi - 1)] below [upto], that is still live.  The first
+     arrival at a child tests Lemma 1: if m(pi \/ b_j) /\ (pi \/ b_j) does
+     not refine equivalence, no successor can yield an admissible pair
+     with right member above it, and neither candidate at the child is
+     admissible either (DESIGN.md section 11) - so a pruned child costs
+     one fused test and builds nothing.  A child that passes is [Viable]
+     until its first visit records it. *)
+  let push_children w pi m_pi upto live lo hi =
+    let p = ref lo in
+    while !p < hi && live.(!p) < upto do
+      let j = live.(!p) in
+      let child = Partition.join pi basis.(j) in
+      (match PTbl.find_opt w.seen child with
+      | Some Closed -> dedup w
+      | Some (Open _ | Viable) -> push_survivor w j child
+      | None ->
+        arrive w;
+        if
+          (not prune)
+          || Partition.join_meet_subseteq m_pi basis_m.(j) child equiv
+        then begin
+          PTbl.replace w.seen child Viable;
+          push_survivor w j child
+        end
+        else begin
+          w.pruned <- w.pruned + 1;
+          Metrics.incr m_pruned;
+          PTbl.replace w.seen child Closed
+        end);
+      incr p
+    done
+  in
+  let rec visit w pi m_a m_b from_index live lo hi =
     match PTbl.find_opt w.seen pi with
     | Some (Open { lowest; m_pi }) when from_index < lowest ->
       arrive w;
-      expand w pi m_pi from_index lowest
-    | Some _ ->
-      w.deduped <- w.deduped + 1;
-      Metrics.incr m_deduped
-    | None -> (
-      arrive w;
-      match evaluate w pi m_a m_b with
-      | Some m_pi -> expand w pi m_pi from_index num_basis
-      | None -> ())
-  and expand w pi m_pi from_index upto =
+      expand w pi m_pi from_index lowest live lo hi
+    | Some (Open _ | Closed) -> dedup w
+    | Some Viable | None ->
+      (* [None]: a top-level branch in a domain other than the one that
+         ran the root's phase 1. *)
+      expand w pi (evaluate w pi m_a m_b) from_index num_basis live lo hi
+  (* Phase 2 visits the survivors in index order; [w.live] is re-read
+     after each visit because a deeper phase 1 may have grown it. *)
+  and expand w pi m_pi from_index upto live lo hi =
     PTbl.replace w.seen pi (Open { lowest = from_index; m_pi });
-    for j = from_index to upto - 1 do
-      visit w (Partition.join pi basis.(j)) m_pi basis_m.(j) (j + 1)
-    done
+    let base = w.top in
+    push_children w pi m_pi upto live lo hi;
+    let stop = w.top in
+    for p = base to stop - 1 do
+      let j = w.live.(p) in
+      visit w w.kids.(p) m_pi basis_m.(j) (j + 1) w.live (p + 1) stop
+    done;
+    w.top <- base
   in
-  (* Root node, handled in the calling domain before any fan-out.  It is
-     always viable: m(identity) = identity. *)
-  let root = Partition.identity n in
-  let main_worker = new_worker ~next () in
-  workers_ref := [ main_worker ];
-  let m_root =
-    Trace.span ~cat:"solver" "root" (fun () ->
-        arrive main_worker;
-        evaluate main_worker root root root)
-  in
-  PTbl.replace main_worker.seen root Closed;
-  (* Fan the top-level basis branches out over domains: a shared atomic
-     cursor hands branch j (= subtree rooted at basis.(j)) to the next free
-     worker.  Each domain dedupes against its own transposition table;
-     overlap across domains costs repeated work, never correctness. *)
-  let run_worker w m_root =
-    try
-      Trace.span ~cat:"solver" "dfs" @@ fun () ->
-      let rec loop () =
-        let j = Atomic.fetch_and_add next_branch 1 in
-        if j < num_basis && not (Atomic.get cancelled) then begin
-          visit w (Partition.join root basis.(j)) m_root basis_m.(j) (j + 1);
-          loop ()
-        end
-      in
-      loop ()
+  let on_timeout f =
+    try f ()
     with Timeout ->
       Atomic.set cancelled true;
       Atomic.set timed_out true
   in
+  (* Root node, handled in the calling domain before any fan-out.  It is
+     always viable: m(identity) = identity.  Its phase 1 runs here too, so
+     every domain reads the one root live list whatever [jobs] is. *)
+  let root = Partition.identity n in
+  let main_worker = new_worker ~next () in
+  workers_ref := [ main_worker ];
+  let m_root, root_live, root_kids =
+    Trace.span ~cat:"solver" "root" (fun () ->
+        arrive main_worker;
+        let m_root = evaluate main_worker root root root in
+        PTbl.replace main_worker.seen root Closed;
+        on_timeout (fun () ->
+            push_children main_worker root m_root num_basis
+              (Array.init num_basis Fun.id) 0 num_basis);
+        let k = main_worker.top in
+        main_worker.top <- 0;
+        ( m_root,
+          Array.sub main_worker.live 0 k,
+          Array.sub main_worker.kids 0 k ))
+  in
+  let num_branches = Array.length root_live in
+  branches := num_branches;
+  (* Fan the surviving top-level branches out over domains: a shared
+     atomic cursor hands branch [root_live.(p)] (= subtree rooted at that
+     basis element) to the next free worker.  Each domain dedupes against
+     its own transposition table; overlap across domains costs repeated
+     work, never correctness. *)
+  let run_worker w =
+    on_timeout @@ fun () ->
+    Trace.span ~cat:"solver" "dfs" @@ fun () ->
+    let rec loop () =
+      let p = Atomic.fetch_and_add next_branch 1 in
+      if p < num_branches && not (Atomic.get cancelled) then begin
+        let j = root_live.(p) in
+        visit w root_kids.(p) m_root basis_m.(j) (j + 1) root_live (p + 1)
+          num_branches;
+        loop ()
+      end
+    in
+    loop ()
+  in
   let workers =
-    match m_root with
-    | None -> [ main_worker ]
-    | Some m_root when jobs = 1 || num_basis <= 1 ->
+    if jobs = 1 || num_branches <= 1 then begin
       (* Sequential fast path: identical traversal order (hence identical
          stats) on every run, no domain overhead. *)
-      run_worker main_worker m_root;
+      run_worker main_worker;
       [ main_worker ]
-    | Some m_root ->
+    end
+    else begin
       let extras =
         List.init
-          (min (jobs - 1) (num_basis - 1))
+          (min (jobs - 1) (num_branches - 1))
           (fun _ -> new_worker ~next ())
       in
       workers_ref := main_worker :: extras;
       let domains =
-        List.map
-          (fun w -> Domain.spawn (fun () -> run_worker w m_root))
-          extras
+        List.map (fun w -> Domain.spawn (fun () -> run_worker w)) extras
       in
-      run_worker main_worker m_root;
+      run_worker main_worker;
       List.iter Domain.join domains;
       main_worker :: extras
+    end
   in
   let best =
     match Atomic.get best with

@@ -13,8 +13,10 @@
     [MM = {m(p_{s,t})}]; at each node [pi = join of the subset], the
     candidates [(M(pi), pi)] and [(m(pi), pi)] are examined, and Lemma 1
     prunes the subtree whenever [m(pi) /\ pi] does not refine state
-    equivalence.  The unpruned tree has [2^|MM|] nodes - the [|V|] column
-    of Table 2. *)
+    equivalence.  Non-viability is upward-closed, so a basis element
+    whose join fails Lemma 1 at a node is not tried again anywhere in
+    that node's subtree.  The unpruned tree has [2^|MM|] nodes - the
+    [|V|] column of Table 2. *)
 
 type cost = {
   bits : int;  (** criterion (i): flip-flops of the pipeline realization *)
@@ -39,12 +41,16 @@ val is_trivial : Stc_fsm.Machine.t -> solution -> bool
 type stats = {
   basis_size : int;  (** [|MM|] after deduplication *)
   search_space : float;  (** [2^basis_size], the [|V|] of Table 2 *)
-  investigated : int;  (** nodes actually expanded (Table 2, last column) *)
+  investigated : int;
+      (** the root, each first arrival at a node (where Lemma 1 is
+          tested) and each re-arrival that expands a node below its
+          recorded branch index (Table 2, "investigated (ours)") *)
   deduped : int;
       (** arrivals skipped by the transposition table: the node's subset
-          joined to a partition already expanded from an index at least as
-          low, so its whole subtree was subsumed by an earlier one *)
-  pruned : int;  (** subtrees cut by Lemma 1 *)
+          joined to a partition already pruned, or already expanded from
+          an index at least as low, so its whole subtree was subsumed by
+          an earlier one *)
+  pruned : int;  (** children cut by Lemma 1 *)
   solutions : int;  (** candidate solutions that passed all checks *)
   memo_hits : int;  (** cache hits of the memoized [m] / [M] operators *)
   elapsed : float;  (** wall-clock seconds (monotonic) *)

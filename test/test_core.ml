@@ -12,6 +12,7 @@ module Suite = Stc_benchmarks.Suite
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -269,25 +270,84 @@ let test_solver_nonviable_admits_nothing =
         (List.init 8 (fun i ->
              if i < 4 then lattice_node () else arbitrary ())))
 
+(* The solver's dead-index rule: once pi \/ b_j fails Lemma 1, no node
+   above pi that adds b_j is tested again.  That is sound only because
+   non-viability is upward-closed along joins (m is monotone).  Nodes are
+   drawn from the DFS's own lattice. *)
+let test_solver_nonviability_upward_closed =
+  QCheck.Test.make ~count:200
+    ~name:"non-viability is upward-closed along the lattice"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 7 in
+      let m =
+        Generate.random ~rng ~name:"u" ~num_states:n
+          ~num_inputs:(1 lsl Rng.int rng 3) ~num_outputs:2 ~ensure_reduced:false
+          ()
+      in
+      let next = m.Machine.next in
+      let equiv = Solver.equivalence_partition m in
+      let basis = Array.of_list (Pair.basis ~next) in
+      let nb = Array.length basis in
+      let viable pi = Partition.meet_subseteq (Pair.m ~next pi) pi equiv in
+      nb = 0
+      || List.for_all
+           (fun _ ->
+             let pi =
+               Array.fold_left
+                 (fun acc b ->
+                   if Rng.int rng 4 = 0 then Partition.join acc b else acc)
+                 (Partition.identity n) basis
+             in
+             let j = Rng.int rng nb and k = Rng.int rng nb in
+             let pi_j = Partition.join pi basis.(j) in
+             viable pi_j
+             || not (viable (Partition.join (Partition.join pi basis.(k)) basis.(j))))
+           (List.init 8 Fun.id))
+
 (* The jobs-1 traversal is deterministic, so its work figures are pinned:
    evaluation order inside a node may change, the walk may not.  The node
    cap stops a walk that grows one node past the pinned count, so a
-   search that lost its pruning fails here instead of running on. *)
+   search that lost its pruning fails here instead of running on.  The
+   printed pair is pinned too: a change to the walk's work figures must
+   leave the answer byte-identical. *)
 let test_solver_pinned_counters () =
   List.iter
-    (fun (name, investigated, deduped, pruned, solutions, bits) ->
-      let m = Suite.machine (Option.get (Suite.find name)) in
+    (fun (name, investigated, deduped, pruned, solutions, bits, pi, rho) ->
+      let m =
+        match Suite.find name with
+        | Some spec -> Suite.machine spec
+        | None -> Option.get (Generate.of_spec name)
+      in
       let r = Solver.solve ~jobs:1 ~max_nodes:(investigated + 1) m in
       check_bool (name ^ ": walk completes") false r.stats.timed_out;
       check_int (name ^ ": investigated") investigated r.stats.investigated;
       check_int (name ^ ": deduped") deduped r.stats.deduped;
       check_int (name ^ ": pruned") pruned r.stats.pruned;
       check_int (name ^ ": solutions") solutions r.stats.solutions;
-      check_int (name ^ ": bits") bits r.best.cost.bits)
+      check_int (name ^ ": bits") bits r.best.cost.bits;
+      check_string (name ^ ": pi") pi (Partition.to_string r.best.pi);
+      check_string (name ^ ": rho") rho (Partition.to_string r.best.rho))
     [
-      ("dk16", 49_374, 5_686, 48_641, 13, 10);
-      ("dk512", 72_430, 57_123, 63_249, 3, 8);
-      ("tbk", 170, 448, 130, 3, 8);
+      ( "dk16", 5_020, 442, 4_287, 13, 10,
+        "{0}{1}{2}{3,15}{4}{5}{6}{7}{8}{9}{10}{11,12}{13}{14}{16}{17}{18,24}\
+         {19}{20}{21}{22}{23}{25}{26}",
+        "{0}{1}{2}{3,11}{4}{5}{6}{7,14}{8}{9}{10}{12,15}{13}{16}{17}{18}{19}\
+         {20}{21}{22}{23}{24}{25}{26}" );
+      ( "dk512", 29_927, 23_204, 20_746, 3, 8,
+        "{0}{1}{2}{3}{4}{5}{6}{7}{8}{9}{10}{11,12}{13}{14}",
+        "{0}{1,10}{2}{3}{4}{5}{6}{7}{8}{9}{11}{12}{13}{14}" );
+      ( "tbk", 169, 378, 129, 3, 8,
+        "{0,8}{1,14}{2,13}{3,24}{4,28}{5,18}{6,7}{9,23}{10,16}{11,31}{12,17}\
+         {15,29}{19,26}{20,27}{21,22}{25,30}",
+        "{0,6}{1,28}{2,11}{3,16}{4,14}{5,17}{7,8}{9,26}{10,24}{12,18}{13,31}\
+         {15,27}{19,23}{20,29}{21,30}{22,25}" );
+      ( "planted:24x4@1", 10_944, 2_116, 9_390, 17, 8,
+        "{0,9}{1,28}{2,20}{3,17}{4}{5,21}{6,8}{7,13}{10,15}{11,24}{12,18}\
+         {14,19}{16,27}{22,26}{23,25}",
+        "{0,26}{1,24}{2,15}{3,5}{4,27}{6,19}{7,12}{8,14}{9,22}{10,20}{11,28}\
+         {13,18}{16}{17,21}{23}{25}" );
     ]
 
 let test_solver_unreduced_machine () =
@@ -485,6 +545,7 @@ let () =
             test_solver_dedupe_accounting;
           Alcotest.test_case "unreduced machine" `Quick test_solver_unreduced_machine;
           qcheck test_solver_nonviable_admits_nothing;
+          qcheck test_solver_nonviability_upward_closed;
           Alcotest.test_case "validate rejects bad pairs" `Quick
             test_validate_rejects_bad_pairs;
           Alcotest.test_case "cost ordering" `Quick test_compare_cost_ordering;
