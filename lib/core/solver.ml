@@ -467,67 +467,65 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
       (* The root always records (M(identity), identity); unreachable. *)
       assert false
   in
-  (* Post-search refinement, in the calling domain.  The paper's candidate
-     set (M(pi), pi) / (m(pi), pi) can miss optima whose right member is
-     not a join of basis elements; a greedy class-merge hill climb recovers
-     them.  Each merge is closed to the least symmetric pair above it
-     ({!Pair.close}). *)
+  (* Post-search greedy first-improvement climb over {!Pair.close_merge}
+     moves: the candidates (M(pi), pi) / (m(pi), pi) can miss the optimum,
+     which may even lie outside the lattice Theorem 2 searches. *)
   let memo = main_worker.memo in
-  let merge_candidates partition =
-    let reps = Partition.representatives partition in
-    let k = Array.length reps in
-    let acc = ref [] in
-    for c = 0 to k - 1 do
-      for d = c + 1 to k - 1 do
-        acc := (reps.(c), reps.(d)) :: !acc
+  let close (pi, rho) mv = (Pair.close_merge memo ~equiv ~pi ~rho mv).closed in
+  let exception Better of solution in
+  let attempt sol p mv =
+    match close p mv with
+    | None -> ()
+    | Some (pi, rho) ->
+      let polish () = Pair.polish ~from:p memo ~equiv pi rho in
+      let pi, rho = Trace.span ~cat:"solver" "polish" polish in
+      let cost = cost_of machine ~pi ~rho in
+      if compare_cost cost sol.cost < 0 then raise (Better { pi; rho; cost })
+  in
+  let side on_pi (pi, rho) = if on_pi then pi else rho in
+  (* Class merges: c descending, and for each c, d descending. *)
+  let merges sol on_pi =
+    let k = Partition.num_classes (side on_pi (sol.pi, sol.rho)) in
+    for c = k - 1 downto 0 do
+      for d = k - 1 downto c + 1 do
+        attempt sol (sol.pi, sol.rho) (Pair.Merge { on_pi; c; d })
       done
-    done;
-    !acc
+    done
   in
-  let try_merge sol (side : [ `Left | `Right ]) (s, t) =
-    let seed = Partition.pair_relation ~n s t in
-    let pi0, rho0 =
-      match side with
-      | `Left -> (Partition.join sol.pi seed, sol.rho)
-      | `Right -> (sol.pi, Partition.join sol.rho seed)
-    in
-    let pi', rho' = Pair.close memo pi0 rho0 in
-    if Pair.admissible ~next ~equiv pi' rho' then begin
-      let pi', rho' =
-        Trace.span ~cat:"solver" "polish" (fun () ->
-            Pair.polish memo ~equiv pi' rho')
-      in
-      let cost = cost_of machine ~pi:pi' ~rho:rho' in
-      if compare_cost cost sol.cost < 0 then Some { pi = pi'; rho = rho'; cost }
-      else None
-    end
-    else None
+  (* Exchanges: split [s] out of the other side, then merge its block here
+     with each block whose representative it was not with before. *)
+  let exchanges sol on_pi =
+    let p = (sol.pi, sol.rho) in
+    let before = side on_pi p and there = side (not on_pi) p in
+    for s = 0 to n - 1 do
+      if Partition.class_size there (Partition.class_of there s) > 1 then
+        match close p (Pair.Split { on_pi = not on_pi; s }) with
+        | None -> ()
+        | Some q ->
+          let here = side on_pi q in
+          let c = Partition.class_of here s in
+          let reps = Partition.representatives here in
+          for d = 0 to Array.length reps - 1 do
+            if d <> c && not (Partition.same before s reps.(d)) then
+              attempt sol q (Pair.Merge { on_pi; c; d })
+          done
+    done
   in
-  let rec hill_climb sol =
-    let moves =
-      List.map (fun p -> (`Left, p)) (merge_candidates sol.pi)
-      @ List.map (fun p -> (`Right, p)) (merge_candidates sol.rho)
-    in
-    let improved =
-      List.fold_left
-        (fun acc (side, p) ->
-          match acc with Some _ -> acc | None -> try_merge sol side p)
-        None moves
-    in
-    match improved with None -> sol | Some better -> hill_climb better
+  let rec climb sol =
+    try
+      List.iter (merges sol) [ true; false ];
+      List.iter (exchanges sol) [ true; false ];
+      sol
+    with Better sol -> climb sol
   in
-  (* Merge the per-domain candidate pools before the hill climb. *)
-  let merged_pool =
+  let pool =
     Trace.span ~cat:"solver" "merge" (fun () ->
         List.concat_map (fun w -> w.pool) workers)
   in
+  let better a b = if compare_cost b.cost a.cost < 0 then b else a in
   let best =
     Trace.span ~cat:"solver" "hill_climb" (fun () ->
-        List.fold_left
-          (fun acc sol ->
-            let sol = hill_climb sol in
-            if compare_cost sol.cost acc.cost < 0 then sol else acc)
-          (hill_climb best) merged_pool)
+        List.fold_left (fun b sol -> better b (climb sol)) (climb best) pool)
   in
   (match validate machine best with
   | Ok () -> ()
@@ -550,28 +548,3 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
         timed_out = Atomic.get timed_out;
       };
   }
-
-let solve_exhaustive (machine : Machine.t) =
-  let next = machine.next in
-  let n = machine.num_states in
-  let equiv = equivalence_partition machine in
-  (* Streamed: Bell(n)^2 pairs are visited but never materialized, so the
-     memory ceiling of the old list-based enumeration is gone. *)
-  let all = Stc_partition.Enumerate.partitions n in
-  let best = ref None in
-  Seq.iter
-    (fun pi ->
-      Seq.iter
-        (fun rho ->
-          if Pair.admissible ~next ~equiv pi rho then begin
-            let cost = cost_of machine ~pi ~rho in
-            let sol = { pi; rho; cost } in
-            match !best with
-            | None -> best := Some sol
-            | Some b -> if compare_cost cost b.cost < 0 then best := Some sol
-          end)
-        all)
-    all;
-  match !best with
-  | Some sol -> sol
-  | None -> assert false (* (identity, identity) is always admissible *)

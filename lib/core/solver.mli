@@ -90,6 +90,12 @@ type result = { best : solution; stats : stats }
       is published on the [solver.effective_jobs] gauge.  Pass [false]
       to force the parallel machinery regardless (tests do).
 
+    After the walk, a greedy first-improvement climb from the incumbent
+    and from a pool of the best candidates tries class merges, then
+    exchanges (split a state out of one side, merge its block on the
+    other), each closed by {!Stc_partition.Pair.close_merge}: the
+    optimum can lie outside the Mm-lattice.
+
     The search always returns at least the trivial solution found at the
     tree root, so [best] is total.  Every returned solution is validated:
     symmetric partition pair with intersection refining equivalence. *)
@@ -101,14 +107,6 @@ val solve :
   ?sequential_fallback:bool ->
   Stc_fsm.Machine.t ->
   result
-
-(** [solve_exhaustive machine] enumerates {e all} partition pairs by brute
-    force over every partition of the state set (Bell-number cost!) and
-    returns the optimum.  The enumeration streams
-    ({!Stc_partition.Enumerate.partitions}), so memory stays flat; run
-    time makes ~9 states the practical ceiling for the [Bell(n)^2] pair
-    scan.  Oracle for testing [solve]. *)
-val solve_exhaustive : Stc_fsm.Machine.t -> solution
 
 (** [cost_of machine ~pi ~rho] computes the cost record of a candidate
     pair. *)
