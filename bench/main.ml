@@ -31,7 +31,7 @@
    - `minimize-quick`: the same checks on small machines (block C and
      the pipeline blocks), no file written - the CI gate.
    - `core`: write BENCH_core.json - the shared bit-engine kernels
-     (word SWAR ops, bitvec algebra, packed partition ops) timed against
+     (word SWAR ops, bitvec algebra, partition ops) timed against
      the retained element-wise references, with per-row equality checks.
    - `core-quick`: packed-vs-reference equivalence only, no timing
      loops, no file written - the CI gate.
@@ -861,7 +861,7 @@ let consume_int = ref 0
 let consume_bool = ref false
 
 (* One partition kernel at size [n]: time the old element-wise reference
-   against the packed implementation over the same pregenerated
+   against the current implementation over the same pregenerated
    workload, and check result equality on every workload item. *)
 let partition_rows n =
   let rng = Rng.create (0x5eed + n) in
@@ -943,9 +943,9 @@ let partition_rows n =
       ~new_op:(fun i ->
         let p, q = part_pairs.(i) in
         consume_bool := Partition.meet_subseteq p q parts.(i));
-    (* Hash timing only: the new rows-based hash is a different function
-       by design, so "equal" here means both sides are self-consistent
-       across a relabeling of the input class map. *)
+    (* Hash timing only: the class-map hash with its avalanche finish is
+       a different function by design, so "equal" here means both sides
+       are self-consistent across a relabeling of the input class map. *)
     row "partition/hash"
       ~equal:(fun () ->
         all_eq (fun i ->

@@ -1,7 +1,7 @@
 (* Single-word SWAR kernels shared by every packed representation in the
-   tree (cubes, stimuli, signatures, partition blocks).  OCaml's native
-   int has 63 value bits; all operations here treat the word as a plain
-   63-bit field and are branch-free where it matters. *)
+   tree (cubes, stimuli, signatures).  OCaml's native int has 63 value
+   bits; all operations here treat the word as a plain 63-bit field and
+   are branch-free where it matters. *)
 
 let bits = 63
 
@@ -36,23 +36,3 @@ let mask n =
   if n < 0 || n > bits then invalid_arg "Word.mask: width out of range"
   else if n = bits then -1
   else (1 lsl n) - 1
-
-(* Two-word (126-bit) SWAR lane.  The row kernels in lib/partition walk
-   multi-word rows a word at a time; fusing adjacent words into one lane
-   halves the loop iterations and, for the predicate kernels, folds two
-   word tests into a single compare against zero.  Everything here is a
-   plain composition of the single-word operations - the lane exists so
-   the unrolled loops have exactly one definition to call (and one place
-   to widen again, e.g. to four-word lanes). *)
-module Lane = struct
-  let bits = 2 * bits
-
-  let popcount2 lo hi = popcount lo + popcount hi
-
-  (* [(a land lnot b) lor (c land lnot d) <> 0]: the fused subset test of
-     two adjacent row words against their container row.  *)
-  let diffsub2 a b c d = (a land lnot b) lor (c land lnot d) <> 0
-
-  (* [(a land b) lor (c land d) <> 0]: two-word intersection test. *)
-  let inter2 a b c d = (a land b) lor (c land d) <> 0
-end

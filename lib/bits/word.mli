@@ -1,12 +1,10 @@
 (** Single-word SWAR kernels: the lowest layer of the shared bit engine.
 
     Every packed representation in the tree - positional cubes
-    ({!Stc_logic.Cube}), bit-parallel stimuli ({!Stc_faultsim.Engine}),
-    signature registers ({!Stc_bist}) and partition block rows
-    ({!Stc_partition.Partition}) - does its per-word arithmetic through
-    this module, so there is exactly one popcount/parity/ffs
-    implementation to maintain (and one place to widen, e.g. to 128-bit
-    lanes). *)
+    ({!Stc_logic.Cube}), bit-parallel stimuli ({!Stc_faultsim.Engine})
+    and signature registers ({!Stc_bist}) - does its per-word arithmetic
+    through this module, so there is exactly one popcount/parity/ffs
+    implementation to maintain. *)
 
 (** Number of value bits in a native [int] (63 on 64-bit platforms; the
     whole tree assumes a 64-bit platform). *)
@@ -27,24 +25,3 @@ val ffs : int -> int
     [mask bits] is [-1] (all 63 value bits).
     @raise Invalid_argument outside that range. *)
 val mask : int -> int
-
-(** Two-word (126-bit) SWAR lane: fused kernels over adjacent words of a
-    packed row.  The partition row kernels ({!Stc_partition.Partition})
-    walk rows two words per iteration through this module, so the
-    unrolled loops have exactly one definition of each fused test. *)
-module Lane : sig
-  (** [bits] is [2 * Word.bits] (126). *)
-  val bits : int
-
-  (** [popcount2 lo hi] is [popcount lo + popcount hi]. *)
-  val popcount2 : int -> int -> int
-
-  (** [diffsub2 a b c d] is [(a land lnot b) lor (c land lnot d) <> 0]:
-      true when either word pair fails the subset test [a subseteq b] /
-      [c subseteq d]. *)
-  val diffsub2 : int -> int -> int -> int -> bool
-
-  (** [inter2 a b c d] is [(a land b) lor (c land d) <> 0]: true when
-      either word pair intersects. *)
-  val inter2 : int -> int -> int -> int -> bool
-end

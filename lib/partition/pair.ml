@@ -10,8 +10,7 @@ let is_pair ~next pi rho =
   let n, k = dims next in
   if Partition.size pi <> n || Partition.size rho <> n then
     invalid_arg "Pair.is_pair: size mismatch";
-  (* Enough to compare each state against its block representative;
-     [iter_coarse_members] skips singleton blocks outright. *)
+  (* Enough to compare each state against its block representative. *)
   match
     Partition.iter_coarse_members pi (fun r s ->
         let nr = next.(r) and ns = next.(s) in
@@ -79,9 +78,6 @@ let big_m ~next rho =
     done
   end;
   Partition.of_class_map cls
-
-let is_mm_pair ~next pi rho =
-  Partition.equal (big_m ~next rho) pi && Partition.equal (m ~next pi) rho
 
 (* [big_m rho] derived from [bm = big_m base] for a refinement
    [base subseteq rho]: states grouped together by [bm] have identical
@@ -378,7 +374,7 @@ let uf_union parent a b =
    [Partition.split_singleton p s] that is not the smallest member [r] of
    its block - [Partition.iter_coarse_members] of the split partition
    without building it, in element order, in one pass over the class
-   map.  [s = -1] iterates [p] itself. *)
+   map. *)
 let iter_split_members sc p s f =
   let st = sc.blocks in
   Arena.Stamped.ensure st (Partition.num_classes p);
@@ -611,7 +607,7 @@ let close_split_rho memo sc ~next ~k ~equiv ~rho s =
       let uf = uf_reset sc.rho_parent !count in
       sc.rho_parent <- uf;
       let classes = ref !count in
-      iter_split_members sc (Memo.m memo rho) (-1) (fun a b ->
+      Partition.iter_coarse_members (Memo.m memo rho) (fun a b ->
           if uf_union uf (Array.unsafe_get ids a) (Array.unsafe_get ids b) then
             decr classes);
       if !classes = Partition.num_classes bm then (bm, rho)

@@ -31,10 +31,6 @@ val m : next:int array array -> Partition.t -> Partition.t
     successors. *)
 val big_m : next:int array array -> Partition.t -> Partition.t
 
-(** [is_mm_pair ~next pi rho] holds when [(pi, rho)] satisfies
-    [big_m rho = pi] and [m pi = rho] (Definition 5). *)
-val is_mm_pair : next:int array array -> Partition.t -> Partition.t -> bool
-
 (** [big_m_coarse ~next ~rho bm] is [big_m ~next rho] derived from
     [bm = big_m ~next base] for any [base] refining [rho]: since [bm]
     only ever merges whole blocks when [rho] coarsens, grouping the

@@ -1,42 +1,24 @@
-module Word = Stc_bits.Word
 module Arena = Stc_bits.Arena
 
-(* A partition carries two synchronized representations:
+(* A partition is its canonical class map: element [s] lies in block
+   [cls.(s)], blocks numbered densely by first occurrence.  Every kernel
+   is one or two passes over that map.  Renumbering (pair keys,
+   union-find roots) goes through an epoch-stamped per-domain scratch
+   arena, so the hot paths neither hash nor allocate beyond their
+   result.
 
-   - [cls], the canonical class map (dense ids by first occurrence) -
-     the external interface and the basis of the [compare] order that
-     the solver's deterministic traversal depends on;
-   - [rows], packed membership bitvectors, one block per [wpr] words
-     ([wpr = ceil (n / Word.bits)]), in class-id order.
-
-   The row family is where the speed lives: refinement checks become a
-   couple of word subset tests per block, [join] becomes a merge of
-   disjoint rows, and block iteration skips singletons without touching
-   their elements.  The class map keeps [meet]/[meet_subseteq] O(n) via
-   epoch-stamped pair renumbering, with no hashing on the hot path. *)
+   First-occurrence numbering also hands out every block's smallest
+   member for free: scanning the elements in order, [s] is the first
+   member of its block iff [cls.(s)] is the number of blocks met so far.
+   [subseteq], [iter_coarse_members] and [representatives] rely on
+   this. *)
 
 type t = {
   n : int;
   cls : int array;  (* canonical: dense class ids by first occurrence *)
   count : int;
-  wpr : int;  (* words per row *)
-  rows : int array;  (* count * wpr words; row c = block c's members *)
-  hcache : int;  (* cached hash over (n, rows) *)
+  hcache : int;  (* cached hash over (n, cls) *)
 }
-
-let wb = Word.bits
-
-let words_per_row n = (n + wb - 1) / wb
-
-(* [cls] must be canonical with [count] classes. *)
-let rows_of_cls ~n ~count ~wpr cls =
-  let rows = Array.make (count * wpr) 0 in
-  for s = 0 to n - 1 do
-    let idx = (Array.unsafe_get cls s * wpr) + (s / wb) in
-    Array.unsafe_set rows idx
-      (Array.unsafe_get rows idx lor (1 lsl (s mod wb)))
-  done;
-  rows
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -55,22 +37,15 @@ let rows_of_cls ~n ~count ~wpr cls =
    distinct, so [equal] keeps a structural fallback (guarded by the
    cached hash); all semantics are unchanged. *)
 
-(* Full-width FNV-style mix over the packed rows ([Hashtbl.hash] only
+(* Full-width FNV-style mix over the class map ([Hashtbl.hash] only
    samples a prefix, which collides badly on the long class maps of
-   dk16/tbk).  The row family determines the partition, and at
-   [count * wpr] words it is shorter than the [n]-element class map.
-
-   Unlike class ids, row words carry their entropy in arbitrary bit
-   positions (member [s] sets bit [s mod 63]), and an FNV multiply only
-   diffuses low bits upward - hash tables index with the low bits, so
-   partitions differing in high-half words would all share buckets.
-   Each word is therefore folded onto its low half before mixing, and a
-   xorshift-multiply avalanche spreads the final state both ways. *)
-let hash_rows n rows =
+   dk16/tbk).  An FNV multiply only diffuses low bits upward and hash
+   tables index with the low bits, so a xorshift-multiply avalanche
+   spreads the final state both ways. *)
+let hash_cls n cls =
   let h = ref (0x811c9dc5 + n) in
-  for i = 0 to Array.length rows - 1 do
-    let w = Array.unsafe_get rows i in
-    h := (!h lxor (w lxor (w lsr 31))) * 0x01000193
+  for s = 0 to n - 1 do
+    h := (!h lxor Array.unsafe_get cls s) * 0x01000193
   done;
   let h = !h in
   let h = (h lxor (h lsr 29)) * 0x2545f4914f6cdd1d in
@@ -79,21 +54,15 @@ let hash_rows n rows =
 module Intern = Weak.Make (struct
   type nonrec t = t
 
-  let equal a b = a.hcache = b.hcache && a.n = b.n && a.rows = b.rows
+  let equal a b = a.hcache = b.hcache && a.n = b.n && a.cls = b.cls
   let hash p = p.hcache
 end)
 
 let intern_table = Domain.DLS.new_key (fun () -> Intern.create 4096)
 
-(* [cls] must already be canonical and must not be mutated afterwards.
-   [rows], when given, must be the matching row family (callers that
-   already materialized the rows, e.g. [join], pass them through). *)
-let intern ?rows ~n ~count cls =
-  let wpr = words_per_row n in
-  let rows =
-    match rows with Some r -> r | None -> rows_of_cls ~n ~count ~wpr cls
-  in
-  let p = { n; cls; count; wpr; rows; hcache = hash_rows n rows } in
+(* [cls] must already be canonical and must not be mutated afterwards. *)
+let intern ~n ~count cls =
+  let p = { n; cls; count; hcache = hash_cls n cls } in
   Intern.merge (Domain.DLS.get intern_table) p
 
 let size p = p.n
@@ -228,32 +197,24 @@ let merge_classes p c d =
     canonicalize_small cls p.n
   end
 
-(* Row population count, two words per iteration. *)
-let row_popcount rows wpr c =
-  let base = c * wpr in
-  let pop = ref 0 in
-  let wi = ref 0 in
-  while !wi + 1 < wpr do
-    pop :=
-      !pop
-      + Word.Lane.popcount2
-          (Array.unsafe_get rows (base + !wi))
-          (Array.unsafe_get rows (base + !wi + 1));
-    wi := !wi + 2
-  done;
-  if !wi < wpr then pop := !pop + Word.popcount (Array.unsafe_get rows (base + !wi));
-  !pop
-
 let class_size p c =
   if c < 0 || c >= p.count then invalid_arg "Partition.class_size: out of range";
-  row_popcount p.rows p.wpr c
+  (* the first member of class [c] is at least [c] *)
+  let size = ref 0 in
+  for s = c to p.n - 1 do
+    if Array.unsafe_get p.cls s = c then incr size
+  done;
+  !size
 
 let split_singleton p s =
   if s < 0 || s >= p.n then
     invalid_arg "Partition.split_singleton: out of range";
   (* A singleton block cannot be refined further. *)
   let c = p.cls.(s) in
-  if row_popcount p.rows p.wpr c <= 1 then p
+  let rec alone t =
+    t >= p.n || ((t = s || Array.unsafe_get p.cls t <> c) && alone (t + 1))
+  in
+  if alone c then p
   else begin
     (* [count] is a fresh id; count < n here since block [c] has >= 2
        members, so the fast canonicalizer applies. *)
@@ -265,14 +226,12 @@ let split_singleton p s =
 (* Batch coarsening for the incremental closure engine (Pair.close_merge):
    [f] maps every class id onto a group representative ([f (f c) = f c]);
    the result merges each group into one block.  Unlike [join], nothing
-   global is recomputed: unchanged groups blit their packed row straight
-   through and only dirty groups union rows, so the cost is
-   O(count * wpr) row words plus the O(n) class-map pass - never a
-   pairwise block scan.  Group numbering by smallest member class id is
-   first-occurrence canonical (class ids are themselves ordered by first
-   occurrence). *)
+   global is recomputed: one pass over the class ids numbers the groups,
+   one pass over the class map renames the elements.  Group numbering by
+   smallest member class id is first-occurrence canonical (class ids are
+   themselves ordered by first occurrence). *)
 let coarsen_with p f =
-  let count = p.count and wpr = p.wpr in
+  let count = p.count in
   let newid = Array.make count (-1) in
   let count' = ref 0 in
   for c = 0 to count - 1 do
@@ -286,62 +245,26 @@ let coarsen_with p f =
   done;
   if !count' = count then p
   else begin
-    let count' = !count' in
-    let rows = Array.make (count' * wpr) 0 in
-    for c = 0 to count - 1 do
-      let dest = Array.unsafe_get newid (f c) * wpr in
-      let base = c * wpr in
-      let wi = ref 0 in
-      while !wi + 1 < wpr do
-        Array.unsafe_set rows (dest + !wi)
-          (Array.unsafe_get rows (dest + !wi)
-          lor Array.unsafe_get p.rows (base + !wi));
-        Array.unsafe_set rows (dest + !wi + 1)
-          (Array.unsafe_get rows (dest + !wi + 1)
-          lor Array.unsafe_get p.rows (base + !wi + 1));
-        wi := !wi + 2
-      done;
-      if !wi < wpr then
-        Array.unsafe_set rows (dest + !wi)
-          (Array.unsafe_get rows (dest + !wi)
-          lor Array.unsafe_get p.rows (base + !wi))
-    done;
     let cls = Array.make p.n 0 in
     for s = 0 to p.n - 1 do
       Array.unsafe_set cls s
         (Array.unsafe_get newid (f (Array.unsafe_get p.cls s)))
     done;
-    intern ~rows ~n:p.n ~count:count' cls
+    intern ~n:p.n ~count:!count' cls
   end
 
 (* ------------------------------------------------------------------ *)
-(* Row iteration                                                       *)
+(* Block iteration                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [iter_row_members rows wpr c f] calls [f] on block [c]'s members in
-   ascending order, one [ffs] per member. *)
-let iter_row_members rows wpr c f =
-  let base = c * wpr in
-  for wi = 0 to wpr - 1 do
-    let w = ref (Array.unsafe_get rows (base + wi)) in
-    while !w <> 0 do
-      f ((wi * wb) + Word.ffs !w);
-      w := !w land (!w - 1)
-    done
-  done
-
 let blocks p =
-  let out = ref [] in
-  for c = p.count - 1 downto 0 do
-    let members = ref [] in
-    iter_row_members p.rows p.wpr c (fun s -> members := s :: !members);
-    out := List.rev !members :: !out
+  let out = Array.make p.count [] in
+  for s = p.n - 1 downto 0 do
+    let c = Array.unsafe_get p.cls s in
+    Array.unsafe_set out c (s :: Array.unsafe_get out c)
   done;
-  !out
+  Array.to_list out
 
-(* Classes are numbered by first occurrence, so scanning the class map
-   meets them in id order: element [s] is the smallest member of its
-   class iff its id is the next one not seen yet. *)
 let representatives p =
   let reps = Array.make p.count 0 in
   let seen = ref 0 and s = ref 0 in
@@ -356,25 +279,40 @@ let representatives p =
 
 let members p c =
   let acc = ref [] in
-  iter_row_members p.rows p.wpr c (fun s -> acc := s :: !acc);
-  List.rev !acc
+  for s = p.n - 1 downto max c 0 do
+    if Array.unsafe_get p.cls s = c then acc := s :: !acc
+  done;
+  !acc
+
+(* The walk's first-member table is its own per-domain slot, lent out
+   for the duration of the walk: a callback may call any other kernel
+   (they renumber through [scratch]), and one that re-enters
+   [iter_coarse_members] finds the slot empty and gets a fresh table. *)
+let first_members = Domain.DLS.new_key (fun () -> ref [||])
 
 let iter_coarse_members p f =
-  for c = 0 to p.count - 1 do
-    let base = c * p.wpr in
-    let rep = ref (-1) in
-    for wi = 0 to p.wpr - 1 do
-      let w = ref (Array.unsafe_get p.rows (base + wi)) in
-      if !rep < 0 && !w <> 0 then begin
-        rep := (wi * wb) + Word.ffs !w;
-        w := !w land (!w - 1)
-      end;
-      while !w <> 0 do
-        f !rep ((wi * wb) + Word.ffs !w);
-        w := !w land (!w - 1)
+  if p.count < p.n then begin
+    let slot = Domain.DLS.get first_members in
+    let first = Arena.ensure !slot p.count in
+    slot := [||];
+    let cls = p.cls in
+    let walk () =
+      let seen = ref 0 in
+      for s = 0 to p.n - 1 do
+        let c = Array.unsafe_get cls s in
+        if c = !seen then begin
+          Array.unsafe_set first c s;
+          incr seen
+        end
+        else f (Array.unsafe_get first c) s
       done
-    done
-  done
+    in
+    match walk () with
+    | () -> slot := first
+    | exception e ->
+      slot := first;
+      raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lattice operations                                                  *)
@@ -427,82 +365,12 @@ let meet p q =
     intern ~n:p.n ~count:!count cls
   end
 
-(* Coarse-regime join by row merging.  Start from [p]'s rows; for each
-   block of [q], union every live row it touches into the first one.
-   One pass suffices: live rows stay pairwise disjoint (they only ever
-   merge), so a row can meet a [q]-block group only through the block's
-   own bits, and later blocks absorb previously merged rows the same
-   way.
-
-   Canonical numbering comes for free: the canonical row family has
-   strictly increasing minimum elements, a merged group survives at the
-   minimum index of its members, and min-index order equals min-element
-   order - so scanning surviving rows in index order is first-occurrence
-   order. *)
-let join_rows p q =
-  let n = p.n and wpr = p.wpr in
-  let live = Array.copy p.rows in
-  let alive = Array.make p.count true in
-  let survivors = ref p.count in
-  for j = 0 to q.count - 1 do
-    let qbase = j * wpr in
-    let acc = ref (-1) in
-    for r = 0 to p.count - 1 do
-      if Array.unsafe_get alive r then begin
-        let rbase = r * wpr in
-        let hit = ref false in
-        let wi = ref 0 in
-        while (not !hit) && !wi + 1 < wpr do
-          if
-            Word.Lane.inter2
-              (Array.unsafe_get live (rbase + !wi))
-              (Array.unsafe_get q.rows (qbase + !wi))
-              (Array.unsafe_get live (rbase + !wi + 1))
-              (Array.unsafe_get q.rows (qbase + !wi + 1))
-          then hit := true;
-          wi := !wi + 2
-        done;
-        if
-          (not !hit) && !wi < wpr
-          && Array.unsafe_get live (rbase + !wi)
-             land Array.unsafe_get q.rows (qbase + !wi)
-             <> 0
-        then hit := true;
-        if !hit then
-          if !acc < 0 then acc := r
-          else begin
-            let abase = !acc * wpr in
-            for wi = 0 to wpr - 1 do
-              Array.unsafe_set live (abase + wi)
-                (Array.unsafe_get live (abase + wi)
-                lor Array.unsafe_get live (rbase + wi))
-            done;
-            Array.unsafe_set alive r false;
-            decr survivors
-          end
-      end
-    done
-  done;
-  let count = !survivors in
-  let cls = Array.make n 0 in
-  let rows = Array.make (count * wpr) 0 in
-  let id = ref 0 in
-  for r = 0 to p.count - 1 do
-    if alive.(r) then begin
-      let c = !id in
-      incr id;
-      Array.blit live (r * wpr) rows (c * wpr) wpr;
-      iter_row_members live wpr r (fun s -> Array.unsafe_set cls s c)
-    end
-  done;
-  intern ~rows ~n ~count cls
-
 (* Union-find over [p]'s class ids (path halving, no ranks - the forests
-   are tiny), unioning along each coarse block of [q]: singleton
-   [q]-blocks merge nothing and are skipped via the rows.  Afterwards
-   classes [c] and [d] of [p] lie in one block of [join p q] iff
-   [uf_find parent c = uf_find parent d].  [parent] needs [p.count]
-   slots. *)
+   are tiny), unioning every element of [q] with its block's first
+   member: singleton [q]-blocks merge nothing and cost one class-map
+   read each.  Afterwards classes [c] and [d] of [p] lie in one block of
+   [join p q] iff [uf_find parent c = uf_find parent d].  [parent] needs
+   [p.count] slots. *)
 let rec uf_find parent c =
   let pc = Array.unsafe_get parent c in
   if pc = c then c
@@ -521,77 +389,61 @@ let uf_join_classes parent p q =
       and b = uf_find parent (Array.unsafe_get p.cls s) in
       if a <> b then Array.unsafe_set parent b a)
 
-(* Fine-regime join: the class-id union-find above, then one output pass
-   that fuses find with the stamped first-occurrence renumbering - the
-   whole join is one scan of [q]'s coarse members plus one scan of the
-   elements. *)
-let join_uf p q =
-  let n = p.n in
-  let parent = Array.make p.count 0 in
+(* Per-domain scratch of the union-find and meet-refinement kernels. *)
+type map_scratch = {
+  mutable ends : int array;  (* bucket bounds of [meet_subseteq_buckets] *)
+  mutable order : int array;  (* its elements, sorted by bucket *)
+  mutable parent : int array;  (* union-find of [join_roots] *)
+  mutable roots : int array;  (* its root map, one id per element *)
+}
+
+let map_scratch =
+  Domain.DLS.new_key (fun () ->
+      { ends = [||]; order = [||]; parent = [||]; roots = [||] })
+
+(* [join_roots p q] maps every element to the root of its [join p q]
+   block, a class id of [p], in the per-domain root map. *)
+let join_roots p q =
+  let sc = Domain.DLS.get map_scratch in
+  sc.parent <- Arena.ensure sc.parent p.count;
+  sc.roots <- Arena.ensure sc.roots p.n;
+  let parent = sc.parent and roots = sc.roots in
   uf_join_classes parent p q;
-  let a = Domain.DLS.get scratch in
-  Arena.Stamped.ensure a p.count;
-  let e = Arena.Stamped.bump a in
-  let data = a.data and stamp = a.stamp in
-  let out = Array.make n 0 in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    let c = uf_find parent (Array.unsafe_get p.cls s) in
-    if Array.unsafe_get stamp c = e then
-      Array.unsafe_set out s (Array.unsafe_get data c)
-    else begin
-      Array.unsafe_set stamp c e;
-      Array.unsafe_set data c !count;
-      Array.unsafe_set out s !count;
-      incr count
-    end
+  for s = 0 to p.n - 1 do
+    Array.unsafe_set roots s (uf_find parent (Array.unsafe_get p.cls s))
   done;
-  intern ~n ~count:!count out
+  roots
 
 let join p q =
   if p.n <> q.n then invalid_arg "Partition.join: size mismatch";
   if p == q || is_identity q || is_universal p then p
   else if is_identity p || is_universal q then q
-  else if p.count * q.count * p.wpr <= 2 * p.n then join_rows p q
-  else join_uf p q
+  else canonicalize_small (join_roots p q) p.n
 
 let join_all ~n ps = List.fold_left join (identity n) ps
 
-(* p refines q iff every row of p is a subset of the q-row of its
-   representative: one class lookup plus [wpr] word tests per block. *)
+(* p refines q iff the class map of p determines that of q: record the
+   q-class of each p-block's first member and check every other member
+   against it, in one pass that stops at the first witness.  The table
+   is [scratch]'s data, written before it is read (first-occurrence
+   order), so no epoch is needed. *)
 let subseteq p q =
   p.n = q.n
   && (p == q || is_universal q || is_identity p
      || p.count >= q.count
         && begin
-          let wpr = p.wpr in
-          let ok = ref true in
-          let c = ref 0 in
-          while !ok && !c < p.count do
-            let base = !c * wpr in
-            let rec rep wi =
-              let w = Array.unsafe_get p.rows (base + wi) in
-              if w = 0 then rep (wi + 1) else (wi * wb) + Word.ffs w
-            in
-            let qbase = Array.unsafe_get q.cls (rep 0) * wpr in
-            let wi = ref 0 in
-            while !ok && !wi + 1 < wpr do
-              if
-                Word.Lane.diffsub2
-                  (Array.unsafe_get p.rows (base + !wi))
-                  (Array.unsafe_get q.rows (qbase + !wi))
-                  (Array.unsafe_get p.rows (base + !wi + 1))
-                  (Array.unsafe_get q.rows (qbase + !wi + 1))
-              then ok := false;
-              wi := !wi + 2
-            done;
-            if
-              !ok && !wi < wpr
-              && Array.unsafe_get p.rows (base + !wi)
-                 land lnot (Array.unsafe_get q.rows (qbase + !wi))
-                 <> 0
-            then ok := false;
-            incr c
+          let a = Domain.DLS.get scratch in
+          Arena.Stamped.ensure a p.count;
+          let image = a.data and pc = p.cls and qc = q.cls in
+          let seen = ref 0 and ok = ref true and s = ref 0 in
+          while !ok && !s < p.n do
+            let c = Array.unsafe_get pc !s and d = Array.unsafe_get qc !s in
+            if c = !seen then begin
+              Array.unsafe_set image c d;
+              incr seen
+            end
+            else if Array.unsafe_get image c <> d then ok := false;
+            incr s
           done;
           !ok
         end)
@@ -607,17 +459,6 @@ let subseteq p q =
    na) time and O(n + na + nb) reused per-domain scratch, no hashing.
    Both paths stop at the first witness, and both index their stamped
    table with checked accesses: the maps come from outside the module. *)
-type map_scratch = {
-  mutable ends : int array;
-  mutable order : int array;
-  mutable parent : int array;  (* union-find of [join_meet_subseteq] *)
-  mutable roots : int array;  (* its root map, one id per element *)
-}
-
-let map_scratch =
-  Domain.DLS.new_key (fun () ->
-      { ends = [||]; order = [||]; parent = [||]; roots = [||] })
-
 let meet_subseteq_pairs a ~na b ~nb r =
   let st = Domain.DLS.get scratch in
   Arena.Stamped.ensure st (na * nb);
@@ -706,30 +547,18 @@ let meet_subseteq p q r =
   else meet_subseteq_maps p.cls ~na:p.count q.cls ~nb:q.count r
 
 (* [subseteq (meet (join a b) p) r] with neither the join nor the meet
-   built: the class-id union-find of [join_uf] gives every element the
-   root of its [join a b] block, and that root map goes straight into
-   the meet kernel.  The forest and the root map are per-domain
-   scratch, so a test allocates nothing but the closure of the member
-   walk. *)
+   built: the root map of [join_roots] goes straight into the meet
+   kernel.  The forest and the root map are per-domain scratch, so a
+   test allocates nothing but the closure of the member walk. *)
 let join_meet_subseteq a b p r =
   if a.n <> b.n || a.n <> p.n || a.n <> r.n then
     invalid_arg "Partition.join_meet_subseteq: size mismatch";
   if a == b || is_identity b || is_universal a then meet_subseteq a p r
   else if is_identity a || is_universal b then meet_subseteq b p r
-  else begin
-    let sc = Domain.DLS.get map_scratch in
-    sc.parent <- Arena.ensure sc.parent a.count;
-    sc.roots <- Arena.ensure sc.roots a.n;
-    let parent = sc.parent and roots = sc.roots in
-    uf_join_classes parent a b;
-    for s = 0 to a.n - 1 do
-      Array.unsafe_set roots s (uf_find parent (Array.unsafe_get a.cls s))
-    done;
-    meet_subseteq_maps roots ~na:a.count p.cls ~nb:p.count r
-  end
+  else meet_subseteq_maps (join_roots a b) ~na:a.count p.cls ~nb:p.count r
 
 let equal p q =
-  p == q || (p.hcache = q.hcache && p.n = q.n && p.rows = q.rows)
+  p == q || (p.hcache = q.hcache && p.n = q.n && p.cls = q.cls)
 
 let compare p q =
   if p == q then 0

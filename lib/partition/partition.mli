@@ -79,16 +79,16 @@ val merge_classes : t -> int -> int -> t
     one.  The downward move kernel of the stochastic search. *)
 val split_singleton : t -> int -> t
 
-(** [class_size p c] is the number of members of block [c], counted
-    word-parallel over the packed row. *)
+(** [class_size p c] is the number of members of block [c], counted in
+    one pass over the class map. *)
 val class_size : t -> int -> int
 
 (** [coarsen_with p f] merges the blocks of [p] along the idempotent class
     map [f] ([f (f c) = f c], all values in [\[0, num_classes p)]): blocks
     [c] and [d] end up together iff [f c = f d].  This is the
     materialization step of the incremental closure engine
-    ({!Pair.close_merge}): only dirty groups union their packed rows, clean
-    blocks are blitted through, and [coarsen_with p Fun.id == p].
+    ({!Pair.close_merge}): one pass numbers the groups, one pass renames
+    the elements, and [coarsen_with p Fun.id == p].
     Equivalent to (but much cheaper than) joining [p] with the
     corresponding representative pair relations. *)
 val coarsen_with : t -> (int -> int) -> t
@@ -105,8 +105,9 @@ val join : t -> t -> t
     [identity n]. *)
 val join_all : n:int -> t list -> t
 
-(** [subseteq p q] is relation inclusion ([p] refines [q]).  Decided by
-    one word-parallel subset test per block of [p]. *)
+(** [subseteq p q] is relation inclusion ([p] refines [q]).  Decided in
+    one pass over the class maps that checks every element against the
+    first member of its [p]-block, stopping at the first witness. *)
 val subseteq : t -> t -> bool
 
 (** [meet_subseteq p q r] is [subseteq (meet p q) r] without
@@ -156,10 +157,11 @@ val representatives : t -> int array
 val members : t -> int -> int list
 
 (** [iter_coarse_members p f] calls [f rep s] for every element [s] that
-    is not the smallest member [rep] of its block, blocks in class-id
-    order, members ascending.  Singleton blocks are skipped without
-    touching their elements - the workhorse of the [m]-operator and
-    partition-pair checks, which only look at non-representatives. *)
+    is not the smallest member [rep] of its block, in ascending order of
+    [s] (not block by block), in one pass over the class map.  The
+    workhorse of the [m]-operator, [join] and the partition-pair checks,
+    which only look at non-representatives.  [f] may call any function
+    of this module, [iter_coarse_members] included. *)
 val iter_coarse_members : t -> (int -> int -> unit) -> unit
 
 (** [pp] prints blocks as [{0,3}{1,2}]. *)

@@ -1,8 +1,7 @@
-(* The pre-bit-engine partition kernels, retained verbatim (modulo
-   operating on raw class maps instead of interned values) as the
-   executable specification the packed implementation is property-tested
-   and benchmarked against.  Nothing in the tree should call these on a
-   hot path. *)
+(* The original partition kernels, retained verbatim (modulo operating
+   on raw class maps instead of interned values) as the executable
+   specification {!Partition} is property-tested and benchmarked
+   against.  Nothing in the tree should call these on a hot path. *)
 
 module Union_find = Stc_util.Union_find
 

@@ -1,7 +1,6 @@
-(** Element-wise reference kernels over raw class maps: the
-    implementation {!Partition} used before the packed-row rewrite,
-    retained as the executable specification for equivalence property
-    tests and the old side of [bench core].
+(** Element-wise reference kernels over raw class maps, retained as the
+    executable specification for equivalence property tests and the old
+    side of [bench core].
 
     All functions take class maps as plain [int array]s (ids need not be
     dense) and return canonical class maps (dense ids by first
@@ -25,6 +24,6 @@ val join : int array -> int array -> int array
     [b]-class. *)
 val subseteq : int array -> int array -> bool
 
-(** [hash_class_map n cls] is the old full-width FNV mix over the class
-    map - the hash {!Partition.hash} cached before the rewrite. *)
+(** [hash_class_map n cls] is a plain full-width FNV mix over the class
+    map ({!Partition.hash} adds an avalanche finish). *)
 val hash_class_map : int -> int array -> int

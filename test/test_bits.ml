@@ -72,33 +72,6 @@ let test_word_edges () =
   Alcotest.check_raises "mask 64" (Invalid_argument "Word.mask: width out of range")
     (fun () -> ignore (Word.mask 64))
 
-(* The two-word lane is a pure composition of single-word operations;
-   check it against exactly those, over random and edge word pairs. *)
-let test_lane_vs_single_word =
-  QCheck.Test.make ~count:2000 ~name:"Word.Lane = composed single-word kernels"
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let w () =
-        match Rng.int rng 4 with
-        | 0 -> List.nth edge_words (Rng.int rng (List.length edge_words))
-        | _ -> Int64.to_int (Rng.bits64 rng)
-      in
-      let a = w () and b = w () and c = w () and d = w () in
-      Word.Lane.popcount2 a b = Word.popcount a + Word.popcount b
-      && Word.Lane.diffsub2 a b c d
-         = (a land lnot b <> 0 || c land lnot d <> 0)
-      && Word.Lane.inter2 a b c d = (a land b <> 0 || c land d <> 0))
-
-let test_lane_edges () =
-  Alcotest.(check int) "lane bits" (2 * Word.bits) Word.Lane.bits;
-  Alcotest.(check int) "popcount2 -1 -1" 126 (Word.Lane.popcount2 (-1) (-1));
-  Alcotest.(check bool) "diffsub2 subset" false (Word.Lane.diffsub2 5 7 8 12);
-  Alcotest.(check bool) "diffsub2 spill lo" true (Word.Lane.diffsub2 7 5 8 12);
-  Alcotest.(check bool) "diffsub2 spill hi" true (Word.Lane.diffsub2 5 7 12 8);
-  Alcotest.(check bool) "inter2 disjoint" false (Word.Lane.inter2 5 2 8 4);
-  Alcotest.(check bool) "inter2 hit hi" true (Word.Lane.inter2 5 2 12 4)
-
 (* ------------------------------------------------------------------ *)
 (* Bitvec vs a bool-array spec                                         *)
 (* ------------------------------------------------------------------ *)
@@ -212,8 +185,6 @@ let () =
             test_word_vs_loops;
           qcheck test_word_random;
           Alcotest.test_case "edge cases" `Quick test_word_edges;
-          qcheck test_lane_vs_single_word;
-          Alcotest.test_case "lane edge cases" `Quick test_lane_edges;
         ] );
       ( "bitvec",
         [

@@ -439,8 +439,9 @@ let wild_class_map rng n =
       | 1 -> (id * 7919) + 100000
       | _ -> (id * 104729) - 500000)
 
-(* Sizes straddling the 63-bit word boundary: multi-word rows from
-   n = 64 up exercise every word-loop remainder. *)
+(* Small sizes, and sizes up to 150 whose class-count products pass the
+   1024-slot pair-key cap, so the meet kernels take their hashing and
+   bucketed paths too. *)
 let size_gen = QCheck.oneof [ QCheck.int_range 1 20; QCheck.int_range 60 150 ]
 
 let test_canonicalize_matches_reference =
@@ -557,22 +558,55 @@ let test_hash_stable_under_relabeling =
       Partition.equal p q && Partition.hash p = Partition.hash q)
 
 let test_iter_coarse_members_spec =
-  QCheck.Test.make ~count:300 ~name:"iter_coarse_members = non-reps by block"
+  QCheck.Test.make ~count:300
+    ~name:"iter_coarse_members = non-reps in element order"
     QCheck.(pair (int_bound 100000) size_gen)
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let p = Partition.of_class_map (wild_class_map rng n) in
       let got = ref [] in
       Partition.iter_coarse_members p (fun rep s -> got := (rep, s) :: !got);
+      let reps = Partition.representatives p in
       let expected =
-        List.concat_map
-          (fun block ->
-            match block with
-            | rep :: rest -> List.map (fun s -> (rep, s)) rest
-            | [] -> [])
-          (Partition.blocks p)
+        List.filter_map
+          (fun s ->
+            let rep = reps.(Partition.class_of p s) in
+            if rep = s then None else Some (rep, s))
+          (List.init n Fun.id)
       in
       List.rev !got = expected)
+
+(* A callback may re-enter the walk (and any other kernel) without
+   disturbing the outer walk's first-member table. *)
+let test_iter_coarse_members_reentrant () =
+  let p = Partition.of_blocks ~n:9 [ [ 0; 4; 8 ]; [ 1; 5 ]; [ 2; 3; 7 ] ] in
+  let q = Partition.of_blocks ~n:9 [ [ 1; 2; 3; 4; 5; 6; 7 ] ] in
+  let collect p =
+    let got = ref [] in
+    Partition.iter_coarse_members p (fun rep s -> got := (rep, s) :: !got);
+    List.rev !got
+  in
+  let inner = collect q in
+  let outer = ref [] in
+  Partition.iter_coarse_members p (fun rep s ->
+      check_bool "inner walk unchanged" true (collect q = inner);
+      ignore (Partition.join p q);
+      outer := (rep, s) :: !outer);
+  check_bool "outer walk in element order" true
+    (List.rev !outer = [ (2, 3); (0, 4); (1, 5); (2, 7); (0, 8) ])
+
+(* The class map is the whole representation: a 128-state partition with
+   126 blocks costs the record and its [n]-element map, nothing that grows
+   with the number of blocks. *)
+let test_representation_size () =
+  let n = 128 in
+  let p =
+    Partition.of_class_map (Array.init n (fun s -> if s < 3 then 0 else s))
+  in
+  Alcotest.(check int) "classes" 126 (Partition.num_classes p);
+  let words = Obj.reachable_words (Obj.repr p) in
+  if words > n + 8 then
+    Alcotest.failf "%d reachable words for n = %d (bound %d)" words n (n + 8)
 
 (* ------------------------------------------------------------------ *)
 (* Move kernels (anytime stochastic search)                            *)
@@ -1085,6 +1119,8 @@ let () =
           qcheck test_meet_subseteq_bucketed;
           qcheck test_hash_stable_under_relabeling;
           qcheck test_iter_coarse_members_spec;
+          Alcotest.test_case "iter_coarse_members re-entrant" `Quick
+            test_iter_coarse_members_reentrant;
           qcheck test_blocks_members_multiword;
         ] );
       ( "move_kernels",
@@ -1100,6 +1136,8 @@ let () =
         [
           Alcotest.test_case "physical equality" `Quick
             test_hashcons_physical_equality;
+          Alcotest.test_case "class map is the whole representation" `Quick
+            test_representation_size;
           qcheck test_hashcons_operations_intern;
         ] );
       ( "memo",

@@ -95,6 +95,9 @@ anytime_agree planted:512x4@2 --evals 2000
 # Split-heavy: one proposal in two is a split, so the closed-form split
 # closures of both kinds meet the oracle at scale.
 anytime_agree planted:512x4@2 --evals 2000 --split-ratio 2
+# 2 436 states: the oracle's from-scratch closures need about 650 MB
+# and 6 s here, so this run also bounds the memory of a partition.
+anytime_agree planted:2048x4@21
 
 echo "== selftest tbk: --jobs 1 and --jobs 2 reports must be identical =="
 # The minimizer shares one off-set index across its worker domains and
