@@ -1,67 +1,28 @@
 (* Benchmark harness.
 
-   Modes (`dune exec bench/main.exe -- MODE`):
+     bench [tables | SUITE | SUITE-quick] [OUT] [--profile FILE]
 
-   - `all` (default): regenerate every evaluation artifact of the paper
-     (Tables 1 and 2, the section-4 area discussion and the figs. 1-4
-     fault-coverage comparison - see EXPERIMENTS.md), then run the
-     Bechamel micro-benchmarks.
-   - `tables`: artifacts only.
-   - `micro`: micro-benchmarks only.
-   - `quick`: solver smoke test - solve the three heavy Table-1 rows
-     (dk16, dk512, tbk) under a hard wall-clock cap, check the factor
-     sizes against the paper and the jobs-1 investigated / deduped /
-     pruned counts against the `sequential` columns of BENCH_solver.json
-     in the working directory; nonzero exit on timeout or mismatch.  This
-     is the CI entry point (tools/check.sh).
-   - `json`: write BENCH_solver.json - per-row sequential vs parallel
-     wall time, investigated / deduped node counts and speedup.
-   - `faultsim`: write BENCH_faultsim.json - per-machine naive vs
-     optimized (collapsed + cone-limited) vs multicore fault grading:
-     wall time, gate evaluations, collapse ratio, coverage; nonzero exit
-     if any engine disagrees with the naive reference.
-   - `faultsim-quick`: the same equivalence check on two small machines
-     with short sessions, no file written - the CI gate.
-   - `minimize`: write BENCH_minimize.json - per-machine naive
-     (trit-array) vs packed bit-parallel vs multicore espresso on the
-     monolithic block C and on the fig. 4 blocks C1/C2/Lambda of dk16
-     and tbk: wall time, cube/literal counts before and after,
-     expand/tautology counters; nonzero exit if any engine violates the
-     minimization contract or jobs>1 changes the result.
-   - `minimize-quick`: the same checks on small machines (block C and
-     the pipeline blocks), no file written - the CI gate.
-   - `core`: write BENCH_core.json - the shared bit-engine kernels
-     (word SWAR ops, bitvec algebra, partition ops) timed against
-     the retained element-wise references, with per-row equality checks.
-   - `core-quick`: packed-vs-reference equivalence only, no timing
-     loops, no file written - the CI gate.
-   - `verify [OUT]`: write BENCH_verify.json (default OUT) - per-machine
-     SAT verification: CEC + pipeline-proof certificate counts, the
-     untestable-fault census with jobs-1-vs-N agreement, raw vs
-     redundancy-adjusted fig. 4 coverage, and CDCL solver counters;
-     nonzero exit on any proof error or jobs disagreement.
-   - `verify-quick [OUT]`: the same checks on two small machines with
-     short sessions - the CI gate (writes OUT when given).
-   - `anytime [OUT]`: write BENCH_anytime.json (default OUT) - the
-     stochastic anytime tier cross-checked against the exact optimum on
-     the full corpus (gap must be >= 0), plus the generated planted
-     family up to 5120 states with quality-vs-time trajectories and a
-     seeded jobs-1-vs-N determinism check; nonzero exit on any negative
-     gap, nondeterminism, trivial factorization or blown wall cap.
-   - `anytime-quick [OUT]`: the same checks on three small corpus
-     machines and a 96-state planted machine at tiny proposal budgets -
-     the CI gate (writes OUT when given). *)
+   (`dune exec bench/main.exe -- ...`)
+
+   - `tables` (the default): regenerate every evaluation artifact of the
+     paper - Tables 1 and 2, the section-4 area discussion, the figs. 1-4
+     fault-coverage comparison and the extensions (see EXPERIMENTS.md).
+   - `SUITE`: run one layer suite of the registry at the end of this file
+     on its full row set and write BENCH_<SUITE>.json, or OUT.
+   - `SUITE-quick`: the same checks on the suite's small row set - the
+     CI gates of tools/check.sh; writes OUT only when it is given.
+
+   A suite run prints one line per row as the row completes, then one
+   `FAIL <row>: <reason>` line per failing row.  It writes its file only
+   when every row passes, and exits with the number of failing rows.
+   `--profile FILE` samples the whole run and writes folded stacks. *)
 
 module Machine = Stc_fsm.Machine
-module Kiss = Stc_fsm.Kiss
-module Zoo = Stc_fsm.Zoo
 module Suite = Stc_benchmarks.Suite
 module Partition = Stc_partition.Partition
-module Pair = Stc_partition.Pair
 module Solver = Stc_core.Solver
 module Anytime = Stc_core.Anytime
 module Generate = Stc_fsm.Generate
-module Realization = Stc_core.Realization
 module Tables = Stc_encoding.Tables
 module Minimize = Stc_logic.Minimize
 module Arch = Stc_faultsim.Arch
@@ -111,15 +72,62 @@ let print_tables () =
   print_string (Experiments.render_aliasing (Experiments.aliasing ()))
 
 (* ------------------------------------------------------------------ *)
-(* Solver trajectory: the heavy Table-1 rows, timed                    *)
+(* The suite record                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let heavy_names = [ "dk16"; "dk512"; "tbk" ]
+(* One layer suite.  [rows ~quick] is lazy, so [run_suite] prints each
+   row as it completes; [failure] is why a row fails the suite, [None] when
+   it passes. *)
+type 'row suite = {
+  name : string;  (* the mode, and BENCH_<name>.json *)
+  jobs : int;  (* the fan-out recorded in the file header *)
+  header : quick:bool -> (string * Json.t) list;  (* suite-specific fields *)
+  rows : quick:bool -> 'row Seq.t;
+  label : 'row -> string;
+  print : ok:bool -> 'row -> unit;
+  to_json : 'row -> Json.t;
+  failure : 'row -> string option;
+}
+
+(* The reasons whose condition holds, joined; [None] when none does. *)
+let failing checks =
+  match List.filter_map (fun (bad, why) -> if bad then Some why else None) checks with
+  | [] -> None
+  | whys -> Some (String.concat "; " whys)
+
+let par_jobs = max 2 (Domain.recommended_domain_count ())
+
+let recommended_domains =
+  ("recommended_domains", Json.Int (Domain.recommended_domain_count ()))
+
+let timed f =
+  let t0 = Clock.now () in
+  let r = f () in
+  (r, Clock.elapsed ~since:t0)
 
 let benchmark_machine name =
   match Experiments.machine_named name with
   | Some m -> m
   | None -> invalid_arg name
+
+(* ------------------------------------------------------------------ *)
+(* solver: the heavy Table-1 rows, sequential vs parallel              *)
+(* ------------------------------------------------------------------ *)
+
+(* dk16, dk512 and tbk, each solved at jobs 1 and at jobs [par_jobs] with
+   the span tracer and metrics on.  A row fails on the 30 s cap, on
+   factors other than the paper's, on a sequential/parallel cost
+   disagreement, or on jobs-1 investigated / deduped / pruned counts other
+   than the [sequential] columns of the BENCH_solver.json in the working
+   directory.  The sequential traversal is deterministic, so those counts
+   are exact: any drift is a change in the search, never noise.  A change
+   that alters the search on purpose deletes the file and regenerates it
+   with `bench solver` - with no file there is nothing to compare
+   against.  The three rows take under a second, so the quick subset is
+   the whole suite. *)
+
+let heavy_names = [ "dk16"; "dk512"; "tbk" ]
+let solver_cap = 30.0
 
 (* One instrumented solver execution: result, wall clock, per-phase span
    totals (seconds, summed across domains - concurrent DFS workers can
@@ -137,19 +145,14 @@ type solver_run = {
   par : instrumented;
 }
 
-let par_jobs = max 2 (Domain.recommended_domain_count ())
-
-let timed f =
-  let t0 = Clock.now () in
-  let r = f () in
-  (r, Clock.elapsed ~since:t0)
-
-let instrumented_solve ~timeout ?jobs machine =
+let instrumented_solve ?jobs machine =
   Trace.set_enabled true;
   Metrics.set_enabled true;
   Trace.reset ();
   Metrics.reset ();
-  let result, wall = timed (fun () -> Solver.solve ~timeout ?jobs machine) in
+  let result, wall =
+    timed (fun () -> Solver.solve ~timeout:solver_cap ?jobs machine)
+  in
   let phases = Trace.phase_totals () in
   let counters =
     List.filter_map
@@ -164,19 +167,13 @@ let instrumented_solve ~timeout ?jobs machine =
   Metrics.set_enabled false;
   { result; wall; phases; counters }
 
-let solver_runs ~timeout =
-  List.map
-    (fun name ->
-      let spec = Option.get (Suite.find name) in
-      let machine = Suite.machine spec in
-      let seq = instrumented_solve ~timeout machine in
-      let par = instrumented_solve ~timeout ~jobs:par_jobs machine in
-      { spec; seq; par })
-    heavy_names
+let solver_row name =
+  let spec = Option.get (Suite.find name) in
+  let machine = Suite.machine spec in
+  let seq = instrumented_solve machine in
+  let par = instrumented_solve ~jobs:par_jobs machine in
+  { spec; seq; par }
 
-(* Work figures of the jobs-1 search.  The sequential traversal is
-   deterministic, so they are exact: any drift from the committed
-   BENCH_solver.json is a change in the search, never noise. *)
 let work_figures =
   [
     ("investigated", fun s -> s.Solver.investigated);
@@ -184,87 +181,84 @@ let work_figures =
     ("pruned", fun s -> s.Solver.pruned);
   ]
 
-(* The [sequential] objects of a BENCH_solver.json, by row name. *)
-let committed_sequential path =
-  match Json.parse_file path with
-  | exception Sys_error msg -> Error msg
-  | Error msg -> Error (path ^ ": " ^ msg)
-  | Ok doc ->
-    let rows =
-      match Json.member "rows" doc with Some (Json.List rows) -> rows | _ -> []
-    in
-    Ok
-      (List.filter_map
-         (fun row ->
-           match (Json.member "name" row, Json.member "sequential" row) with
-           | Some (Json.String name), Some seq -> Some (name, seq)
-           | _ -> None)
-         rows)
+(* The [sequential] objects of BENCH_solver.json, by row name; [None]
+   when there is no such file. *)
+let committed_sequential =
+  lazy
+    (let path = "BENCH_solver.json" in
+     if not (Sys.file_exists path) then begin
+       Printf.printf "work figures: no %s, not checked\n" path;
+       None
+     end
+     else
+       Some
+         (match Json.parse_file path with
+         | exception Sys_error msg -> Error msg
+         | Error msg -> Error (path ^ ": " ^ msg)
+         | Ok doc ->
+           let rows =
+             match Json.member "rows" doc with
+             | Some (Json.List rows) -> rows
+             | _ -> []
+           in
+           Ok
+             (List.filter_map
+                (fun row ->
+                  match (Json.member "name" row, Json.member "sequential" row) with
+                  | Some (Json.String name), Some seq -> Some (name, seq)
+                  | _ -> None)
+                rows)))
 
-(* Quick smoke: hard wall-clock cap, factors checked against the paper,
-   jobs-1 work figures checked against BENCH_solver.json.  Exit status
-   is the number of failing rows, so CI can gate on it. *)
-let run_quick () =
-  let cap = 30.0 in
-  let committed =
-    match committed_sequential "BENCH_solver.json" with
-    | Ok rows -> rows
-    | Error msg ->
-      Printf.printf "FAIL work figures: %s\n" msg;
-      []
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun name ->
-      let spec = Option.get (Suite.find name) in
-      let machine = Suite.machine spec in
-      let r, wall = timed (fun () -> Solver.solve ~timeout:cap machine) in
-      let stats = r.Solver.stats in
-      let s1 = Partition.num_classes r.Solver.best.Solver.pi
-      and s2 = Partition.num_classes r.Solver.best.Solver.rho in
-      let expected = (spec.Suite.paper.Suite.s1, spec.Suite.paper.Suite.s2) in
-      let drift =
-        List.filter_map
-          (fun (key, figure) ->
-            let v = figure stats in
-            let recorded =
-              match
-                Option.bind (List.assoc_opt name committed) (Json.member key)
-              with
-              | Some (Json.Int x) -> Some x
-              | _ -> None
-            in
-            if recorded = Some v then None
-            else
-              Some
-                (Printf.sprintf "%s %d (BENCH_solver.json %s)" key v
-                   (match recorded with
-                   | Some x -> string_of_int x
-                   | None -> "missing")))
-          work_figures
-      in
-      let ok =
-        (not stats.Solver.timed_out) && (s1, s2) = expected && drift = []
-      in
-      if not ok then incr failures;
-      Printf.printf
-        "%-8s %s  %.2fs  factors %d/%d (paper %d/%d)  investigated %d  deduped %d%s\n"
-        name
-        (if ok then "ok  " else "FAIL")
-        wall s1 s2 (fst expected) (snd expected)
-        stats.Solver.investigated stats.Solver.deduped
-        (if stats.Solver.timed_out then "  (timeout)" else "");
-      List.iter (Printf.printf "         work figure differs: %s\n") drift)
-    heavy_names;
-  if !failures > 0 then
-    Printf.printf "quick smoke: %d of %d rows failed\n" !failures
-      (List.length heavy_names)
-  else Printf.printf "quick smoke: all %d rows ok\n" (List.length heavy_names);
-  exit !failures
+let work_drift name stats =
+  match Lazy.force committed_sequential with
+  | None -> []
+  | Some (Error msg) -> [ msg ]
+  | Some (Ok committed) ->
+    List.filter_map
+      (fun (key, figure) ->
+        let v = figure stats in
+        match Option.bind (List.assoc_opt name committed) (Json.member key) with
+        | Some (Json.Int x) when x = v -> None
+        | Some (Json.Int x) ->
+          Some (Printf.sprintf "%s %d (BENCH_solver.json %d)" key v x)
+        | _ -> Some (Printf.sprintf "%s %d (BENCH_solver.json missing)" key v))
+      work_figures
 
-(* ------------------------------------------------------------------ *)
-(* JSON trajectory (built on the Stc_obs JSON tree - no external dep)  *)
-(* ------------------------------------------------------------------ *)
+let factors (r : Solver.result) =
+  ( Partition.num_classes r.Solver.best.Solver.pi,
+    Partition.num_classes r.Solver.best.Solver.rho )
+
+let cost_equal r =
+  Solver.compare_cost r.seq.result.Solver.best.Solver.cost
+    r.par.result.Solver.best.Solver.cost
+  = 0
+
+let solver_failure r =
+  let stats = r.seq.result.Solver.stats in
+  let s1, s2 = factors r.seq.result in
+  let paper = r.spec.Suite.paper in
+  failing
+    ([
+       ( stats.Solver.timed_out || r.par.result.Solver.stats.Solver.timed_out,
+         Printf.sprintf "hit the %.0f s cap" solver_cap );
+       ( (s1, s2) <> (paper.Suite.s1, paper.Suite.s2),
+         Printf.sprintf "factors %d/%d (paper %d/%d)" s1 s2 paper.Suite.s1
+           paper.Suite.s2 );
+       (not (cost_equal r), "sequential and parallel costs differ");
+     ]
+    @ List.map (fun d -> (true, d)) (work_drift r.spec.Suite.name stats))
+
+let print_solver_row ~ok r =
+  let stats = r.seq.result.Solver.stats in
+  let s1, s2 = factors r.seq.result in
+  let paper = r.spec.Suite.paper in
+  Printf.printf
+    "%-8s %s  %.2fs  factors %d/%d (paper %d/%d)  investigated %d  deduped %d%s\n"
+    r.spec.Suite.name
+    (if ok then "ok  " else "FAIL")
+    r.seq.wall s1 s2 paper.Suite.s1 paper.Suite.s2 stats.Solver.investigated
+    stats.Solver.deduped
+    (if stats.Solver.timed_out then "  (timeout)" else "")
 
 let json_of_instrumented (i : instrumented) =
   let stats = i.result.Solver.stats in
@@ -286,20 +280,16 @@ let json_of_instrumented (i : instrumented) =
         Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) i.counters) );
     ]
 
-let cost_equal r =
-  Solver.compare_cost r.seq.result.Solver.best.Solver.cost
-    r.par.result.Solver.best.Solver.cost
-  = 0
-
-let json_of_run r =
+let json_of_solver_row r =
   let best = r.seq.result.Solver.best in
+  let s1, s2 = factors r.seq.result in
   Json.Obj
     [
       ("name", Json.String r.spec.Suite.name);
       ("states", Json.Int r.spec.Suite.states);
       ("basis", Json.Int r.seq.result.Solver.stats.Solver.basis_size);
-      ("s1", Json.Int (Partition.num_classes best.Solver.pi));
-      ("s2", Json.Int (Partition.num_classes best.Solver.rho));
+      ("s1", Json.Int s1);
+      ("s2", Json.Int s2);
       ("bits", Json.Int best.Solver.cost.Solver.bits);
       ("sequential", json_of_instrumented r.seq);
       ("parallel", json_of_instrumented r.par);
@@ -308,51 +298,33 @@ let json_of_run r =
       ("cost_equal", Json.Bool (cost_equal r));
     ]
 
-let run_json () =
-  let runs = solver_runs ~timeout:120.0 in
-  let path = "BENCH_solver.json" in
-  Json.write path
-    (Schema.wrap ~bench:"solver" ~jobs:par_jobs
-       ~extra:
-         [ ("recommended_domains", Json.Int (Domain.recommended_domain_count ())) ]
-       (List.map json_of_run runs));
-  Printf.printf "wrote %s\n" path;
-  let phase r name =
-    Option.value ~default:0.0 (List.assoc_opt name r.phases)
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-8s seq %.2fs (%d nodes, %d deduped)  par(x%d) %.2fs  speedup %.2f\n"
-        r.spec.Suite.name r.seq.wall r.seq.result.Solver.stats.Solver.investigated
-        r.seq.result.Solver.stats.Solver.deduped par_jobs r.par.wall
-        (r.seq.wall /. Float.max 1e-9 r.par.wall);
-      Printf.printf
-        "         phases seq basis %.3fs dfs %.3fs climb %.3fs | par dfs \
-         %.3fs (sum over %d domains)\n"
-        (phase r.seq "basis") (phase r.seq "dfs") (phase r.seq "hill_climb")
-        (phase r.par "dfs") par_jobs)
-    runs;
-  (* The trajectory is only meaningful if both searches agree on the cost:
-     any cost_equal: false row fails the run. *)
-  let disagree = List.filter (fun r -> not (cost_equal r)) runs in
-  if disagree <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.printf "FAIL %s: sequential and parallel costs differ\n"
-          r.spec.Suite.name)
-      disagree;
-    exit 1
-  end
+let solver_suite =
+  {
+    name = "solver";
+    jobs = par_jobs;
+    header = (fun ~quick:_ -> [ recommended_domains ]);
+    rows = (fun ~quick:_ -> Seq.map solver_row (List.to_seq heavy_names));
+    label = (fun r -> r.spec.Suite.name);
+    print = print_solver_row;
+    to_json = json_of_solver_row;
+    failure = solver_failure;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Fault-simulation trajectory: naive vs optimized vs multicore        *)
+(* faultsim: naive vs optimized vs multicore fault grading             *)
 (* ------------------------------------------------------------------ *)
+
+(* Per machine, the fig. 4 structure graded by the naive reference, by
+   the collapsed + cone-limited engine at jobs 1 and at jobs [par_jobs],
+   and the fig. 1 structure's sequential random test at jobs 1 and N.  A
+   row fails when any engine disagrees with the naive reference.  Quick:
+   fig5 and dk27 with 256-cycle sessions. *)
 
 module Session = Stc_faultsim.Session
 
-let faultsim_machines =
-  [ "fig5"; "shiftreg"; "dk27"; "tav"; "mc"; "bbara"; "dk16" ]
+let faultsim_config ~quick =
+  if quick then ([ "fig5"; "dk27" ], 256)
+  else ([ "fig5"; "shiftreg"; "dk27"; "tav"; "mc"; "bbara"; "dk16" ], 2048)
 
 let counter_of name =
   match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
@@ -417,10 +389,15 @@ let fs_equal a b =
   && a.Session.detected = b.Session.detected
   && a.Session.undetected = b.Session.undetected
 
-let fs_row_ok r =
-  fs_equal r.naive.fs_report r.opt.fs_report
-  && fs_equal r.naive.fs_report r.par.fs_report
-  && r.seq_ok
+let faultsim_failure r =
+  failing
+    [
+      ( not (fs_equal r.naive.fs_report r.opt.fs_report),
+        "optimized grading disagrees with naive" );
+      ( not (fs_equal r.naive.fs_report r.par.fs_report),
+        "parallel grading disagrees with naive" );
+      (not r.seq_ok, "sequential test differs between jobs 1 and N");
+    ]
 
 let faultsim_row ~cycles name =
   let ctx =
@@ -508,16 +485,16 @@ let json_of_fs_row r =
       ("coverage", Json.Float r.naive.fs_report.Session.coverage);
       ("detected", Json.Int r.naive.fs_report.Session.detected);
       ("total", Json.Int r.naive.fs_report.Session.total);
-      ("equal", Json.Bool (fs_row_ok r));
+      ("equal", Json.Bool (faultsim_failure r = None));
     ]
 
-let print_fs_row r =
+let print_fs_row ~ok r =
   Printf.printf
     "%-8s %s  %d faults -> %d classes  naive %.3fs (%d evals)  opt %.3fs \
      (%d evals, %.1fx fewer)  par(x%d) %.3fs (%.2fx)  seqtest %.2fs -> \
-     %.2fs (%.2fx)\n%!"
+     %.2fs (%.2fx)\n"
     r.fs_name
-    (if fs_row_ok r then "ok  " else "FAIL")
+    (if ok then "ok  " else "FAIL")
     r.opt.fs_raw r.opt.fs_classes r.naive.fs_wall r.naive.fs_gate_evals
     r.opt.fs_wall r.opt.fs_gate_evals
     (float_of_int r.naive.fs_gate_evals
@@ -527,53 +504,42 @@ let print_fs_row r =
     r.seq_j1 r.seq_jn
     (r.seq_j1 /. Float.max 1e-9 r.seq_jn)
 
-let run_faultsim () =
-  let cycles = 2048 in
-  let rows = List.map (faultsim_row ~cycles) faultsim_machines in
-  List.iter print_fs_row rows;
-  let path = "BENCH_faultsim.json" in
-  Json.write path
-    (Schema.wrap ~bench:"faultsim" ~jobs:par_jobs
-       ~extra:
-         [
-           ("cycles", Json.Int cycles);
-           ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
-         ]
-       (List.map json_of_fs_row rows));
-  Printf.printf "wrote %s\n" path;
-  let bad = List.filter (fun r -> not (fs_row_ok r)) rows in
-  if bad <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.printf "FAIL %s: optimized grading disagrees with naive\n"
-          r.fs_name)
-      bad;
-    exit 1
-  end
-
-(* CI gate: equivalence only, small machines, short sessions. *)
-let run_faultsim_quick () =
-  let rows = List.map (faultsim_row ~cycles:256) [ "fig5"; "dk27" ] in
-  List.iter print_fs_row rows;
-  let failures = List.length (List.filter (fun r -> not (fs_row_ok r)) rows) in
-  if failures = 0 then Printf.printf "faultsim quick: all rows ok\n";
-  exit failures
+let faultsim_suite =
+  {
+    name = "faultsim";
+    jobs = par_jobs;
+    header =
+      (fun ~quick ->
+        [ ("cycles", Json.Int (snd (faultsim_config ~quick))); recommended_domains ]);
+    rows =
+      (fun ~quick ->
+        let machines, cycles = faultsim_config ~quick in
+        Seq.map (faultsim_row ~cycles) (List.to_seq machines));
+    label = (fun r -> r.fs_name);
+    print = print_fs_row;
+    to_json = json_of_fs_row;
+    failure = faultsim_failure;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Minimization trajectory: naive trit-array vs packed vs multicore    *)
+(* minimize: naive trit-array vs packed vs multicore espresso          *)
 (* ------------------------------------------------------------------ *)
+
+(* The monolithic block C of the conventional structure per machine,
+   then the three fig. 4 pipeline blocks (rows [<m>/c1], [<m>/c2],
+   [<m>/lambda]) the flow actually minimizes, each through the naive
+   reference and the packed engine at jobs 1 and N.  A row fails when an
+   engine violates the minimization contract or jobs > 1 changes the
+   cover.  Quick: dk27, mc and bbara, block C and pipeline blocks. *)
 
 module Cover = Stc_logic.Cover
 module Cube = Stc_logic.Cube
 
-(* Monolithic block C of the conventional structure per machine, then
-   the three fig. 4 pipeline blocks (rows [<m>/c1], [<m>/c2],
-   [<m>/lambda]) the flow actually minimizes. *)
-let minimize_machines = [ "dk16"; "s1"; "dk512"; "tbk" ]
-let minimize_pipeline_machines = [ "dk16"; "tbk" ]
-let minimize_quick_machines = [ "dk27"; "mc"; "bbara" ]
-
-let mz_blocks ~machines ~pipeline =
+let mz_blocks ~quick =
+  let machines, pipeline =
+    if quick then ([ "dk27"; "mc"; "bbara" ], [ "dk27"; "mc"; "bbara" ])
+    else ([ "dk16"; "s1"; "dk512"; "tbk" ], [ "dk16"; "tbk" ])
+  in
   List.map
     (fun name ->
       let on, dc = Tables.conventional (Tables.encode (benchmark_machine name)) in
@@ -647,20 +613,20 @@ let mz_same a b =
   Array.length a.Cover.cubes = Array.length b.Cover.cubes
   && Array.for_all2 Cube.equal a.Cover.cubes b.Cover.cubes
 
-let mz_cover_exn label r =
+let mz_packed_exn label r =
   match r.mz_result with
-  | Some (cover, _) -> cover
+  | Some result -> result
   | None -> failwith (label ^ ": packed engine exceeded the naive budget?")
 
-let mz_report_exn label r =
-  match r.mz_result with
-  | Some (_, report) -> report
-  | None -> failwith (label ^ ": packed engine exceeded the naive budget?")
+let minimize_failure r =
+  failing
+    [
+      (not r.mz_verified, "contract violated");
+      (not r.mz_deterministic, "jobs>1 changed the result");
+    ]
 
-let mz_row_ok r = r.mz_verified && r.mz_deterministic
-
-(* Rows print as they complete; the heavy machines keep the naive
-   reference busy for minutes, so stream progress per engine too. *)
+(* The heavy machines keep the naive reference busy for minutes, so
+   progress is streamed per engine. *)
 let minimize_row (name, on, dc) =
   let stage s = Printf.eprintf "  %s: %s...\n%!" name s in
   stage "packed jobs:1";
@@ -695,7 +661,7 @@ let minimize_row (name, on, dc) =
     mz_par = par;
     mz_verified = verified;
     mz_deterministic =
-      mz_same (mz_cover_exn name packed) (mz_cover_exn name par);
+      mz_same (fst (mz_packed_exn name packed)) (fst (mz_packed_exn name par));
   }
 
 let json_of_mz_run (r : mz_run) =
@@ -720,7 +686,7 @@ let json_of_mz_run (r : mz_run) =
       ])
 
 let json_of_mz_row r =
-  let report = mz_report_exn r.mz_name r.mz_packed in
+  let report = snd (mz_packed_exn r.mz_name r.mz_packed) in
   Json.Obj
     [
       ("name", Json.String r.mz_name);
@@ -744,11 +710,12 @@ let json_of_mz_row r =
         Json.Float (r.mz_packed.mz_wall /. Float.max 1e-9 r.mz_par.mz_wall) );
       ("verified", Json.Bool r.mz_verified);
       ("deterministic", Json.Bool r.mz_deterministic);
-      ("equal", Json.Bool (mz_row_ok r));
+      ("equal", Json.Bool (minimize_failure r = None));
     ]
 
-let print_mz_row r =
-  let cubes, literals = Cover.cost (mz_cover_exn r.mz_name r.mz_packed) in
+let print_mz_row ~ok r =
+  let cover, report = mz_packed_exn r.mz_name r.mz_packed in
+  let cubes, literals = Cover.cost cover in
   let naive_s =
     if Option.is_none r.mz_naive.mz_result then
       Printf.sprintf ">= %.0fs (capped)" r.mz_naive.mz_wall
@@ -756,79 +723,48 @@ let print_mz_row r =
   in
   Printf.printf
     "%-12s %s  %d -> %d cubes (%d literals)  naive %s  packed %.3fs \
-     (%.1fx%s)  par(x%d) %.3fs (%.2fx)\n%!"
+     (%.1fx%s)  par(x%d) %.3fs (%.2fx)\n"
     r.mz_name
-    (if mz_row_ok r then "ok  " else "FAIL")
-    (mz_report_exn r.mz_name r.mz_packed).Minimize.initial_cubes
-    cubes literals naive_s r.mz_packed.mz_wall
+    (if ok then "ok  " else "FAIL")
+    report.Minimize.initial_cubes cubes literals naive_s r.mz_packed.mz_wall
     (r.mz_naive.mz_wall /. Float.max 1e-9 r.mz_packed.mz_wall)
     (if Option.is_none r.mz_naive.mz_result then "+" else "")
     par_jobs r.mz_par.mz_wall
     (r.mz_packed.mz_wall /. Float.max 1e-9 r.mz_par.mz_wall)
 
-let minimize_rows blocks =
-  List.map
-    (fun block ->
-      let r = minimize_row block in
-      print_mz_row r;
-      r)
-    blocks
-
-let mz_failures rows =
-  List.filter (fun r -> not (mz_row_ok r)) rows
-  |> List.map (fun r ->
-         Printf.printf "FAIL %s:%s%s\n" r.mz_name
-           (if r.mz_verified then "" else " contract violated")
-           (if r.mz_deterministic then "" else " jobs>1 changed the result");
-         r.mz_name)
-
-let run_minimize () =
-  let rows =
-    minimize_rows
-      (mz_blocks ~machines:minimize_machines
-         ~pipeline:minimize_pipeline_machines)
-  in
-  let path = "BENCH_minimize.json" in
-  Json.write path
-    (Schema.wrap ~bench:"minimize" ~jobs:par_jobs
-       ~extra:
-         [ ("recommended_domains", Json.Int (Domain.recommended_domain_count ())) ]
-       (List.map json_of_mz_row rows));
-  Printf.printf "wrote %s\n" path;
-  if mz_failures rows <> [] then exit 1
-
-(* CI gate: contract + determinism checks only, small machines, no file. *)
-let run_minimize_quick () =
-  let rows =
-    minimize_rows
-      (mz_blocks ~machines:minimize_quick_machines
-         ~pipeline:minimize_quick_machines)
-  in
-  let failures = List.length (mz_failures rows) in
-  if failures = 0 then Printf.printf "minimize quick: all rows ok\n";
-  exit failures
+let minimize_suite =
+  {
+    name = "minimize";
+    jobs = par_jobs;
+    header = (fun ~quick:_ -> [ recommended_domains ]);
+    rows = (fun ~quick -> Seq.map minimize_row (List.to_seq (mz_blocks ~quick)));
+    label = (fun r -> r.mz_name);
+    print = print_mz_row;
+    to_json = json_of_mz_row;
+    failure = minimize_failure;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Core kernel trajectory: packed bit engine vs element-wise references *)
+(* core: packed kernels vs element-wise references                     *)
 (* ------------------------------------------------------------------ *)
+
+(* The Word SWAR kernels and the partition kernels, each timed against
+   its retained element-wise reference over one pregenerated workload,
+   with result equality checked on every workload item; a row fails on
+   any difference.  Quick: the same rows with a shorter calibration
+   window - check.sh times them twice and diffs the two files. *)
 
 module Word = Stc_bits.Word
-module Bitvec = Stc_bits.Bitvec
 module Reference = Stc_partition.Reference
 module Rng = Stc_util.Rng
 
 (* Self-calibrating ns/op: grow the repeat count until the measured
    window is long enough to trust the monotonic clock, then report the
    mean.  Deterministic workloads (Rng-seeded, pregenerated) keep the
-   old and new sides byte-comparable.  The window is a ref so the
-   core-quick noise gate can trade precision for speed (check.sh times
-   the suite twice and diffs the two files). *)
-let calibration_window = ref 0.05
-
-let ns_per_op f =
+   old and new sides byte-comparable. *)
+let ns_per_op ~window f =
   f ();
   (* warm-up: fill caches, trigger interning *)
-  let window = !calibration_window in
   let rec measure iters =
     let t0 = Clock.now () in
     for _ = 1 to iters do
@@ -863,7 +799,7 @@ let consume_bool = ref false
 (* One partition kernel at size [n]: time the old element-wise reference
    against the current implementation over the same pregenerated
    workload, and check result equality on every workload item. *)
-let partition_rows n =
+let partition_rows ~window n =
   let rng = Rng.create (0x5eed + n) in
   let maps = core_class_maps rng n 64 in
   let pairs = Array.map (fun a -> (a, (core_class_maps rng n 1).(0))) maps in
@@ -880,9 +816,9 @@ let partition_rows n =
   let row kernel ~equal ~old_op ~new_op =
     let ck_equal = equal () in
     cursor := 0;
-    let ck_old_ns = ns_per_op (fun () -> old_op (next_idx ())) in
+    let ck_old_ns = ns_per_op ~window (fun () -> old_op (next_idx ())) in
     cursor := 0;
-    let ck_new_ns = ns_per_op (fun () -> new_op (next_idx ())) in
+    let ck_new_ns = ns_per_op ~window (fun () -> new_op (next_idx ())) in
     { ck_kernel = kernel; ck_n = n; ck_old_ns; ck_new_ns; ck_equal }
   in
   let all_eq f = Array.for_all Fun.id (Array.init 64 f) in
@@ -960,7 +896,7 @@ let partition_rows n =
 
 (* The retired bit-serial word loops (see test/test_bits.ml for the
    pinning tests) vs the SWAR kernels, over one word array. *)
-let word_rows () =
+let word_rows ~window =
   let rng = Rng.create 0xb175 in
   let words =
     Array.init 4096 (fun _ ->
@@ -984,12 +920,15 @@ let word_rows () =
     Array.iter (fun w -> acc := !acc + f w) words;
     consume_int := !acc
   in
+  let per_word f =
+    ns_per_op ~window (fun () -> sweep f) /. float_of_int (Array.length words)
+  in
   let row kernel old_f new_f =
     {
       ck_kernel = "word/" ^ kernel;
       ck_n = Array.length words;
-      ck_old_ns = ns_per_op (fun () -> sweep old_f) /. float_of_int (Array.length words);
-      ck_new_ns = ns_per_op (fun () -> sweep new_f) /. float_of_int (Array.length words);
+      ck_old_ns = per_word old_f;
+      ck_new_ns = per_word new_f;
       ck_equal = Array.for_all (fun w -> old_f w = new_f w) words;
     }
   in
@@ -999,59 +938,17 @@ let word_rows () =
     row "ffs" ffs_loop Word.ffs;
   ]
 
-(* Bitvec set algebra vs the bool-array spec it is property-tested
-   against. *)
-let bitvec_rows n =
-  let rng = Rng.create (0xb17 + n) in
-  let bools = Array.init 64 (fun _ -> Array.init n (fun _ -> Rng.int rng 2 = 1)) in
-  let vecs = Array.map Bitvec.of_bools bools in
-  let spec_union a b = Array.init n (fun i -> a.(i) || b.(i)) in
-  let spec_count a = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 a in
-  let cursor = ref 0 in
-  let next_pair () =
-    let i = !cursor in
-    cursor := (i + 1) land 63;
-    (i, (i + 1) land 63)
-  in
-  let equal =
-    Array.for_all Fun.id
-      (Array.init 64 (fun i ->
-           let j = (i + 1) land 63 in
-           Bitvec.to_bools (Bitvec.union vecs.(i) vecs.(j))
-           = spec_union bools.(i) bools.(j)
-           && Bitvec.popcount vecs.(i) = spec_count bools.(i)))
-  in
-  cursor := 0;
-  let old_ns =
-    ns_per_op (fun () ->
-        let i, j = next_pair () in
-        consume_int := spec_count (spec_union bools.(i) bools.(j)))
-  in
-  cursor := 0;
-  let new_ns =
-    ns_per_op (fun () ->
-        let i, j = next_pair () in
-        consume_int := Bitvec.popcount (Bitvec.union vecs.(i) vecs.(j)))
-  in
-  [
-    {
-      ck_kernel = "bitvec/union+popcount";
-      ck_n = n;
-      ck_old_ns = old_ns;
-      ck_new_ns = new_ns;
-      ck_equal = equal;
-    };
-  ]
+let core_rows ~quick =
+  let window = if quick then 0.02 else 0.05 in
+  List.to_seq
+    ((fun () -> word_rows ~window)
+    :: List.map (fun n () -> partition_rows ~window n) core_sizes)
+  |> Seq.concat_map (fun batch -> List.to_seq (batch ()))
 
-let core_rows () =
-  word_rows ()
-  @ List.concat_map bitvec_rows core_sizes
-  @ List.concat_map partition_rows core_sizes
-
-let print_core_row r =
-  Printf.printf "%-24s n=%-4d %s  old %10.1f ns/op  new %10.1f ns/op  %5.2fx\n%!"
+let print_core_row ~ok r =
+  Printf.printf "%-24s n=%-4d %s  old %10.1f ns/op  new %10.1f ns/op  %5.2fx\n"
     r.ck_kernel r.ck_n
-    (if r.ck_equal then "ok  " else "FAIL")
+    (if ok then "ok  " else "FAIL")
     r.ck_old_ns r.ck_new_ns
     (r.ck_old_ns /. Float.max 1e-9 r.ck_new_ns)
 
@@ -1066,187 +963,37 @@ let json_of_core_row r =
       ("equal", Json.Bool r.ck_equal);
     ]
 
-let core_failures rows =
-  List.filter (fun r -> not r.ck_equal) rows
-  |> List.map (fun r ->
-         Printf.printf "FAIL %s n=%d: packed result differs from reference\n"
-           r.ck_kernel r.ck_n;
-         r.ck_kernel)
-
-let run_core () =
-  let rows = core_rows () in
-  List.iter print_core_row rows;
-  let path = "BENCH_core.json" in
-  Json.write path
-    (Schema.wrap ~bench:"core" ~jobs:1 (List.map json_of_core_row rows));
-  Printf.printf "wrote %s\n" path;
-  if core_failures rows <> [] then exit 1
-
-(* CI gate: equivalence checks only, no timing loops, no file written;
-   exit status counts failures.  With [?out] it additionally writes a
-   light-timed (short calibration window) schema'd BENCH file - check.sh
-   runs that twice and feeds both files to bench_diff to prove the
-   regression thresholds absorb same-box noise. *)
-let run_core_quick ?out () =
-  let rng = Rng.create 0xc0de in
-  let failures = ref 0 in
-  List.iter
-    (fun n ->
-      for _ = 1 to 50 do
-        let pick () = (core_class_maps rng n 1).(0) in
-        let a = pick () and b = pick () and c = pick () in
-        let p = Partition.of_class_map a
-        and q = Partition.of_class_map b
-        and r = Partition.of_class_map c in
-        let ok =
-          Partition.class_map (Partition.meet p q) = Reference.meet a b
-          && Partition.class_map (Partition.join p q) = Reference.join a b
-          && Partition.subseteq p q = Reference.subseteq a b
-          && Partition.meet_subseteq p q r
-             = Reference.subseteq (Reference.meet a b) c
-        in
-        if not ok then begin
-          Printf.printf "FAIL core-quick: n=%d packed vs reference mismatch\n" n;
-          incr failures
-        end
-      done)
-    core_sizes;
-  if !failures = 0 then Printf.printf "core quick: all kernels agree\n";
-  (match out with
-  | Some path when !failures = 0 ->
-    calibration_window := 0.02;
-    let rows = core_rows () in
-    Json.write path
-      (Schema.wrap ~bench:"core" ~jobs:1
-         ~extra:[ ("quick", Json.Bool true) ]
-         (List.map json_of_core_row rows));
-    Printf.printf "wrote %s\n" path
-  | _ -> ());
-  exit !failures
+let core_suite =
+  {
+    name = "core";
+    jobs = 1;
+    header = (fun ~quick:_ -> []);
+    rows = core_rows;
+    label = (fun r -> Printf.sprintf "%s n=%d" r.ck_kernel r.ck_n);
+    print = print_core_row;
+    to_json = json_of_core_row;
+    failure =
+      (fun r ->
+        failing [ (not r.ck_equal, "packed result differs from reference") ]);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                    *)
+(* verify: CEC + pipeline proofs + untestable-fault proofs             *)
 (* ------------------------------------------------------------------ *)
 
-open Bechamel
-open Toolkit
-
-let solver_tests =
-  (* One Test per Table-1/Table-2 row that solves in well under a second;
-     the slow rows (dk16, dk512, tbk) are covered by `quick` / `json`. *)
-  let machines =
-    [ "bbara"; "bbtas"; "dk14"; "dk15"; "dk17"; "dk27"; "mc"; "s1";
-      "shiftreg"; "tav" ]
-  in
-  List.map
-    (fun name ->
-      let m = benchmark_machine name in
-      Test.make ~name:("table1/" ^ name)
-        (Staged.stage (fun () -> ignore (Solver.solve m))))
-    machines
-
-let kernel_tests =
-  let dk16 = benchmark_machine "dk16" in
-  let next = dk16.Machine.next in
-  let pi =
-    Partition.of_class_map
-      (Array.init dk16.Machine.num_states (fun s -> s mod 5))
-  in
-  let basis = Pair.basis ~next in
-  let some_basis = List.filteri (fun i _ -> i < 8) basis in
-  let dk27 = benchmark_machine "dk27" in
-  let enc = Tables.encode dk27 in
-  let on, dc = Tables.conventional enc in
-  let shiftreg = Zoo.shift_register ~bits:3 in
-  let shiftreg_pipeline = (Context.of_machine ~cycles:256 shiftreg).Context.fig4 in
-  let counter8 = Context.of_machine ~conventional:true (Zoo.counter ~modulus:8) in
-  let counter8_c = (Option.get counter8.Context.block_c).Context.minimized in
-  let fig5_text = Kiss.print (Zoo.paper_fig5 ()) in
-  [
-    Test.make ~name:"kernel/m-operator(dk16)"
-      (Staged.stage (fun () -> ignore (Pair.m ~next pi)));
-    Test.make ~name:"kernel/M-operator(dk16)"
-      (Staged.stage (fun () -> ignore (Pair.big_m ~next pi)));
-    Test.make ~name:"kernel/basis(dk16)"
-      (Staged.stage (fun () -> ignore (Pair.basis ~next)));
-    Test.make ~name:"kernel/joins(dk16)"
-      (Staged.stage (fun () ->
-           ignore (List.fold_left Partition.join pi some_basis)));
-    Test.make ~name:"kernel/espresso(dk27-C)"
-      (Staged.stage (fun () -> ignore (Minimize.minimize ~dc on)));
-    Test.make ~name:"kernel/realization(fig5)"
-      (Staged.stage (fun () ->
-           let m = Zoo.paper_fig5 () in
-           let pi = Partition.of_blocks ~n:4 [ [ 0; 1 ]; [ 2; 3 ] ] in
-           let rho = Partition.of_blocks ~n:4 [ [ 0; 3 ]; [ 1; 2 ] ] in
-           ignore (Realization.build m ~pi ~rho)));
-    Test.make ~name:"kernel/fault-grade(shiftreg-fig4)"
-      (Staged.stage (fun () -> ignore (Arch.grade shiftreg_pipeline)));
-    Test.make ~name:"kernel/kiss-parse(fig5)"
-      (Staged.stage (fun () -> ignore (Kiss.parse fig5_text)));
-    Test.make ~name:"kernel/seqtest(counter8)"
-      (Staged.stage (fun () ->
-           ignore
-             (Stc_faultsim.Seqtest.run_conventional ~cycles:256
-                ~cover:counter8_c counter8.Context.tables.Tables.enc)));
-    Test.make ~name:"ext/multiway-3(shiftreg)"
-      (Staged.stage (fun () ->
-           ignore
-             (Stc_core.Multiway.solve ~timeout:5.0 ~stages:3
-                (Zoo.shift_register ~bits:3))));
-    Test.make ~name:"ext/split-improve(fig5)"
-      (Staged.stage (fun () ->
-           ignore (Stc_core.Split.improve ~max_rounds:1 (Zoo.paper_fig5 ()))));
-  ]
-
-let run_benchmarks () =
-  let tests = Test.make_grouped ~name:"stc" (solver_tests @ kernel_tests) in
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> est
-          | Some [] | None -> Float.nan
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan
-        in
-        (name, ns, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-  in
-  Format.printf "@.=== micro-benchmarks (monotonic clock, OLS) ===@.@.";
-  print_string
-    (Stc_report.Table.render
-       ~header:[ "benchmark"; "time/run"; "r^2" ]
-       (List.map
-          (fun (name, ns, r2) ->
-            let time =
-              if Float.is_nan ns then "n/a"
-              else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-              else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-              else Printf.sprintf "%.0f ns" ns
-            in
-            [ name; time; Printf.sprintf "%.3f" r2 ])
-          rows))
-
-(* ------------------------------------------------------------------ *)
-(* SAT verification: CEC + pipeline proofs + untestable-fault proofs   *)
-(* ------------------------------------------------------------------ *)
+(* Per machine: CEC and pipeline-proof certificate counts, the
+   untestable-fault census with jobs-1-vs-N agreement, raw vs
+   redundancy-adjusted fig. 4 coverage and the CDCL solver counters.  A
+   row fails on any proof error or jobs disagreement.  Quick: fig5 and
+   dk27 with 256-cycle sessions. *)
 
 module Verify = Stc_analysis.Verify
 module Diagnostic = Stc_analysis.Diagnostic
 module Prove = Stc_sat.Prove
+
+let verify_config ~quick =
+  if quick then ([ "fig5"; "dk27" ], 256)
+  else ([ "fig5"; "shiftreg"; "dk27"; "tav"; "mc" ], 1024)
 
 type verify_row = {
   vr_name : string;
@@ -1348,7 +1095,7 @@ let json_of_verify_row r =
           ] );
     ]
 
-let print_verify_row r =
+let print_verify_row ~ok:_ r =
   Printf.printf
     "%-10s %4d gates: %d errors, %d certs (%.2fs); %d/%d faults untestable \
      (%.2fs, jobs %s); coverage %.1f%% raw -> %.1f%% adjusted; %d solves, \
@@ -1359,39 +1106,37 @@ let print_verify_row r =
     (100.0 *. r.vr_raw_cov) (100.0 *. r.vr_adj_cov) r.vr_solves
     r.vr_conflicts
 
-let verify_row_ok r = r.vr_errors = 0 && r.vr_jobs_agree
-
-let run_verify_rows ~cycles ~out names =
-  (* SAT counters live in the metrics registry; enable it so the rows can
-     report per-machine decision/conflict/propagation deltas.  Graders are
-     called with ~need_cycles:false explicitly, so enabling metrics does
-     not change any verdict. *)
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  let rows = List.map (verify_row ~cycles) names in
-  List.iter print_verify_row rows;
-  let failures = List.length (List.filter (fun r -> not (verify_row_ok r)) rows) in
-  (match out with
-  | Some path when failures = 0 ->
-    Json.write path
-      (Schema.wrap ~bench:"verify" ~jobs:par_jobs
-         ~extra:[ ("cycles", Json.Int cycles) ]
-         (List.map json_of_verify_row rows));
-    Printf.printf "wrote %s\n" path
-  | _ -> ());
-  if failures = 0 then Printf.printf "verify: all proofs hold\n";
-  exit failures
-
-let verify_machines = [ "fig5"; "shiftreg"; "dk27"; "tav"; "mc" ]
-
-let run_verify ?(out = "BENCH_verify.json") () =
-  run_verify_rows ~cycles:1024 ~out:(Some out) verify_machines
-
-let run_verify_quick ?out () =
-  run_verify_rows ~cycles:256 ~out [ "fig5"; "dk27" ]
+let verify_suite =
+  {
+    name = "verify";
+    jobs = par_jobs;
+    header =
+      (fun ~quick -> [ ("cycles", Json.Int (snd (verify_config ~quick))) ]);
+    rows =
+      (fun ~quick ->
+        (* SAT counters live in the metrics registry; enable it so the rows
+           can report per-machine decision/conflict/propagation deltas.
+           Graders are called with ~need_cycles:false explicitly, so
+           enabling metrics does not change any verdict. *)
+        Metrics.set_enabled true;
+        Metrics.reset ();
+        let machines, cycles = verify_config ~quick in
+        Seq.map (verify_row ~cycles) (List.to_seq machines));
+    label = (fun r -> r.vr_name);
+    print = print_verify_row;
+    to_json = json_of_verify_row;
+    failure =
+      (fun r ->
+        failing
+          [
+            (r.vr_errors > 0, Printf.sprintf "%d proof errors" r.vr_errors);
+            ( not r.vr_jobs_agree,
+              "untestable faults differ between jobs 1 and N" );
+          ]);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Anytime: stochastic-tier cross-check and the scale frontier         *)
+(* anytime: stochastic-tier cross-check and the scale frontier         *)
 (* ------------------------------------------------------------------ *)
 
 (* Quality-vs-time rows for the anytime tier (lib/core/anytime.ml), in
@@ -1400,16 +1145,18 @@ let run_verify_quick ?out () =
    - corpus rows: the 13 suite machines, exact optimum vs the forced
      stochastic tier at a capped proposal budget.  The gap
      (stochastic - exact bits) must be >= 0 by optimality of the exact
-     tier; a negative gap is a bug and fails the mode.
+     tier; a negative gap is a bug and fails the row.
    - generated rows: the planted:<n>x4 family (lib/fsm/generate.ml),
-     beyond the exact tier's reach.  The flagship >= 1000-state row must
-     finish under the 60 s budget with a nontrivial factorization.
+     beyond the exact tier's reach.  Each must finish under the 60 s
+     budget with a nontrivial factorization.
 
    Where [deterministic] is reported, the same seed was re-run and run
    again at jobs=par_jobs, and cost, factor partitions and RNG-stream
    fingerprint were required to be identical (the jobs-invariance
    contract of Anytime).  The configs below stop on deterministic
-   counters; the wall budget is a safety cap sized not to fire. *)
+   counters; the wall budget is a safety cap sized not to fire.  Quick:
+   three small corpus machines and a 96-state planted machine at tiny
+   proposal budgets. *)
 
 type anytime_row = {
   an_name : string;
@@ -1420,6 +1167,7 @@ type anytime_row = {
   an_s1 : int;
   an_s2 : int;
   an_trivial_bits : int;
+  an_trivial : bool;  (* both factors as large as the machine *)
   an_exact_bits : int option;  (* exact optimum - corpus rows only *)
   an_wall : float;
   an_evals : int;
@@ -1436,7 +1184,6 @@ type anytime_row = {
   an_ns_per_eval : float;  (* wall / evals - the per-proposal cost *)
   an_full_ns_per_eval : float option;  (* same, for the oracle rerun *)
   an_trajectory : Anytime.frontier_point list;
-  an_ok : bool;
 }
 
 let anytime_identical (a : Anytime.result) (b : Anytime.result) =
@@ -1453,17 +1200,16 @@ let anytime_row_of_result ~name ~jobs ~exact_bits ~deterministic
     ~incr_identical ~full_wall ~wall machine (r : Anytime.result) =
   let s = r.Anytime.stats in
   let best = r.Anytime.best in
-  let bits = best.Solver.cost.Solver.bits in
-  let gap_ok = match exact_bits with Some e -> bits >= e | None -> true in
   {
     an_name = name;
     an_states = machine.Machine.num_states;
     an_jobs = jobs;
     an_tier = Format.asprintf "%a" Anytime.pp_tier s.Anytime.tier;
-    an_bits = bits;
+    an_bits = best.Solver.cost.Solver.bits;
     an_s1 = Partition.num_classes best.Solver.pi;
     an_s2 = Partition.num_classes best.Solver.rho;
     an_trivial_bits = 2 * Machine.bits_for machine.Machine.num_states;
+    an_trivial = Solver.is_trivial machine best;
     an_exact_bits = exact_bits;
     an_wall = wall;
     an_evals = s.Anytime.evals;
@@ -1478,12 +1224,24 @@ let anytime_row_of_result ~name ~jobs ~exact_bits ~deterministic
     an_full_ns_per_eval =
       Option.map (fun w -> ns_per_eval ~wall:w ~evals:s.Anytime.evals) full_wall;
     an_trajectory = s.Anytime.trajectory;
-    an_ok =
-      gap_ok
-      && (not s.Anytime.timed_out)
-      && (match deterministic with Some d -> d | None -> true)
-      && match incr_identical with Some d -> d | None -> true;
   }
+
+(* A corpus row (exact bits known) fails on a negative gap; a generated
+   row on the 60 s wall cap or a trivial factorization; either on a
+   timeout or a failed identity re-check. *)
+let anytime_failure r =
+  let generated = Option.is_none r.an_exact_bits in
+  let gap = Option.fold ~none:0 ~some:(fun e -> r.an_bits - e) r.an_exact_bits in
+  failing
+    [
+      (gap < 0, Printf.sprintf "gap %+d bits: below the exact optimum" gap);
+      (r.an_timed_out, "hit the wall budget");
+      (r.an_deterministic = Some false, "nondeterministic");
+      ( r.an_incr_identical = Some false,
+        "closure engine differs from the full-recompute oracle" );
+      (generated && r.an_wall >= 60.0, "over the 60 s wall cap");
+      (generated && r.an_trivial, "trivial factorization");
+    ]
 
 (* Forced stochastic tier on a suite machine, cross-checked against the
    exact optimum.  Identity is always re-checked on corpus rows (they
@@ -1509,9 +1267,8 @@ let anytime_corpus_row ~config (spec : Suite.spec) =
     ~incr_identical:(Some (anytime_identical r1 rfull))
     ~full_wall:(Some full_wall) ~wall machine r1
 
-(* Full anytime driver on a generated machine; must beat the trivial
-   doubled realization and stay under the wall cap.  [check_full] reruns
-   the row with the full-recompute oracle — affordable up to the ~6000
+(* [Anytime.solve] on a generated machine.  [check_full] reruns the
+   row with the full-recompute oracle — affordable up to the ~6000
    state rows; the 10^4+ frontier rows skip it (their oracle identity is
    covered by the 5929-state row and the unit suite). *)
 let anytime_generated_row ~spec ~config ~check_identity
@@ -1548,20 +1305,13 @@ let anytime_generated_row ~spec ~config ~check_identity
     if config.Anytime.jobs = 1 then spec
     else Printf.sprintf "%s#j%d" spec config.Anytime.jobs
   in
-  let row =
-    anytime_row_of_result ~name ~jobs:config.Anytime.jobs ~exact_bits:None
-      ~deterministic ~incr_identical ~full_wall ~wall machine r1
-  in
-  {
-    row with
-    an_ok =
-      row.an_ok && wall < 60.0 && not (Solver.is_trivial machine r1.Anytime.best);
-  }
+  anytime_row_of_result ~name ~jobs:config.Anytime.jobs ~exact_bits:None
+    ~deterministic ~incr_identical ~full_wall ~wall machine r1
 
-let print_anytime_row r =
+let print_anytime_row ~ok r =
   Printf.printf
     "%-22s %5d st j%d %-22s bits %2d (%d,%d; trivial %2d)%s wall %6.2fs \
-     evals %5d feas %4d rounds %3d%s fp %016x%s\n%!"
+     evals %5d feas %4d rounds %3d%s fp %016x%s\n"
     r.an_name r.an_states r.an_jobs r.an_tier r.an_bits r.an_s1 r.an_s2
     r.an_trivial_bits
     (match r.an_exact_bits with
@@ -1580,7 +1330,7 @@ let print_anytime_row r =
      | Some true, None -> " incr=full"
      | Some false, _ -> " INCR<>FULL"
      | None, _ -> "")
-    ^ if r.an_ok then "" else "  FAIL")
+    ^ if ok then "" else "  FAIL")
 
 let json_of_anytime_row r =
   let base =
@@ -1647,70 +1397,9 @@ let json_of_anytime_row r =
   in
   Json.Obj (base @ exact @ det @ traj)
 
-let finish_anytime ~out rows =
-  List.iter print_anytime_row rows;
-  let failures = List.length (List.filter (fun r -> not r.an_ok) rows) in
-  (match out with
-  | Some path when failures = 0 ->
-    Json.write path
-      (Schema.wrap ~bench:"anytime" ~jobs:par_jobs
-         ~extra:
-           [
-             ( "recommended_domains",
-               Json.Int (Domain.recommended_domain_count ()) );
-           ]
-         (List.map json_of_anytime_row rows));
-    Printf.printf "wrote %s\n" path
-  | _ -> ());
-  if failures = 0 then Printf.printf "anytime: all rows ok\n";
-  exit failures
-
 let anytime_corpus_config =
   { Anytime.default_config with Anytime.max_evals = 6000; jobs = 1 }
 
-let run_anytime ?(out = "BENCH_anytime.json") () =
-  let corpus =
-    List.map (anytime_corpus_row ~config:anytime_corpus_config) Suite.all
-  in
-  let gen ?(check_identity = false) ?(check_full = false) ?(jobs = 1)
-      ~max_evals spec =
-    anytime_generated_row ~spec
-      ~config:
-        {
-          Anytime.default_config with
-          Anytime.max_evals;
-          jobs;
-          budget = 60.0;
-        }
-      ~check_identity ~check_full ()
-  in
-  let generated =
-    [ gen ~check_identity:true ~check_full:true ~max_evals:4000
-        "planted:1024x4@1" ]
-    @ (if par_jobs > 1 then
-         [ gen ~jobs:par_jobs ~max_evals:4000 "planted:1024x4@1" ]
-       else [])
-    @ [
-        (* proposal budgets shrink with size: a proposal costs roughly
-           O(states * classes / 64) for the full closure, so these keep
-           each row well under the 60 s wall cap (which must not fire -
-           it is the one nondeterministic stop).  The oracle rerun
-           ([check_full]) stops at the 5929-state row: its full-closure
-           wall is the old frontier, and the 10^4+ rows below exist
-           precisely because the delta engine no longer pays it. *)
-        gen ~check_full:true ~max_evals:2000 "planted:2048x4@1";
-        gen ~check_full:true ~max_evals:1000 "planted:5120x4@1";
-        (* the incremental-closure frontier: >= 10^4 states on 1 core *)
-        gen ~max_evals:1000 "planted:12288x4@1";
-        gen ~max_evals:600 "planted:16384x4@1";
-      ]
-  in
-  finish_anytime ~out:(Some out) (corpus @ generated)
-
-(* The CI gate: three small corpus machines plus a small planted
-   machine, tiny proposal budgets, forced past the exact tier.  Writes
-   the schema'd row file when OUT is given so check.sh can run it twice
-   and bench_diff the walls. *)
 let anytime_quick_config =
   {
     Anytime.default_config with
@@ -1724,24 +1413,127 @@ let anytime_quick_config =
     jobs = 1;
   }
 
-let run_anytime_quick ?out () =
-  let corpus =
-    List.filter_map Suite.find [ "dk27"; "tav"; "mc" ]
-    |> List.map (anytime_corpus_row ~config:anytime_quick_config)
+let anytime_full_rows () =
+  let gen ?(check_identity = false) ?(check_full = false) ?(jobs = 1)
+      ~max_evals spec () =
+    anytime_generated_row ~spec
+      ~config:
+        {
+          Anytime.default_config with
+          Anytime.max_evals;
+          jobs;
+          budget = 60.0;
+        }
+      ~check_identity ~check_full ()
   in
-  let generated =
-    [
-      anytime_generated_row ~spec:"planted:96x4@1"
-        ~config:{ anytime_quick_config with Anytime.exact_max_states = 64 }
-        ~check_identity:true ~check_full:true ();
+  List.map
+    (fun spec () -> anytime_corpus_row ~config:anytime_corpus_config spec)
+    Suite.all
+  @ [ gen ~check_identity:true ~check_full:true ~max_evals:4000
+        "planted:1024x4@1" ]
+  @ (if par_jobs > 1 then
+       [ gen ~jobs:par_jobs ~max_evals:4000 "planted:1024x4@1" ]
+     else [])
+  @ [
+      (* proposal budgets shrink with size: a proposal costs roughly
+         O(states * classes / 64) for the full closure, so these keep
+         each row well under the 60 s wall cap (which must not fire -
+         it is the one nondeterministic stop).  The oracle rerun
+         ([check_full]) stops at the 5929-state row: its full-closure
+         wall is the old frontier, and the 10^4+ rows below exist
+         precisely because the delta engine no longer pays it. *)
+      gen ~check_full:true ~max_evals:2000 "planted:2048x4@1";
+      gen ~check_full:true ~max_evals:1000 "planted:5120x4@1";
+      (* the incremental-closure frontier: >= 10^4 states on 1 core *)
+      gen ~max_evals:1000 "planted:12288x4@1";
+      gen ~max_evals:600 "planted:16384x4@1";
     ]
+
+let anytime_quick_rows () =
+  List.map
+    (fun spec () -> anytime_corpus_row ~config:anytime_quick_config spec)
+    (List.filter_map Suite.find [ "dk27"; "tav"; "mc" ])
+  @ [
+      (fun () ->
+        anytime_generated_row ~spec:"planted:96x4@1"
+          ~config:{ anytime_quick_config with Anytime.exact_max_states = 64 }
+          ~check_identity:true ~check_full:true ());
+    ]
+
+let anytime_suite =
+  {
+    name = "anytime";
+    jobs = par_jobs;
+    header = (fun ~quick:_ -> [ recommended_domains ]);
+    rows =
+      (fun ~quick ->
+        let rows = if quick then anytime_quick_rows () else anytime_full_rows () in
+        Seq.map (fun row -> row ()) (List.to_seq rows));
+    label = (fun r -> r.an_name);
+    print = print_anytime_row;
+    to_json = json_of_anytime_row;
+    failure = anytime_failure;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The registry and its one runner                                     *)
+(* ------------------------------------------------------------------ *)
+
+type entry = Suite : 'row suite -> entry
+
+let suites =
+  [
+    Suite solver_suite;
+    Suite faultsim_suite;
+    Suite minimize_suite;
+    Suite core_suite;
+    Suite verify_suite;
+    Suite anytime_suite;
+  ]
+
+let run_suite (Suite s) ~quick ~out =
+  let mode = if quick then s.name ^ "-quick" else s.name in
+  let rows =
+    List.of_seq
+      (Seq.map
+         (fun row ->
+           let why = s.failure row in
+           s.print ~ok:(why = None) row;
+           flush stdout;
+           (row, why))
+         (s.rows ~quick))
   in
-  finish_anytime ~out (corpus @ generated)
+  let failures =
+    List.filter_map (fun (row, why) -> Option.map (fun why -> (s.label row, why)) why) rows
+  in
+  List.iter (fun (label, why) -> Printf.printf "FAIL %s: %s\n" label why) failures;
+  if failures = [] then begin
+    Option.iter
+      (fun path ->
+        Json.write path
+          (Schema.wrap ~bench:s.name ~jobs:s.jobs
+             ~extra:(s.header ~quick @ if quick then [ ("quick", Json.Bool true) ] else [])
+             (List.map (fun (row, _) -> s.to_json row) rows));
+        Printf.printf "wrote %s\n" path)
+      out;
+    Printf.printf "%s: all %d rows ok\n" mode (List.length rows)
+  end
+  else
+    Printf.printf "%s: %d of %d rows failed, nothing written\n" mode
+      (List.length failures) (List.length rows);
+  exit (List.length failures)
+
+let usage () =
+  Printf.eprintf
+    "usage: bench [tables | SUITE | SUITE-quick] [OUT] [--profile FILE]\n\
+     SUITE is one of %s\n"
+    (String.concat ", " (List.map (fun (Suite s) -> s.name) suites));
+  exit 2
 
 let () =
   (* `--profile FILE` anywhere on the line samples the whole run and
-     writes folded stacks at exit - modes terminate via [exit], so the
-     writer hangs off [at_exit]. *)
+     writes folded stacks at exit - suite runs terminate via [exit], so
+     the writer hangs off [at_exit]. *)
   let rec strip_profile acc = function
     | [] -> (List.rev acc, None)
     | "--profile" :: file :: rest -> (List.rev acc @ rest, Some file)
@@ -1763,34 +1555,17 @@ let () =
           Printf.eprintf "profile: wrote %s (%d samples @ %d Hz)\n%!" file
             report.Profile.samples report.Profile.hz
         end));
-  match args with
-  | [ "quick" ] -> run_quick ()
-  | [ "json" ] -> run_json ()
-  | [ "faultsim" ] -> run_faultsim ()
-  | [ "faultsim-quick" ] -> run_faultsim_quick ()
-  | [ "minimize" ] -> run_minimize ()
-  | [ "minimize-quick" ] -> run_minimize_quick ()
-  | [ "core" ] -> run_core ()
-  | [ "core-quick" ] -> run_core_quick ()
-  | [ "core-quick"; out ] -> run_core_quick ~out ()
-  | [ "verify" ] -> run_verify ()
-  | [ "verify"; out ] -> run_verify ~out ()
-  | [ "verify-quick" ] -> run_verify_quick ()
-  | [ "verify-quick"; out ] -> run_verify_quick ~out ()
-  | [ "anytime" ] -> run_anytime ()
-  | [ "anytime"; out ] -> run_anytime ~out ()
-  | [ "anytime-quick" ] -> run_anytime_quick ()
-  | [ "anytime-quick"; out ] -> run_anytime_quick ~out ()
-  | [ "micro" ] -> run_benchmarks ()
-  | [ "tables" ] -> print_tables ()
-  | [] | [ "all" ] ->
-    print_tables ();
-    run_benchmarks ()
-  | other :: _ ->
-    prerr_endline
-      ("bench: unknown mode " ^ other
-     ^ " (expected all, tables, micro, quick, json, faultsim, \
-        faultsim-quick, minimize, minimize-quick, core, core-quick, \
-        verify, verify-quick, anytime or anytime-quick [OUT]; any mode \
-        accepts --profile FILE)");
-    exit 2
+  let mode, out = match args with [] -> ("tables", []) | mode :: out -> (mode, out) in
+  let suite =
+    List.find_map
+      (fun (Suite s as suite) ->
+        if mode = s.name then Some (suite, false, Some ("BENCH_" ^ s.name ^ ".json"))
+        else if mode = s.name ^ "-quick" then Some (suite, true, None)
+        else None)
+      suites
+  in
+  match (mode, out, suite) with
+  | "tables", [], _ -> print_tables ()
+  | _, [], Some (suite, quick, default_out) -> run_suite suite ~quick ~out:default_out
+  | _, [ path ], Some (suite, quick, _) -> run_suite suite ~quick ~out:(Some path)
+  | _ -> usage ()

@@ -205,7 +205,32 @@ let minimize_cmd =
 (* solve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared by [ostr anytime] and [ostr solve --anytime]. *)
+let solve_cmd =
+  let run spec timeout jobs verbose obs =
+    let m = or_die (load_machine spec) in
+    with_obs obs @@ fun () ->
+    let outcome = Ostr_core.run ~timeout ~jobs:(resolve_jobs jobs) m in
+    Format.printf "%a@." Ostr_core.pp_summary outcome;
+    Format.printf "pi  (S1): %s@." (Partition.to_string outcome.Ostr_core.solution.Solver.pi);
+    Format.printf "rho (S2): %s@." (Partition.to_string outcome.Ostr_core.solution.Solver.rho);
+    if verbose then begin
+      Format.printf "%a@." Realization.pp_factors outcome.Ostr_core.realization;
+      Format.printf "product machine:@.%a@." Machine.pp
+        outcome.Ostr_core.realization.Realization.product
+    end
+  in
+  let verbose =
+    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Also print the factor tables.")
+  in
+  Cmd.v
+    (Cmd.info "solve"
+       ~doc:"Solve problem OSTR: find the optimal self-testable realization.")
+    Term.(const run $ machine_arg $ timeout_arg $ jobs_arg $ verbose $ obs_term)
+
+(* ------------------------------------------------------------------ *)
+(* anytime                                                             *)
+(* ------------------------------------------------------------------ *)
+
 let print_anytime_result (m : Machine.t) verbose (r : Anytime.result) =
   let open Anytime in
   let best = r.best in
@@ -242,50 +267,6 @@ let print_anytime_result (m : Machine.t) verbose (r : Anytime.result) =
     Format.printf "pi  (S1): %s@." (Partition.to_string best.Solver.pi);
     Format.printf "rho (S2): %s@." (Partition.to_string best.Solver.rho)
   end
-
-let solve_cmd =
-  let run spec timeout jobs anytime verbose obs =
-    let m = or_die (load_machine spec) in
-    with_obs obs @@ fun () ->
-    if anytime then
-      let config =
-        { Anytime.default_config with budget = timeout;
-          jobs = resolve_jobs jobs }
-      in
-      print_anytime_result m verbose (Anytime.solve ~config m)
-    else begin
-      let outcome = Ostr_core.run ~timeout ~jobs:(resolve_jobs jobs) m in
-      Format.printf "%a@." Ostr_core.pp_summary outcome;
-      Format.printf "pi  (S1): %s@." (Partition.to_string outcome.Ostr_core.solution.Solver.pi);
-      Format.printf "rho (S2): %s@." (Partition.to_string outcome.Ostr_core.solution.Solver.rho);
-      if verbose then begin
-        Format.printf "%a@." Realization.pp_factors outcome.Ostr_core.realization;
-        Format.printf "product machine:@.%a@." Machine.pp
-          outcome.Ostr_core.realization.Realization.product
-      end
-    end
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Also print the factor tables.")
-  in
-  let anytime =
-    Arg.(
-      value & flag
-      & info [ "anytime" ]
-          ~doc:
-            "Use the anytime driver: exact search under a budget, stochastic \
-             tier on hand-off (see the $(b,anytime) command).")
-  in
-  Cmd.v
-    (Cmd.info "solve"
-       ~doc:"Solve problem OSTR: find the optimal self-testable realization.")
-    Term.(
-      const run $ machine_arg $ timeout_arg $ jobs_arg $ anytime $ verbose
-      $ obs_term)
-
-(* ------------------------------------------------------------------ *)
-(* anytime                                                             *)
-(* ------------------------------------------------------------------ *)
 
 let anytime_cmd =
   let run spec budget seed jobs evals beam moves split_ratio sa_steps force

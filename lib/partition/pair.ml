@@ -164,8 +164,6 @@ let basis ~next =
   done;
   PTbl.fold (fun p () acc -> p :: acc) seen [] |> List.sort Partition.compare
 
-let basis_size ~next = List.length (basis ~next)
-
 module Memo = struct
   type nonrec t = {
     next : int array array;
@@ -639,22 +637,3 @@ let close_merge memo ~equiv ~pi ~rho move =
     if s < 0 || s >= n then invalid_arg "Pair.close_merge: state out of range";
     if on_pi then close_split_pi memo sc ~next ~k ~equiv ~pi s
     else close_split_rho memo sc ~next ~k ~equiv ~rho s
-
-let mm_pairs ~next =
-  let n, _ = dims next in
-  let base = basis ~next in
-  let seen = PTbl.create 64 in
-  let queue = Queue.create () in
-  let add p =
-    if not (PTbl.mem seen p) then begin
-      PTbl.replace seen p ();
-      Queue.add p queue
-    end
-  in
-  add (Partition.identity n);
-  while not (Queue.is_empty queue) do
-    let p = Queue.take queue in
-    List.iter (fun b -> add (Partition.join p b)) base
-  done;
-  PTbl.fold (fun p () acc -> (p, big_m ~next p) :: acc) seen []
-  |> List.sort (fun (a, _) (b, _) -> Partition.compare a b)

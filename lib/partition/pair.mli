@@ -45,10 +45,6 @@ val big_m_coarse :
     elements ([16], cited in the proof of Theorem 2). *)
 val basis : next:int array array -> Partition.t list
 
-(** [basis_size ~next] is [List.length (basis ~next)], i.e. [log2 |V|] of
-    the unpruned search tree of Table 2. *)
-val basis_size : next:int array array -> int
-
 (** Memoized [m] / [M] operators.
 
     Both operators are pure functions of their partition argument (for a
@@ -169,9 +165,3 @@ val polish :
   Partition.t ->
   Partition.t ->
   Partition.t * Partition.t
-
-(** [mm_pairs ~next] enumerates the full Mm-lattice: the join-closure of
-    the basis, paired with its [big_m] images, as a sorted association
-    list [(m_side, big_m m_side)].  Exponential in the worst case - meant
-    for small machines, tests and documentation. *)
-val mm_pairs : next:int array array -> (Partition.t * Partition.t) list

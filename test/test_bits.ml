@@ -2,12 +2,10 @@
 
    The Word tests pin the SWAR kernels against the bit-serial loops they
    replaced at their former call sites (bist parity feedback, encoding
-   popcount, faultsim first_lane), verbatim.  Bitvec is checked against a
-   naive bool-array spec.  Arena.Stamped's epoch semantics get direct
-   unit tests. *)
+   popcount, faultsim first_lane), verbatim.  Arena.Stamped's epoch
+   semantics get direct unit tests. *)
 
 module Word = Stc_bits.Word
-module Bitvec = Stc_bits.Bitvec
 module Arena = Stc_bits.Arena
 module Rng = Stc_util.Rng
 
@@ -73,78 +71,6 @@ let test_word_edges () =
     (fun () -> ignore (Word.mask 64))
 
 (* ------------------------------------------------------------------ *)
-(* Bitvec vs a bool-array spec                                         *)
-(* ------------------------------------------------------------------ *)
-
-let random_bools rng n = Array.init n (fun _ -> Rng.int rng 2 = 1)
-
-let spec_binop f a b = Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let test_bitvec_algebra =
-  QCheck.Test.make ~count:500 ~name:"Bitvec set algebra = bool-array spec"
-    QCheck.(pair (int_bound 100000) (int_range 1 200))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let a = random_bools rng n and b = random_bools rng n in
-      let va = Bitvec.of_bools a and vb = Bitvec.of_bools b in
-      Bitvec.to_bools (Bitvec.union va vb) = spec_binop ( || ) a b
-      && Bitvec.to_bools (Bitvec.inter va vb) = spec_binop ( && ) a b
-      && Bitvec.to_bools (Bitvec.diff va vb) = spec_binop (fun x y -> x && not y) a b
-      && Bitvec.to_bools (Bitvec.symdiff va vb) = spec_binop ( <> ) a b
-      && Bitvec.to_bools (Bitvec.compl va) = Array.map not a
-      && Bitvec.to_bools va = a)
-
-let count_true a = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 a
-
-let test_bitvec_queries =
-  QCheck.Test.make ~count:500 ~name:"Bitvec queries = bool-array spec"
-    QCheck.(pair (int_bound 100000) (int_range 1 200))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let a = random_bools rng n and b = random_bools rng n in
-      let va = Bitvec.of_bools a and vb = Bitvec.of_bools b in
-      let spec_first =
-        let rec go i = if i >= n then None else if a.(i) then Some i else go (i + 1) in
-        go 0
-      in
-      let members = ref [] in
-      Bitvec.iter (fun i -> members := i :: !members) va;
-      Bitvec.popcount va = count_true a
-      && Bitvec.parity va = count_true a land 1
-      && Bitvec.is_empty va = (count_true a = 0)
-      && Bitvec.first_set va = spec_first
-      && List.rev !members
-         = List.filter (fun i -> a.(i)) (List.init n (fun i -> i))
-      && Bitvec.fold (fun acc i -> acc + i) 0 va
-         = List.fold_left ( + ) 0 (List.filter (fun i -> a.(i)) (List.init n (fun i -> i)))
-      && Bitvec.subset (Bitvec.inter va vb) va
-      && Bitvec.subset va vb
-         = Array.for_all Fun.id (spec_binop (fun x y -> (not x) || y) a b)
-      && Bitvec.disjoint va vb
-         = (count_true (spec_binop ( && ) a b) = 0)
-      && Bitvec.equal va vb = (a = b))
-
-let test_bitvec_units () =
-  let v = Bitvec.create 70 in
-  Alcotest.(check int) "length" 70 (Bitvec.length v);
-  Alcotest.(check bool) "fresh empty" true (Bitvec.is_empty v);
-  Bitvec.set v 0;
-  Bitvec.set v 63;
-  Bitvec.set v 69;
-  Alcotest.(check bool) "mem 63" true (Bitvec.mem v 63);
-  Alcotest.(check int) "popcount" 3 (Bitvec.popcount v);
-  let w = Bitvec.copy v in
-  Bitvec.clear w 63;
-  Alcotest.(check bool) "copy isolated" true (Bitvec.mem v 63 && not (Bitvec.mem w 63));
-  (* complement keeps the tail bits (>= len) zero *)
-  let c = Bitvec.compl v in
-  Alcotest.(check int) "compl popcount" 67 (Bitvec.popcount c);
-  Alcotest.check_raises "set out of range" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> Bitvec.set v 70);
-  Alcotest.check_raises "mem negative" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> ignore (Bitvec.mem v (-1)))
-
-(* ------------------------------------------------------------------ *)
 (* Arena                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -185,12 +111,6 @@ let () =
             test_word_vs_loops;
           qcheck test_word_random;
           Alcotest.test_case "edge cases" `Quick test_word_edges;
-        ] );
-      ( "bitvec",
-        [
-          qcheck test_bitvec_algebra;
-          qcheck test_bitvec_queries;
-          Alcotest.test_case "units" `Quick test_bitvec_units;
         ] );
       ( "arena",
         [

@@ -387,7 +387,6 @@ let test_basis_properties () =
   let m = Zoo.paper_fig5 () in
   let next = m.Machine.next in
   let basis = Pair.basis ~next in
-  check_int "basis size" (Pair.basis_size ~next) (List.length basis);
   (* deduplicated *)
   let distinct = List.sort_uniq Partition.compare basis in
   check_int "distinct" (List.length basis) (List.length distinct);
@@ -404,21 +403,6 @@ let test_basis_properties () =
       done;
       check_bool "is m of a pair relation" true !found)
     basis
-
-let test_mm_pairs_are_mm =
-  QCheck.Test.make ~count:60 ~name:"mm_pairs returns genuine Mm-pairs"
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 2 + Rng.int rng 5 and k = 1 + Rng.int rng 2 in
-      let next = random_next rng n k in
-      let pairs = Pair.mm_pairs ~next in
-      pairs <> []
-      && List.for_all
-           (fun (p, bm) ->
-             Partition.equal bm (Pair.big_m ~next p)
-             && Partition.equal (Pair.m ~next bm) p)
-           pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Packed kernels vs the retained element-wise reference               *)
@@ -1163,7 +1147,6 @@ let () =
           qcheck test_m_is_join_of_basis;
           qcheck test_m_join_homomorphic;
           Alcotest.test_case "basis properties" `Quick test_basis_properties;
-          qcheck test_mm_pairs_are_mm;
         ] );
       ( "incremental_closure",
         [

@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI gate: full build, the complete test suite, and the solver smoke
-# benchmark (dk16 / dk512 / tbk must reproduce the paper's Table-1 factors
-# under a hard wall-clock cap, with the jobs-1 investigated / deduped /
-# pruned counts of BENCH_solver.json - the bench exits nonzero on
-# timeout, factor mismatch or a differing work figure).  Run from the
-# repository root.
+# CI gate: full build, the complete test suite, the quick subset of every
+# bench suite (each exits with its number of failing rows - for example
+# solver-quick fails when dk16 / dk512 / tbk miss the paper's Table-1
+# factors, hit the 30 s cap or differ from the jobs-1 investigated /
+# deduped / pruned counts of BENCH_solver.json), then the CLI gates.  Run
+# from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,29 +25,22 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== solver smoke (hard cap via timeout(1)) =="
-capped dune exec bench/main.exe -- quick
+obs_dir=$(mktemp -d)
+trap 'rm -rf "$obs_dir"' EXIT
 
-echo "== fault-sim smoke (optimized engine must match the naive grader) =="
-capped dune exec bench/main.exe -- faultsim-quick
-
-echo "== BENCH_faultsim.json must pass the versioned bench schema =="
-dune exec tools/json_lint.exe -- --bench BENCH_faultsim.json
-
-echo "== minimize smoke (packed engine must match the naive reference) =="
-capped dune exec bench/main.exe -- minimize-quick
-
-echo "== BENCH_minimize.json must pass the versioned bench schema =="
-dune exec tools/json_lint.exe -- --bench BENCH_minimize.json
-
-echo "== core kernel smoke (packed bit engine must match the references) =="
-capped dune exec bench/main.exe -- core-quick
-
-echo "== SAT verify smoke (equivalence + redundancy proofs must hold) =="
-capped dune exec bench/main.exe -- verify-quick
-
-echo "== anytime smoke (stochastic tier: gap >= 0, seeded determinism) =="
-capped dune exec bench/main.exe -- anytime-quick
+# The quick subset of every bench suite, under the hard cap, each row file
+# linted against the versioned bench schema:
+#   solver    dk16 / dk512 / tbk: paper factors, 30 s cap, work figures
+#   faultsim  optimized and parallel graders must match the naive one
+#   minimize  packed engine must meet the contract, jobs>1 the same cover
+#   core      packed bit engine must match the element-wise references
+#   verify    equivalence + redundancy proofs must hold, jobs-invariant
+#   anytime   stochastic tier: gap >= 0, seeded determinism
+for suite in solver faultsim minimize core verify anytime; do
+  echo "== bench $suite-quick =="
+  capped dune exec bench/main.exe -- "$suite-quick" "$obs_dir/$suite-quick.json"
+  dune exec tools/json_lint.exe -- --bench "$obs_dir/$suite-quick.json"
+done
 
 echo "== every BENCH file must pass the versioned bench schema =="
 dune exec tools/json_lint.exe -- --bench \
@@ -55,8 +48,6 @@ dune exec tools/json_lint.exe -- --bench \
   BENCH_verify.json BENCH_anytime.json
 
 echo "== traced smoke (trace + metrics + profile files must validate) =="
-obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir"' EXIT
 dune exec bin/ostr.exe -- solve tbk \
   --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.json" \
   --profile "$obs_dir/prof.folded"
