@@ -62,7 +62,7 @@ let print_tables () =
     "@.=== Section 1 motivation: test length by strategy ===@.@.";
   print_string (Experiments.render_strategies (Experiments.strategies ()));
   Format.printf
-    "@.=== Extensions: state splitting (the paper's future work) and 3-stage chains ===@.@.";
+    "@.=== Extension: state splitting (the paper's future work) ===@.@.";
   print_string (Experiments.render_extensions (Experiments.extensions ()));
   Format.printf
     "@.=== Baseline: classical parallel/serial decomposition [16,3,15] ===@.@.";

@@ -554,8 +554,8 @@ let extensions_cmd =
   Cmd.v
     (Cmd.info "extensions"
        ~doc:
-         "Run the extensions: state splitting (the paper's future work) \
-          and 3-stage pipeline chains, against the 2-stage baseline.")
+         "Run the state-splitting extension (the paper's future work) \
+          against the 2-stage baseline.")
     Term.(const run $ timeout_arg $ names_arg $ obs_term)
 
 let decompose_cmd =

@@ -101,7 +101,6 @@ let pp_tier ppf = function
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
-  machine : Machine.t;
   n : int;
   next : int array array;
   equiv : Partition.t;  (* state equivalence: the admissibility bound *)
@@ -109,7 +108,6 @@ type ctx = {
 
 let make_ctx machine =
   {
-    machine;
     n = machine.Machine.num_states;
     next = machine.Machine.next;
     equiv = Solver.equivalence_partition machine;
@@ -260,7 +258,7 @@ let eval_move ctx ~split_ratio ~incremental { memo; tt } rng
             in
             Pair.polish ?from memo ~equiv:ctx.equiv pi rho
           in
-          let cost = Solver.cost_of ctx.machine ~pi ~rho in
+          let cost = Solver.cost_of ~pi ~rho in
           Some { Solver.pi; rho; cost }
       in
       TT.add tt key r;
@@ -320,7 +318,7 @@ let run_stochastic ~reason ~config ~seeds machine =
     let pi, rho =
       Pair.polish main_memo ~equiv:ctx.equiv (Pair.Memo.big_m main_memo id) id
     in
-    { Solver.pi; rho; cost = Solver.cost_of machine ~pi ~rho }
+    { Solver.pi; rho; cost = Solver.cost_of ~pi ~rho }
   in
   let seeds =
     List.filter

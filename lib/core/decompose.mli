@@ -20,20 +20,21 @@
     on the same machines. *)
 
 (** [is_closed ~next pi] tests the substitution property. *)
-val is_closed : next:int array array -> Partition.t -> bool
+val is_closed : next:int array array -> Stc_partition.Partition.t -> bool
 
 (** [closed_partitions ~next] enumerates the lattice of closed partitions:
     the join-closure of the basis [m(p_st) ∨ p_st] closures.  Exponential
     in the worst case; meant for benchmark-sized machines. *)
-val closed_partitions : next:int array array -> Partition.t list
+val closed_partitions : next:int array array -> Stc_partition.Partition.t list
 
 (** [closure ~next pi] is the smallest closed partition containing
     [pi]. *)
-val closure : next:int array array -> Partition.t -> Partition.t
+val closure :
+  next:int array array -> Stc_partition.Partition.t -> Stc_partition.Partition.t
 
 type parallel = {
-  pi1 : Partition.t;
-  pi2 : Partition.t;
+  pi1 : Stc_partition.Partition.t;
+  pi2 : Stc_partition.Partition.t;
   bits : int;  (** flip-flops of the two independent submachines *)
 }
 
@@ -49,7 +50,8 @@ type parallel = {
 val parallel : Stc_fsm.Machine.t -> parallel option
 
 type serial = {
-  head : Partition.t;  (** a closed partition: the head machine's states *)
+  head : Stc_partition.Partition.t;
+      (** a closed partition: the head machine's states *)
   tail_states : int;  (** max block size: the tail machine's state count *)
   bits : int;  (** head + tail flip-flops *)
 }

@@ -1,3 +1,4 @@
+module Partition = Stc_partition.Partition
 module Machine = Stc_fsm.Machine
 module Pair = Stc_partition.Pair
 

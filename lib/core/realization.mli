@@ -19,8 +19,8 @@
 
 type t = {
   spec : Stc_fsm.Machine.t;
-  pi : Partition.t;
-  rho : Partition.t;
+  pi : Stc_partition.Partition.t;
+  rho : Stc_partition.Partition.t;
   delta1 : int array array;  (** [delta1.(s1).(i)] : S2 class fed into R2 *)
   delta2 : int array array;  (** [delta2.(s2).(i)] : S1 class fed into R1 *)
   product : Stc_fsm.Machine.t;
@@ -36,7 +36,11 @@ type t = {
     @raise Invalid_argument if [(pi, rho)] is not a symmetric partition
     pair or the intersection does not refine state equivalence (i.e. the
     hypotheses of Theorem 1 fail). *)
-val build : Stc_fsm.Machine.t -> pi:Partition.t -> rho:Partition.t -> t
+val build :
+  Stc_fsm.Machine.t ->
+  pi:Stc_partition.Partition.t ->
+  rho:Stc_partition.Partition.t ->
+  t
 
 (** [of_solution machine solution] is [build] on a solver result. *)
 val of_solution : Stc_fsm.Machine.t -> Solver.solution -> t

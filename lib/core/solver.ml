@@ -1,3 +1,4 @@
+module Partition = Stc_partition.Partition
 module Machine = Stc_fsm.Machine
 module Equiv = Stc_fsm.Equiv
 module Pair = Stc_partition.Pair
@@ -57,7 +58,7 @@ type stats = {
 
 type result = { best : solution; stats : stats }
 
-let cost_of (_machine : Machine.t) ~pi ~rho =
+let cost_of ~pi ~rho =
   let k1 = Partition.num_classes pi and k2 = Partition.num_classes rho in
   let bits = Machine.bits_for k1 + Machine.bits_for k2 in
   let hi = float_of_int (max k1 k2) and lo = float_of_int (min k1 k2) in
@@ -267,7 +268,7 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
       let candidate_pi, candidate_rho =
         Pair.polish w.memo ~equiv candidate_pi candidate_rho
       in
-      let cost = cost_of machine ~pi:candidate_pi ~rho:candidate_rho in
+      let cost = cost_of ~pi:candidate_pi ~rho:candidate_rho in
       let sol = { pi = candidate_pi; rho = candidate_rho; cost } in
       pool_add w sol;
       (* The shared incumbent prunes nothing from the lattice walk (cost is
@@ -479,7 +480,7 @@ let solve ?(timeout = infinity) ?(prune = true) ?(max_nodes = max_int)
     | Some (pi, rho) ->
       let polish () = Pair.polish ~from:p memo ~equiv pi rho in
       let pi, rho = Trace.span ~cat:"solver" "polish" polish in
-      let cost = cost_of machine ~pi ~rho in
+      let cost = cost_of ~pi ~rho in
       if compare_cost cost sol.cost < 0 then raise (Better { pi; rho; cost })
   in
   let side on_pi (pi, rho) = if on_pi then pi else rho in

@@ -5,9 +5,12 @@
 
     + (i) [ceil(log2 |S/pi|) + ceil(log2 |S/rho|)] (total flip-flops of the
       pipeline structure), then
-    + (ii) the imbalance of the two factors, then
-    + (iii) the total number of factor states [|S/pi| + |S/rho|] (fewer
-      state transitions to implement, cf. the remark below Table 1).
+    + (ii) the total number of factor states [|S/pi| + |S/rho|] (fewer
+      state transitions to implement, cf. the remark below Table 1), then
+    + (iii) the imbalance of the two factors.
+
+    The paper lists balance before factor states; this order reproduces
+    its Table 1 (see DESIGN.md, "Cost tie-breaking").
 
     The search walks a tree whose nodes are subsets of the basis
     [MM = {m(p_{s,t})}]; at each node [pi = join of the subset], the
@@ -20,16 +23,19 @@
 
 type cost = {
   bits : int;  (** criterion (i): flip-flops of the pipeline realization *)
-  imbalance : float;  (** criterion (ii): [max/min - 1] of the factor sizes *)
-  factor_states : int;  (** criterion (iii): [|S1| + |S2|] *)
+  imbalance : float;  (** criterion (iii): [max/min - 1] of the factor sizes *)
+  factor_states : int;  (** criterion (ii): [|S1| + |S2|] *)
 }
 
-(** [compare_cost] orders costs lexicographically, smaller = better. *)
+(** [compare_cost] orders costs lexicographically by [bits], then
+    [factor_states], then [imbalance]; smaller = better. *)
 val compare_cost : cost -> cost -> int
 
 type solution = {
-  pi : Partition.t;  (** left factor: [S1 = S/pi], register R1 *)
-  rho : Partition.t;  (** right factor: [S2 = S/rho], register R2 *)
+  pi : Stc_partition.Partition.t;
+      (** left factor: [S1 = S/pi], register R1 *)
+  rho : Stc_partition.Partition.t;
+      (** right factor: [S2 = S/rho], register R2 *)
   cost : cost;
 }
 
@@ -108,13 +114,13 @@ val solve :
   Stc_fsm.Machine.t ->
   result
 
-(** [cost_of machine ~pi ~rho] computes the cost record of a candidate
-    pair. *)
-val cost_of : Stc_fsm.Machine.t -> pi:Partition.t -> rho:Partition.t -> cost
+(** [cost_of ~pi ~rho] computes the cost record of a candidate pair. *)
+val cost_of :
+  pi:Stc_partition.Partition.t -> rho:Stc_partition.Partition.t -> cost
 
 (** [equivalence_partition machine] is the state equivalence of
     [machine] as a partition: the bound [pi /\ rho] must refine. *)
-val equivalence_partition : Stc_fsm.Machine.t -> Partition.t
+val equivalence_partition : Stc_fsm.Machine.t -> Stc_partition.Partition.t
 
 (** [validate machine solution] re-checks that the solution is a symmetric
     partition pair whose intersection refines state equivalence; returns an

@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Misr = Stc_bist.Misr
 
 type report = {

@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Machine = Stc_fsm.Machine
 module Tables = Stc_encoding.Tables
 module Builder = Netlist.Builder

@@ -19,7 +19,7 @@
 
 type built = {
   label : string;
-  netlist : Netlist.t;
+  netlist : Stc_netlist.Netlist.t;
   sessions : (Session.stimuli * int array) list;
       (** one (stimuli, observed gates) pair per self-test session *)
   tags : (string * int list) list;

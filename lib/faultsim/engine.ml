@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Metrics = Stc_obs.Metrics
 module Clock = Stc_util.Clock
 module Word = Stc_bits.Word

@@ -3,10 +3,10 @@
     The engine combines three optimizations over the naive
     one-full-eval-per-fault-per-batch grader, all of them exact:
 
-    - {b structural fault collapsing} ({!Netlist.collapse}): only one
-      representative per equivalence class is simulated, and dominance
-      lets verdict-only runs skip dominator classes whose detection is
-      already implied;
+    - {b structural fault collapsing} ({!Stc_netlist.Netlist.collapse}):
+      only one representative per equivalence class is simulated, and
+      dominance lets verdict-only runs skip dominator classes whose
+      detection is already implied;
     - {b cone-limited incremental evaluation}: the golden circuit is
       evaluated once per pattern batch; each fault then re-evaluates only
       the gates in its output cone whose fanin actually differs (a
@@ -28,7 +28,7 @@
 (** One input vector per cycle (0/1 per input, in netlist input order). *)
 type stimuli = int array array
 
-(** Bit-packed stimuli: [words.(b).(k)] carries {!Netlist.word_bits}
+(** Bit-packed stimuli: [words.(b).(k)] carries {!Stc_netlist.Netlist.word_bits}
     consecutive cycles of input [k] in its bit lanes, [masks.(b)] selects
     the valid lanes of batch [b]. *)
 type packed = {
@@ -54,11 +54,11 @@ type t
     cones.  [protected] must include every gate any session observes
     (default: the declared outputs) - faults on those gates are kept
     distinct so equivalences never merge across an observation point. *)
-val create : ?protected:int array -> Netlist.t -> t
+val create : ?protected:int array -> Stc_netlist.Netlist.t -> t
 
-val netlist : t -> Netlist.t
+val netlist : t -> Stc_netlist.Netlist.t
 
-val collapsed : t -> Netlist.collapsed
+val collapsed : t -> Stc_netlist.Netlist.collapsed
 
 (** Golden evaluation, one full pass per batch: [values.(b).(gate)] is
     the fault-free word of [gate].  For every And (Or) gate, [once.(b)]
@@ -112,7 +112,7 @@ val response :
   golden ->
   packed ->
   batch:int ->
-  Netlist.fault ->
+  Stc_netlist.Netlist.fault ->
   observed:int array ->
   into:int array ->
   bool

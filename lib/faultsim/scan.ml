@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Tables = Stc_encoding.Tables
 module Lfsr = Stc_bist.Lfsr
 

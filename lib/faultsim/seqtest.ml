@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Rng = Stc_util.Rng
 module Tables = Stc_encoding.Tables
 

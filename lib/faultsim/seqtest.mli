@@ -9,9 +9,10 @@
     circuit (state register fed back each cycle) and records, per stuck-at
     fault, the first cycle at which a primary output differs.
 
-    Simulation is lane-parallel: each of the {!Netlist.word_bits} word
-    lanes carries an independent random test sequence with its own state
-    evolution, so one pass grades 62 sequences at once. *)
+    Simulation is lane-parallel: each of the
+    {!Stc_netlist.Netlist.word_bits} word lanes carries an independent
+    random test sequence with its own state evolution, so one pass grades
+    62 sequences at once. *)
 
 type result = {
   total : int;  (** faults graded *)
@@ -44,7 +45,7 @@ val run :
   cycles:int ->
   state_width:int ->
   reset_code:int ->
-  Netlist.t ->
+  Stc_netlist.Netlist.t ->
   result
 
 (** [run_conventional ?seed ?cycles ~cover enc] builds the fig. 1

@@ -1,3 +1,4 @@
+module Netlist = Stc_netlist.Netlist
 module Trace = Stc_obs.Trace
 module Metrics = Stc_obs.Metrics
 

@@ -27,13 +27,13 @@ type report = {
   total : int;  (** raw faults graded (before collapsing) *)
   detected : int;
   coverage : float;  (** detected / total *)
-  undetected : Netlist.fault list;
+  undetected : Stc_netlist.Netlist.fault list;
 }
 
 (** [run ~label netlist ~stimuli ~observed] grades every fault site of the
     netlist against the stimulus stream, observing the gates in
-    [observed].  Patterns are packed {!Netlist.word_bits} per simulation
-    word and faults are dropped at first detection.
+    [observed].  Patterns are packed {!Stc_netlist.Netlist.word_bits} per
+    simulation word and faults are dropped at first detection.
 
     [jobs] (default 1) shards the collapsed fault list over that many
     domains.  [naive] (default false) switches to the reference
@@ -46,7 +46,7 @@ val run :
   ?naive:bool ->
   ?need_cycles:bool ->
   label:string ->
-  Netlist.t ->
+  Stc_netlist.Netlist.t ->
   stimuli:stimuli ->
   observed:int array ->
   report
@@ -60,7 +60,7 @@ val run_sessions :
   ?naive:bool ->
   ?need_cycles:bool ->
   label:string ->
-  Netlist.t ->
+  Stc_netlist.Netlist.t ->
   (stimuli * int array) list ->
   report
 
@@ -74,7 +74,7 @@ val run_sessions :
 val run_each :
   ?jobs:int ->
   ?need_cycles:bool ->
-  Netlist.t ->
+  Stc_netlist.Netlist.t ->
   (string * (stimuli * int array)) list ->
   report list
 
@@ -96,7 +96,8 @@ val union_observed : ('a * int array) list -> int array
 
 (** [pack stimuli] transposes a cycle-major 0/1 matrix into word-parallel
     batches: one [int array] of input words per group of
-    {!Netlist.word_bits} cycles.  Thin wrapper over {!Engine.pack}. *)
+    {!Stc_netlist.Netlist.word_bits} cycles.  Thin wrapper over
+    {!Engine.pack}. *)
 val pack : stimuli -> int array list
 
 (** [adjusted report ~redundant] excludes proven-untestable faults from
@@ -107,8 +108,9 @@ val pack : stimuli -> int array list
     ({!Stc_sat.Prove.redundant}) enables.  Faults not present in the
     undetected list (already detected, or from another netlist) are
     ignored, so the adjustment can never inflate the numerator. *)
-val adjusted : report -> redundant:Netlist.fault list -> report
+val adjusted : report -> redundant:Stc_netlist.Netlist.fault list -> report
 
 (** [fault_on fault tags] finds the tag naming the fault's gate, if any;
     used to classify undetected faults (e.g. "feedback"). *)
-val fault_on : Netlist.fault -> (string * int list) list -> string option
+val fault_on :
+  Stc_netlist.Netlist.fault -> (string * int list) list -> string option

@@ -338,8 +338,6 @@ type extension_entry = {
   base_bits : int;
   split_bits : int;
   split_states_added : int;
-  three_stage_bits : int;
-  three_stage_sizes : string;
 }
 
 let default_extension_names = [ "shiftreg"; "fig5"; "dk27"; "tav"; "counter8" ]
@@ -351,7 +349,6 @@ let extensions ?(timeout = 20.0) ?names () =
       let machine = resolve name in
       let base = (Solver.solve ~timeout machine).Solver.best in
       let improved = Stc_core.Split.improve ~timeout machine in
-      let chain = Stc_core.Multiway.solve ~timeout ~stages:3 machine in
       {
         name;
         base_bits = base.Solver.cost.Solver.bits;
@@ -360,13 +357,6 @@ let extensions ?(timeout = 20.0) ?names () =
         split_states_added =
           improved.Stc_core.Split.machine.Machine.num_states
           - machine.Machine.num_states;
-        three_stage_bits = chain.Stc_core.Multiway.bits;
-        three_stage_sizes =
-          String.concat "x"
-            (Array.to_list
-               (Array.map
-                  (fun p -> string_of_int (Partition.num_classes p))
-                  chain.Stc_core.Multiway.parts));
       })
     names
 
@@ -379,15 +369,11 @@ let render_extensions entries =
           string_of_int e.base_bits;
           string_of_int e.split_bits;
           string_of_int e.split_states_added;
-          string_of_int e.three_stage_bits;
-          e.three_stage_sizes;
         ])
       entries
   in
   Table.render
-    ~header:
-      [ "name"; "2-stage FFs"; "after split"; "states added";
-        "3-stage FFs"; "3-stage sizes" ]
+    ~header:[ "name"; "2-stage FFs"; "after split"; "states added" ]
     rows
 
 type decomposition_entry = {

@@ -110,7 +110,7 @@ let solve_exhaustive (machine : Machine.t) =
       Seq.iter
         (fun rho ->
           if Pair.admissible ~next ~equiv pi rho then begin
-            let cost = Solver.cost_of machine ~pi ~rho in
+            let cost = Solver.cost_of ~pi ~rho in
             let sol = { Solver.pi; rho; cost } in
             match !best with
             | None -> best := Some sol
@@ -178,7 +178,7 @@ let test_solver_planted_recovered =
       let m = info.Generate.machine in
       let planted_pi = Partition.of_class_map info.Generate.pi_classes in
       let planted_rho = Partition.of_class_map info.Generate.rho_classes in
-      let planted_cost = Solver.cost_of m ~pi:planted_pi ~rho:planted_rho in
+      let planted_cost = Solver.cost_of ~pi:planted_pi ~rho:planted_rho in
       let r = Solver.solve m in
       Solver.compare_cost r.best.cost planted_cost <= 0)
 
@@ -408,7 +408,7 @@ let test_validate_rejects_bad_pairs () =
     {
       Solver.pi = Partition.of_blocks ~n:4 [ [ 0; 2 ] ];
       rho = Partition.of_blocks ~n:4 [ [ 1; 3 ] ];
-      cost = Solver.cost_of m
+      cost = Solver.cost_of
           ~pi:(Partition.of_blocks ~n:4 [ [ 0; 2 ] ])
           ~rho:(Partition.of_blocks ~n:4 [ [ 1; 3 ] ]);
     }

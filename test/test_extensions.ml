@@ -1,6 +1,5 @@
 (* Tests for the extension modules: state splitting (the paper's stated
-   future work), multi-stage pipelines, and the sequential / full-scan
-   test baselines. *)
+   future work) and the sequential / full-scan test baselines. *)
 
 module Machine = Stc_fsm.Machine
 module Zoo = Stc_fsm.Zoo
@@ -10,7 +9,6 @@ module Reach = Stc_fsm.Reach
 module Partition = Stc_partition.Partition
 module Solver = Stc_core.Solver
 module Split = Stc_core.Split
-module Multiway = Stc_core.Multiway
 module Seqtest = Stc_faultsim.Seqtest
 module Scan = Stc_faultsim.Scan
 module Decompose = Stc_core.Decompose
@@ -141,89 +139,6 @@ let test_split_improve_never_worse =
         before.Solver.cost
       <= 0
       && Machine.equal_behaviour m improved.Split.machine)
-
-(* ------------------------------------------------------------------ *)
-(* Multiway                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_multiway_shiftreg3_three_stages () =
-  let m = Zoo.shift_register ~bits:3 in
-  let c = Multiway.solve ~timeout:5.0 ~stages:3 m in
-  check_int "3 flip-flops" 3 c.Multiway.bits;
-  check_bool "three 2-class stages" true
-    (Array.for_all (fun p -> Partition.num_classes p = 2) c.Multiway.parts);
-  check_bool "realizes" true (Multiway.realizes m c.Multiway.parts)
-
-let test_multiway_shiftreg4_four_stages () =
-  let m = Zoo.shift_register ~bits:4 in
-  let c = Multiway.solve ~timeout:5.0 ~stages:4 m in
-  check_int "4 flip-flops" 4 c.Multiway.bits;
-  check_bool "four 2-class stages" true
-    (Array.for_all (fun p -> Partition.num_classes p = 2) c.Multiway.parts)
-
-let test_multiway_two_stages_matches_pair_solver () =
-  List.iter
-    (fun m ->
-      let chain = Multiway.solve ~timeout:10.0 ~stages:2 m in
-      let pair = (Solver.solve m).Solver.best in
-      check_int
-        (m.Machine.name ^ " same flip-flop count")
-        pair.Solver.cost.Solver.bits chain.Multiway.bits)
-    [ Zoo.paper_fig5 (); Zoo.shift_register ~bits:3; Zoo.counter ~modulus:5 ]
-
-let test_multiway_chain_oracle () =
-  (* The hand-derived chain of the 3-bit shift register: stage k holds
-     tap b_k. *)
-  let m = Zoo.shift_register ~bits:3 in
-  let ker bit =
-    Partition.of_class_map
-      (Array.init 8 (fun s -> (s lsr bit) land 1))
-  in
-  let parts = [| ker 0; ker 1; ker 2 |] in
-  check_bool "is a chain" true (Multiway.is_chain ~next:m.Machine.next parts);
-  check_bool "admissible" true (Multiway.admissible m parts);
-  check_bool "realizes" true (Multiway.realizes m parts);
-  (* Rotations are chains too; a wrong order is not. *)
-  check_bool "rotation is a chain" true
-    (Multiway.is_chain ~next:m.Machine.next [| ker 1; ker 2; ker 0 |]);
-  check_bool "reversed order is not" false
-    (Multiway.is_chain ~next:m.Machine.next [| ker 2; ker 1; ker 0 |])
-
-let test_multiway_trivial_fallback () =
-  let m = Zoo.counter ~modulus:6 in
-  let c = Multiway.solve ~timeout:5.0 ~stages:3 m in
-  check_bool "at least the trivial chain" true (Array.length c.Multiway.parts = 3);
-  check_bool "admissible" true (Multiway.admissible m c.Multiway.parts);
-  check_bool "realizes" true (Multiway.realizes m c.Multiway.parts)
-
-let test_multiway_realize_random_products =
-  QCheck.Test.make ~count:15 ~name:"multiway realization always realizes"
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let info =
-        Generate.block_product ~rng ~name:"mw" ~blocks:[ (2, 2); (1, 1) ]
-          ~num_inputs:4 ~num_outputs:4 ()
-      in
-      let m = info.Generate.machine in
-      let c = Multiway.solve ~timeout:5.0 ~stages:3 m in
-      Multiway.realizes m c.Multiway.parts)
-
-let test_multiway_rejects_bad_input () =
-  let m = Zoo.paper_fig5 () in
-  check_bool "stages < 2 rejected" true
-    (match Multiway.solve ~stages:1 m with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check_bool "realize rejects non-chain" true
-    (match
-       Multiway.realize m
-         [| Partition.of_blocks ~n:4 [ [ 0; 2 ] ];
-            Partition.of_blocks ~n:4 [ [ 1; 3 ] ];
-            Partition.identity 4 |]
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Seqtest                                                             *)
@@ -425,20 +340,6 @@ let () =
           Alcotest.test_case "improves the merged product machine" `Quick
             test_split_improves_demo;
           qcheck test_split_improve_never_worse;
-        ] );
-      ( "multiway",
-        [
-          Alcotest.test_case "shiftreg3 three stages" `Quick
-            test_multiway_shiftreg3_three_stages;
-          Alcotest.test_case "shiftreg4 four stages" `Quick
-            test_multiway_shiftreg4_four_stages;
-          Alcotest.test_case "two stages = pair solver" `Quick
-            test_multiway_two_stages_matches_pair_solver;
-          Alcotest.test_case "hand-derived chain oracle" `Quick
-            test_multiway_chain_oracle;
-          Alcotest.test_case "trivial fallback" `Quick test_multiway_trivial_fallback;
-          qcheck test_multiway_realize_random_products;
-          Alcotest.test_case "rejects bad input" `Quick test_multiway_rejects_bad_input;
         ] );
       ( "decompose",
         [

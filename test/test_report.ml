@@ -72,13 +72,23 @@ let test_strategies_driver () =
     (contains (Experiments.render_strategies entries) "BIST cycles")
 
 let test_extensions_driver () =
-  let entries = Experiments.extensions ~timeout:5.0 ~names:[ "shiftreg" ] () in
-  let e = List.hd entries in
-  check_int "2-stage baseline" 3 e.Experiments.base_bits;
-  check_int "3-stage result" 3 e.Experiments.three_stage_bits;
-  check_string "3-stage sizes" "2x2x2" e.Experiments.three_stage_sizes;
-  check_bool "split never worse" true
-    (e.Experiments.split_bits <= e.Experiments.base_bits)
+  (* 2-stage flip-flops, flip-flops after splitting and states added on
+     the five default machines. *)
+  let expected =
+    [ ("shiftreg", 3, 3, 0); ("fig5", 2, 2, 0); ("dk27", 6, 6, 0);
+      ("tav", 2, 2, 0); ("counter8", 6, 6, 0) ]
+  in
+  let entries = Experiments.extensions ~timeout:5.0 () in
+  check_int "default machines" (List.length expected) (List.length entries);
+  List.iter2
+    (fun (name, base, split, added) (e : Experiments.extension_entry) ->
+      check_string "row order" name e.Experiments.name;
+      check_int (name ^ " 2-stage FFs") base e.Experiments.base_bits;
+      check_int (name ^ " after split") split e.Experiments.split_bits;
+      check_int (name ^ " states added") added e.Experiments.split_states_added)
+    expected entries;
+  check_bool "renders" true
+    (contains (Experiments.render_extensions entries) "states added")
 
 let test_machine_named () =
   check_bool "benchmark" true (Experiments.machine_named "dk27" <> None);
