@@ -588,6 +588,14 @@ let mz_instrumented f =
         "minimize.cofactor_cache_hits";
         "minimize.tautology_calls";
         "minimize.tautology_memo_hits";
+        "minimize.dense_queries";
+        "minimize.wide_queries";
+        "minimize.expand_cube_gain";
+        "minimize.expand_literal_gain";
+        "minimize.irredundant_cube_gain";
+        "minimize.irredundant_literal_gain";
+        "minimize.reduce_cube_gain";
+        "minimize.reduce_literal_gain";
       ]
   in
   Metrics.set_enabled false;

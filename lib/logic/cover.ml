@@ -372,19 +372,158 @@ let rows_of_output hits o =
     (fun (cc, row) -> if Cube.output_bit cc o then Some row else None)
     hits
 
-let covers_cube ?(keep = keep_all) c cube =
-  let cache = Domain.DLS.get cache_key in
-  let hits = meeting ~keep c cube in
-  let ok = ref true in
-  let o = ref 0 in
-  while !ok && !o < c.num_outputs do
-    if Cube.output_bit cube !o then begin
-      let node = intern cache (canonical_rows (rows_of_output hits !o)) in
-      if not (node_tautology cache c.num_vars node) then ok := false
-    end;
-    incr o
+(* --------------------------------------------------------------------
+   Truth-table leaf.  A query about one cube looks only at the cube's
+   own points, so the meeting cubes matter only on the cube's free
+   (don't-care) variables.  With at most [leaf_vars] of them, the
+   cube's points fit a truth table of 2^free bits, kept as 32-point
+   chunks: free variable [j < 5] selects the bit inside a chunk (the
+   ones of [low_pattern.(j)]), free variable [j >= 5] bit [j - 5] of the
+   chunk index.  A meeting cube, cofactored onto the query cube, is then
+   one mask: the AND of its literals' patterns on the free variables.
+   Wider cubes keep the recursion above.
+   -------------------------------------------------------------------- *)
+
+let m_dense = Stc_obs.Metrics.counter "minimize.dense_queries"
+
+let m_wide = Stc_obs.Metrics.counter "minimize.wide_queries"
+
+let leaf_vars = 8
+
+let low_pattern =
+  [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+
+let chunk_count nfree = 1 lsl max 0 (nfree - 5)
+
+(* A chunk with every point of an [nfree]-variable cube set. *)
+let chunk_ones nfree = (1 lsl (1 lsl min nfree 5)) - 1
+
+(* Per-domain scratch: the cube's free variables, and per output [o]
+   the points the meeting cubes asserting [o] cover, chunk [x] at
+   [acc.(o * chunks + x)]. *)
+type leaf = { mutable free : int array; mutable acc : int array }
+
+let leaf_key = Domain.DLS.new_key (fun () -> { free = [||]; acc = [||] })
+
+let ensure = Stc_bits.Arena.ensure
+
+(* Fill the accumulators for [cube] from the cubes of [c] that [keep]
+   accepts, share an output with [cube] and meet its input part - the
+   rows {!meeting} would cofactor.  [None] when [cube] has more than
+   [leaf_vars] free variables, else the number of them. *)
+let leaf_scan ~keep c cube =
+  let nfree = Cube.dc_count cube in
+  if nfree > leaf_vars then None
+  else begin
+    Stc_obs.Metrics.incr m_dense;
+    let l = Domain.DLS.get leaf_key in
+    let nv = Cube.num_vars cube and no = Cube.num_outputs cube in
+    let cin = R.input_words cube in
+    l.free <- ensure l.free nfree;
+    let j = ref 0 in
+    for k = 0 to nv - 1 do
+      if row_pair cin k = 3 then begin
+        l.free.(!j) <- k;
+        incr j
+      end
+    done;
+    let chunks = chunk_count nfree in
+    l.acc <- ensure l.acc (no * chunks);
+    Array.fill l.acc 0 (no * chunks) 0;
+    let nw = R.in_words nv in
+    for i = 0 to Array.length c.cubes - 1 do
+      let cc = c.cubes.(i) in
+      let row = R.input_words cc in
+      if Cube.output_overlap cc cube && keep i && not (rows_conflict nw row cin)
+      then begin
+        (* [cc]'s points: [low] in every chunk [x] with
+           [x land hmask = hval]. *)
+        let low = ref (chunk_ones nfree) and hmask = ref 0 and hval = ref 0 in
+        for j = 0 to nfree - 1 do
+          match row_pair row l.free.(j) with
+          | 1 ->
+            if j < 5 then low := !low land lnot low_pattern.(j)
+            else hmask := !hmask lor (1 lsl (j - 5))
+          | 2 ->
+            if j < 5 then low := !low land low_pattern.(j)
+            else begin
+              hmask := !hmask lor (1 lsl (j - 5));
+              hval := !hval lor (1 lsl (j - 5))
+            end
+          | _ -> ()
+        done;
+        for o = 0 to no - 1 do
+          if Cube.output_bit cc o && Cube.output_bit cube o then
+            for x = 0 to chunks - 1 do
+              if x land !hmask = !hval then
+                l.acc.((o * chunks) + x) <- l.acc.((o * chunks) + x) lor !low
+            done
+        done
+      end
+    done;
+    Some nfree
+  end
+
+(* The supercube of the points of [cube] the accumulators leave
+   uncovered, read off their union: a free variable keeps each half
+   that holds an uncovered point, an output stays iff it has one. *)
+let leaf_sharp_supercube cube nfree =
+  let l = Domain.DLS.get leaf_key in
+  let num_vars = Cube.num_vars cube and num_outputs = Cube.num_outputs cube in
+  let chunks = chunk_count nfree and ones = chunk_ones nfree in
+  let union = Array.make chunks 0 in
+  let outw = Array.make (R.out_words num_outputs) 0 in
+  for o = 0 to num_outputs - 1 do
+    if Cube.output_bit cube o then
+      for x = 0 to chunks - 1 do
+        let u = ones land lnot l.acc.((o * chunks) + x) in
+        if u <> 0 then begin
+          union.(x) <- union.(x) lor u;
+          let wi = o / R.outs_per_word in
+          outw.(wi) <- outw.(wi) lor (1 lsl (o mod R.outs_per_word))
+        end
+      done
   done;
-  !ok
+  if Array.for_all (fun u -> u = 0) union then None
+  else begin
+    let inw = Array.copy (R.input_words cube) in
+    for j = 0 to nfree - 1 do
+      let zero = ref false and one = ref false in
+      for x = 0 to chunks - 1 do
+        let u = union.(x) in
+        if j < 5 then begin
+          if u land lnot low_pattern.(j) <> 0 then zero := true;
+          if u land low_pattern.(j) <> 0 then one := true
+        end
+        else if u <> 0 then begin
+          if x land (1 lsl (j - 5)) = 0 then zero := true else one := true
+        end
+      done;
+      let code = Bool.to_int !zero lor (Bool.to_int !one lsl 1) in
+      let k = l.free.(j) in
+      let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
+      inw.(wi) <- inw.(wi) land lnot (3 lsl p) lor (code lsl p)
+    done;
+    Some (R.make_packed ~num_vars ~num_outputs inw outw)
+  end
+
+let covers_cube ?(keep = keep_all) c cube =
+  match leaf_scan ~keep c cube with
+  | Some nfree -> Option.is_none (leaf_sharp_supercube cube nfree)
+  | None ->
+    Stc_obs.Metrics.incr m_wide;
+    let cache = Domain.DLS.get cache_key in
+    let hits = meeting ~keep c cube in
+    let ok = ref true in
+    let o = ref 0 in
+    while !ok && !o < c.num_outputs do
+      if Cube.output_bit cube !o then begin
+        let node = intern cache (canonical_rows (rows_of_output hits !o)) in
+        if not (node_tautology cache c.num_vars node) then ok := false
+      end;
+      incr o
+    done;
+    !ok
 
 let tautology c =
   covers_cube c (Cube.full ~num_vars:c.num_vars ~num_outputs:c.num_outputs)
@@ -449,6 +588,15 @@ let sharp_cube ?(keep = keep_all) cube c =
     end
   done;
   { num_vars; num_outputs; cubes = Array.of_list !cubes }
+
+let sharp_supercube ?(keep = keep_all) cube c =
+  match leaf_scan ~keep c cube with
+  | Some nfree -> leaf_sharp_supercube cube nfree
+  | None ->
+    Stc_obs.Metrics.incr m_wide;
+    let pieces = (sharp_cube ~keep cube c).cubes in
+    if Array.length pieces = 0 then None
+    else Some (Array.fold_left Cube.supercube pieces.(0) pieces)
 
 (* Keep only maximal cubes, canonically: sort most-general-first (fewer
    input literals, then more outputs, then {!Cube.compare}) and keep a

@@ -2,13 +2,18 @@
     operations (cofactor, tautology, containment, complement) implemented
     by unate/binate Shannon recursion as in Espresso.
 
-    Covers are array-backed, and the recursion runs on interned packed
+    Covers are array-backed.  The minimizer's per-cube queries
+    ({!covers_cube}, {!sharp_supercube}) first restrict the cover to the
+    queried cube.  When the cube leaves at most 8 input variables free,
+    the query is decided on a truth table over those variables: at most
+    256 points, one mask per meeting cube ([minimize.dense_queries] in
+    {!Stc_obs.Metrics}).  Wider cubes ([minimize.wide_queries]),
+    {!sharp_cube} and {!complement} run the recursion, on interned packed
     row sets with per-domain memo tables for tautology, cofactor and
-    complement results (see the [minimize.tautology_calls],
+    complement results (the [minimize.tautology_calls],
     [minimize.tautology_memo_hits] and [minimize.cofactor_cache_hits]
-    counters in {!Stc_obs.Metrics}).  Every operation is a pure function
-    of cover content, so results do not depend on which domain computes
-    them. *)
+    counters).  Every operation is a pure function of cover content, so
+    results do not depend on which domain computes them. *)
 
 type t = private {
   num_vars : int;
@@ -80,6 +85,12 @@ val complement : ?jobs:int -> t -> t
     [c].  [keep] filters the cubes of [c] by index, as in
     {!covers_cube}. *)
 val sharp_cube : ?keep:(int -> bool) -> Cube.t -> t -> t
+
+(** [sharp_supercube ?keep cube c] is the supercube of
+    [sharp_cube ?keep cube c] - the smallest cube holding every point
+    of [cube] (per output of [cube]) that [c] leaves uncovered - or
+    [None] when [c] covers all of [cube].  This is REDUCE's query. *)
+val sharp_supercube : ?keep:(int -> bool) -> Cube.t -> t -> Cube.t option
 
 (** [single_cube_containment c] drops every cube contained in another
     single cube of [c] (cheap redundancy removal).  The result is

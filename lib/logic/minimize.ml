@@ -14,6 +14,32 @@ let m_raise_att = Stc_obs.Metrics.counter "minimize.expand_raises_attempted"
 
 let m_raise_acc = Stc_obs.Metrics.counter "minimize.expand_raises_accepted"
 
+(* Cost gained by each pass inside [minimize] (cost before minus cost
+   after, summed over the iterations; REDUCE's literal gain is
+   negative, as it trades literals for room to re-expand). *)
+type pass_gain = {
+  cube_gain : Stc_obs.Metrics.counter;
+  literal_gain : Stc_obs.Metrics.counter;
+}
+
+let pass_gain pass =
+  { cube_gain = Stc_obs.Metrics.counter ("minimize." ^ pass ^ "_cube_gain");
+    literal_gain = Stc_obs.Metrics.counter ("minimize." ^ pass ^ "_literal_gain") }
+
+let g_expand = pass_gain "expand"
+
+let g_irredundant = pass_gain "irredundant"
+
+let g_reduce = pass_gain "reduce"
+
+(* Record the gain of one pass that turned [before] into [after];
+   returns [after]. *)
+let gained g before after =
+  let cb, lb = Cover.cost before and ca, la = Cover.cost after in
+  Stc_obs.Metrics.add g.cube_gain (cb - ca);
+  Stc_obs.Metrics.add g.literal_gain (lb - la);
+  after
+
 let with_dc ?dc on =
   match dc with None -> on | Some d -> Cover.union on d
 
@@ -278,7 +304,7 @@ let irredundant ?(jobs = 1) ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "irredundant" @@ fun () ->
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
-  if n <= 1 then cover
+  if n = 0 || (n = 1 && Option.is_none dc) then cover
   else begin
     let context = with_dc ?dc cover in
     let all_alive = Array.make n true in
@@ -329,13 +355,9 @@ let reduce_marked ?dc cover =
   let cubes = context.Cover.cubes in
   let alive = Array.make n true in
   for i = 0 to n - 1 do
-    let unique = Cover.sharp_cube ~keep:(others ~n alive i) cubes.(i) context in
-    match Array.to_list unique.Cover.cubes with
-    | [] -> alive.(i) <- false (* fully covered elsewhere: drop *)
-    | first :: more ->
-      let shrunk = List.fold_left Cube.supercube first more in
-      (* Never grow: reduction stays inside the original cube. *)
-      if Cube.contains cubes.(i) shrunk then cubes.(i) <- shrunk
+    match Cover.sharp_supercube ~keep:(others ~n alive i) cubes.(i) context with
+    | None -> alive.(i) <- false (* fully covered elsewhere: drop *)
+    | Some shrunk -> cubes.(i) <- shrunk
   done;
   let kept = ref [] and unchanged = ref [] in
   for i = n - 1 downto 0 do
@@ -381,11 +403,9 @@ let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Metrics.incr m_calls;
   let initial_cubes, initial_literals = Cover.cost on in
   let off = index_off (off_set ~jobs ?dc on) in
-  let current =
-    ref
-      (irredundant ~jobs ?dc
-         (expand_indexed ~jobs off (Cover.single_cube_containment on)))
-  in
+  let expand ?prime c = gained g_expand c (expand_indexed ~jobs ?prime off c) in
+  let irredundant c = gained g_irredundant c (irredundant ~jobs ?dc c) in
+  let current = ref (irredundant (expand (Cover.single_cube_containment on))) in
   let best = ref !current in
   let best_cost = ref (Cover.cost !current) in
   let iterations = ref 1 in
@@ -395,8 +415,7 @@ let minimize ?(jobs = 1) ?dc on =
     (* Every cube of [current] came out of EXPAND, so the ones REDUCE
        leaves unchanged are still prime. *)
     let reduced, prime = reduce_marked ?dc !current in
-    let expanded = expand_indexed ~jobs ~prime off reduced in
-    let cleaned = irredundant ~jobs ?dc expanded in
+    let cleaned = irredundant (expand ~prime (gained g_reduce !current reduced)) in
     current := cleaned;
     let cost = Cover.cost cleaned in
     if cost < !best_cost then begin

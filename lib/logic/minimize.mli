@@ -14,10 +14,16 @@
     the optional [jobs] argument fans the per-cube work of EXPAND and
     the classification pass of IRREDUNDANT (plus the per-output off-set
     complements) over that many OCaml domains.  Results are identical
-    for every [jobs] value.  Progress is observable through the
-    [minimize.*] counters of {!Stc_obs.Metrics} (expand raises
-    attempted/accepted, tautology calls and memo hits, cofactor cache
-    hits) and the [logic] trace spans. *)
+    for every [jobs] value.  IRREDUNDANT's and REDUCE's per-cube
+    queries ({!Cover.covers_cube}, {!Cover.sharp_supercube}) are decided
+    on a truth table of the cube's free variables when it has at most
+    8 of them; only wider cubes, and the off-set complement, run the
+    Shannon recursion.  Progress is observable through the [minimize.*]
+    counters of {!Stc_obs.Metrics} (expand raises attempted/accepted,
+    dense and wide queries, tautology calls and memo hits, cofactor cache
+    hits, and each pass's cube and literal gain summed over a [minimize]
+    call: [minimize.expand_cube_gain], [minimize.reduce_literal_gain],
+    ...) and the [logic] trace spans. *)
 
 type report = {
   initial_cubes : int;

@@ -13,7 +13,6 @@ module Realization = Stc_core.Realization
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
 module Minimize = Stc_logic.Minimize
-module Truth = Stc_logic.Truth
 module N = Stc_netlist.Netlist
 module B = Stc_netlist.Netlist.Builder
 module Partition = Stc_partition.Partition

@@ -3,7 +3,6 @@ module Cover = Stc_logic.Cover
 module Minimize = Stc_logic.Minimize
 module Naive = Stc_logic.Naive
 module Pla = Stc_logic.Pla
-module Truth = Stc_logic.Truth
 module Rng = Stc_util.Rng
 module Suite = Stc_benchmarks.Suite
 module Tables = Stc_encoding.Tables
@@ -15,17 +14,18 @@ let check_string = Alcotest.(check string)
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* Random cube / cover generators driven by a seed. *)
+let random_output rng ~num_outputs =
+  let output = Array.init num_outputs (fun _ -> Rng.bool rng) in
+  if not (Array.exists Fun.id output) then
+    output.(Rng.int rng num_outputs) <- true;
+  output
+
 let random_cube rng ~num_vars ~num_outputs =
   let input =
     Array.init num_vars (fun _ ->
         match Rng.int rng 3 with 0 -> Cube.Zero | 1 -> Cube.One | _ -> Cube.Dc)
   in
-  let output = Array.init num_outputs (fun _ -> Rng.bool rng) in
-  if Array.exists Fun.id output then Cube.make ~input ~output
-  else begin
-    output.(Rng.int rng num_outputs) <- true;
-    Cube.make ~input ~output
-  end
+  Cube.make ~input ~output:(random_output rng ~num_outputs)
 
 let random_cover rng ~num_vars ~num_outputs ~max_cubes =
   let n = 1 + Rng.int rng max_cubes in
@@ -41,6 +41,60 @@ let dims ?(wide = false) rng =
   in
   let num_outputs = 1 + Rng.int rng 3 in
   (num_vars, num_outputs)
+
+(* 6-12 variables, still small enough for truth tables, with a
+   uniformly drawn number of free variables per cube: the minimizer's
+   per-cube queries then land on both sides of the 8-free-variable
+   truth-table leaf. *)
+let mid_dims rng = (6 + Rng.int rng 7, 1 + Rng.int rng 3)
+
+let spread_cube rng ~num_vars ~num_outputs =
+  let free = Array.init num_vars (fun k -> k < Rng.int rng (num_vars + 1)) in
+  Rng.shuffle rng free;
+  let input =
+    Array.map
+      (fun dc ->
+        if dc then Cube.Dc else if Rng.bool rng then Cube.One else Cube.Zero)
+      free
+  in
+  Cube.make ~input ~output:(random_output rng ~num_outputs)
+
+(* Pieces whose union is [cube]: split on a random free variable, each
+   half again while [depth] lasts, some halves left whole. *)
+let rec split_cube rng ~depth cube =
+  let free =
+    List.filter
+      (fun k -> Cube.get cube k = Cube.Dc)
+      (List.init (Cube.num_vars cube) Fun.id)
+  in
+  if depth = 0 || free = [] || Rng.int rng 4 = 0 then [ cube ]
+  else begin
+    let k = List.nth free (Rng.int rng (List.length free)) in
+    let half t =
+      let input = Cube.input cube in
+      input.(k) <- t;
+      split_cube rng ~depth:(depth - 1)
+        (Cube.make ~input ~output:(Cube.output cube))
+    in
+    half Cube.Zero @ half Cube.One
+  end
+
+(* A 6-12-variable query: a cover of spread cubes and a query cube.
+   Half the time the cover also holds a split of the cube with some
+   pieces dropped, so covered and nearly covered queries occur. *)
+let mid_query rng ~max_cubes =
+  let num_vars, num_outputs = mid_dims rng in
+  let cube = spread_cube rng ~num_vars ~num_outputs in
+  let others =
+    List.init (1 + Rng.int rng max_cubes) (fun _ ->
+        spread_cube rng ~num_vars ~num_outputs)
+  in
+  let pieces =
+    if Rng.bool rng then
+      List.filter (fun _ -> Rng.int rng 4 <> 0) (split_cube rng ~depth:4 cube)
+    else []
+  in
+  (Cover.make ~num_vars ~num_outputs (others @ pieces), cube)
 
 (* ------------------------------------------------------------------ *)
 (* Cube                                                                *)
@@ -175,45 +229,94 @@ let test_cover_complement_oracle =
       done;
       !ok)
 
+(* The covers_cube / sharp_cube truth-table checks on one query. *)
+let covers_cube_agrees c cube =
+  let num_vars = c.Cover.num_vars in
+  let semantic = ref true in
+  for v = 0 to (1 lsl num_vars) - 1 do
+    if Cube.matches cube v then begin
+      let row = Cover.eval c v in
+      Array.iteri
+        (fun o covered ->
+          if Cube.output_bit cube o && not covered then semantic := false)
+        row
+    end
+  done;
+  Cover.covers_cube c cube = !semantic
+
+let sharp_cube_agrees c cube =
+  let diff = Cover.sharp_cube cube c in
+  let ok = ref true in
+  for v = 0 to (1 lsl c.Cover.num_vars) - 1 do
+    let in_diff = Cover.eval diff v and in_c = Cover.eval c v in
+    Array.iteri
+      (fun o covered ->
+        let expected = Cube.output_bit cube o && Cube.matches cube v && not covered in
+        if in_diff.(o) <> expected then ok := false)
+      in_c
+  done;
+  !ok
+
+(* A narrow query (2-5 variables) or, half the time, a 6-12-variable
+   one from [mid_query]. *)
+let oracle_query rng ~max_cubes =
+  if Rng.bool rng then mid_query rng ~max_cubes
+  else
+    let num_vars, num_outputs = dims rng in
+    let c = random_cover rng ~num_vars ~num_outputs ~max_cubes in
+    (c, random_cube rng ~num_vars ~num_outputs)
+
 let test_cover_covers_cube_oracle =
   QCheck.Test.make ~count:300 ~name:"covers_cube agrees with truth table"
     QCheck.(int_bound 1000000)
     (fun seed ->
-      let rng = Rng.create seed in
-      let num_vars, num_outputs = dims rng in
-      let c = random_cover rng ~num_vars ~num_outputs ~max_cubes:6 in
-      let cube = random_cube rng ~num_vars ~num_outputs in
-      let semantic = ref true in
-      for v = 0 to (1 lsl num_vars) - 1 do
-        if Cube.matches cube v then begin
-          let row = Cover.eval c v in
-          for o = 0 to num_outputs - 1 do
-            if Cube.output_bit cube o && not row.(o) then semantic := false
-          done
-        end
-      done;
-      Cover.covers_cube c cube = !semantic)
+      let c, cube = oracle_query (Rng.create seed) ~max_cubes:6 in
+      covers_cube_agrees c cube)
 
 let test_cover_sharp_cube_oracle =
   QCheck.Test.make ~count:200 ~name:"sharp_cube = cube minus cover"
     QCheck.(int_bound 1000000)
     (fun seed ->
+      let c, cube = oracle_query (Rng.create seed) ~max_cubes:6 in
+      sharp_cube_agrees c cube)
+
+(* REDUCE's query against its definition, with a random [keep]: the
+   supercube of what [sharp_cube] leaves, on every dimension range. *)
+let test_cover_sharp_supercube =
+  QCheck.Test.make ~count:300 ~name:"sharp_supercube = supercube of sharp_cube"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
       let rng = Rng.create seed in
-      let num_vars, num_outputs = dims rng in
-      let c = random_cover rng ~num_vars ~num_outputs ~max_cubes:6 in
-      let cube = random_cube rng ~num_vars ~num_outputs in
-      let diff = Cover.sharp_cube cube c in
-      let ok = ref true in
-      for v = 0 to (1 lsl num_vars) - 1 do
-        let in_diff = Cover.eval diff v and in_c = Cover.eval c v in
-        for o = 0 to num_outputs - 1 do
-          let expected =
-            Cube.output_bit cube o && Cube.matches cube v && not in_c.(o)
-          in
-          if in_diff.(o) <> expected then ok := false
-        done
-      done;
-      !ok)
+      let c, cube =
+        if Rng.bool rng then oracle_query rng ~max_cubes:6
+        else
+          let num_vars, num_outputs = dims ~wide:true rng in
+          let c = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+          (c, random_cube rng ~num_vars ~num_outputs)
+      in
+      let mask = Array.map (fun _ -> Rng.int rng 4 <> 0) c.Cover.cubes in
+      let keep i = mask.(i) in
+      let expected =
+        match Array.to_list (Cover.sharp_cube ~keep cube c).Cover.cubes with
+        | [] -> None
+        | first :: more -> Some (List.fold_left Cube.supercube first more)
+      in
+      Option.equal Cube.equal (Cover.sharp_supercube ~keep cube c) expected)
+
+(* The leaf's per-domain scratch starts empty on a fresh domain (the
+   minimizer's [jobs] workers are spawned per call) and must grow
+   without losing the hits already entered: 256 minterm cubes cover
+   the full 8-variable cube. *)
+let test_leaf_fresh_domain () =
+  let full = Cube.full ~num_vars:8 ~num_outputs:1 in
+  let c = Cover.minterms (Cover.of_array ~num_vars:8 ~num_outputs:1 [| full |]) in
+  let covered, rest =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (Cover.covers_cube c full, Cover.sharp_supercube full c)))
+  in
+  check_bool "covers" true covered;
+  check_bool "nothing left" true (rest = None)
 
 let test_cover_keep_filter =
   QCheck.Test.make ~count:200 ~name:"?keep = the same query on the kept cubes"
@@ -350,10 +453,23 @@ let test_reduce_keeps_function =
   QCheck.Test.make ~count:100 ~name:"reduce preserves the function"
     QCheck.(int_bound 1000000)
     (fun seed ->
-      let rng = Rng.create seed in
-      let num_vars, num_outputs = dims rng in
-      let on = random_cover rng ~num_vars ~num_outputs ~max_cubes:8 in
+      let on, _ = oracle_query (Rng.create seed) ~max_cubes:8 in
       Truth.equivalent on (Minimize.reduce on))
+
+(* A single cube inside the don't-care set is redundant: IRREDUNDANT
+   must drop it, as it does when a second such cube is present, and
+   [is_irredundant] must agree. *)
+let test_irredundant_single_cube_dc () =
+  let cover rows = Cover.of_strings ~num_vars:2 ~num_outputs:1 rows in
+  let dc = cover [ "1- 1" ] in
+  let one = Minimize.irredundant ~dc (cover [ "11 1" ]) in
+  check_int "one cube dropped" 0 (Cover.size one);
+  check_int "two cubes dropped" 0
+    (Cover.size (Minimize.irredundant ~dc (cover [ "11 1"; "10 1" ])));
+  check_bool "is_irredundant agrees" false
+    (Minimize.is_irredundant ~dc (cover [ "11 1" ]));
+  check_int "kept without dc" 1
+    (Cover.size (Minimize.irredundant (cover [ "11 1" ])))
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine vs. the retained trit-array reference (Naive)         *)
@@ -534,6 +650,20 @@ let test_expand_fixed_point =
           same_cover (Minimize.expand ~off single) single)
         primes.Cover.cubes)
 
+(* The flow's context of a corpus machine, computed once per run. *)
+let pipeline_context =
+  let contexts = Hashtbl.create 4 in
+  fun name ->
+    match Hashtbl.find_opt contexts name with
+    | Some ctx -> ctx
+    | None ->
+      let m =
+        match Suite.find name with Some s -> Suite.machine s | None -> assert false
+      in
+      let ctx = Stc_analysis.Context.of_machine m in
+      Hashtbl.add contexts name ctx;
+      ctx
+
 (* Digests of the minimized fig. 4 blocks, recorded before the EXPAND
    counter and the shared-context IRREDUNDANT/REDUCE (tbk's before the
    indexed off-set and the prime skip): speed work on the minimizer must
@@ -541,10 +671,7 @@ let test_expand_fixed_point =
 let test_pipeline_covers_pinned () =
   List.iter
     (fun (name, digests) ->
-      let m =
-        match Suite.find name with Some s -> Suite.machine s | None -> assert false
-      in
-      let ctx = Stc_analysis.Context.of_machine m in
+      let ctx = pipeline_context name in
       List.iter2
         (fun (b : Stc_analysis.Context.block) expected ->
           let cover = b.Stc_analysis.Context.minimized in
@@ -563,6 +690,30 @@ let test_pipeline_covers_pinned () =
       ("tbk",
        [ "9774a276d8df0173ff4ddf8bb80a2895"; "43a1f5986169d843b97b3269edd560e9";
          "82b7b6fd7fe27c869825bc192ea29a84" ]) ]
+
+(* tbk's output block is the flow's largest minimization, and its
+   IRREDUNDANT and REDUCE queries leave at most 8 variables free: every
+   one must be decided on the truth-table leaf, none by the recursion. *)
+let test_lambda_queries_dense () =
+  let module Context = Stc_analysis.Context in
+  let module Metrics = Stc_obs.Metrics in
+  let ctx = pipeline_context "tbk" in
+  let b =
+    List.find (fun b -> b.Context.block_label = "lambda") ctx.Context.blocks
+  in
+  let count name = Metrics.counter_value (Metrics.counter name) in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled false)
+      (fun () -> fst (Minimize.minimize ~dc:b.Context.dc b.Context.on))
+  in
+  check_string "same cover" (Cover.to_string b.Context.minimized)
+    (Cover.to_string result);
+  check_bool "dense queries" true (count "minimize.dense_queries" > 0);
+  check_int "wide queries" 0 (count "minimize.wide_queries");
+  check_int "tautology calls" 0 (count "minimize.tautology_calls")
 
 let test_minimize_jobs_deterministic =
   QCheck.Test.make ~count:60 ~name:"minimize jobs:1 = jobs:2, cube for cube"
@@ -674,6 +825,8 @@ let () =
           qcheck test_cover_complement_oracle;
           qcheck test_cover_covers_cube_oracle;
           qcheck test_cover_sharp_cube_oracle;
+          qcheck test_cover_sharp_supercube;
+          Alcotest.test_case "leaf on a fresh domain" `Quick test_leaf_fresh_domain;
           qcheck test_cover_keep_filter;
           qcheck test_cover_scc_preserves;
           qcheck test_cover_minterms_equals_eval;
@@ -688,6 +841,8 @@ let () =
           qcheck test_minimize_never_worse;
           qcheck test_expand_yields_primes;
           qcheck test_reduce_keeps_function;
+          Alcotest.test_case "irredundant single cube in dc" `Quick
+            test_irredundant_single_cube_dc;
         ] );
       ( "packed vs reference",
         [
@@ -699,6 +854,8 @@ let () =
           qcheck test_expand_fixed_point;
           Alcotest.test_case "pipeline covers pinned" `Quick
             test_pipeline_covers_pinned;
+          Alcotest.test_case "tbk lambda queries on the leaf" `Quick
+            test_lambda_queries_dense;
           Alcotest.test_case "of_string edge chars" `Quick
             test_of_string_edge_chars;
           Alcotest.test_case "scc canonicality" `Quick

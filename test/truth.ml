@@ -1,3 +1,5 @@
+module Cover = Stc_logic.Cover
+
 let table cover =
   let n = cover.Cover.num_vars in
   if n > 16 then invalid_arg "Truth.table: too many variables";
@@ -23,7 +25,3 @@ let equivalent_with_dc ~on ~dc result =
       want
   done;
   !ok
-
-let count_ones cover o =
-  let t = table cover in
-  Array.fold_left (fun acc row -> if row.(o) then acc + 1 else acc) 0 t

@@ -1,18 +1,16 @@
-(** Exhaustive truth-table oracle for small functions, used to cross-check
-    the cube-based algorithms in tests and verification flows. *)
+(** Exhaustive truth-table oracle for small functions, the tests'
+    cross-check of the cube-based algorithms of {!Stc_logic}. *)
 
 (** [table cover] evaluates every input minterm; [table cover].(v).(o) is
     output [o] on minterm [v].
     @raise Invalid_argument beyond 16 variables. *)
-val table : Cover.t -> bool array array
+val table : Stc_logic.Cover.t -> bool array array
 
 (** [equivalent a b] compares two covers minterm by minterm. *)
-val equivalent : Cover.t -> Cover.t -> bool
+val equivalent : Stc_logic.Cover.t -> Stc_logic.Cover.t -> bool
 
 (** [equivalent_with_dc ~on ~dc result] checks the minimization contract
     [(on \ dc) <= result <= on + dc] minterm by minterm (don't-cares take
     precedence where the two sets overlap, as in espresso). *)
-val equivalent_with_dc : on:Cover.t -> dc:Cover.t -> Cover.t -> bool
-
-(** [count_ones cover o] counts the minterms asserting output [o]. *)
-val count_ones : Cover.t -> int -> int
+val equivalent_with_dc :
+  on:Stc_logic.Cover.t -> dc:Stc_logic.Cover.t -> Stc_logic.Cover.t -> bool
