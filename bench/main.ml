@@ -181,12 +181,11 @@ let work_figures =
     ("pruned", fun s -> s.Solver.pruned);
   ]
 
-(* The [sequential] objects of BENCH_solver.json, by row name; [None]
-   when there is no such file. *)
-let committed_sequential =
+(* The [field] objects of the rows of the BENCH file [path] in the
+   working directory, by row name; [None] when there is no such file. *)
+let committed_rows path field =
   lazy
-    (let path = "BENCH_solver.json" in
-     if not (Sys.file_exists path) then begin
+    (if not (Sys.file_exists path) then begin
        Printf.printf "work figures: no %s, not checked\n" path;
        None
      end
@@ -204,25 +203,34 @@ let committed_sequential =
            Ok
              (List.filter_map
                 (fun row ->
-                  match (Json.member "name" row, Json.member "sequential" row) with
-                  | Some (Json.String name), Some seq -> Some (name, seq)
+                  match (Json.member "name" row, Json.member field row) with
+                  | Some (Json.String name), Some obj -> Some (name, obj)
                   | _ -> None)
                 rows)))
+
+(* The [figures] (key, value) that differ from the integer fields of
+   [committed], a row object of [path]; a missing field reads [missing]
+   when given, and differs otherwise. *)
+let figure_drift ~path ?missing committed figures =
+  List.filter_map
+    (fun (key, v) ->
+      match (Json.member key committed, missing) with
+      | Some (Json.Int x), _ | None, Some x ->
+        if x = v then None
+        else Some (Printf.sprintf "%s %d (%s %d)" key v path x)
+      | _ -> Some (Printf.sprintf "%s %d (%s missing)" key v path))
+    figures
+
+let committed_sequential = committed_rows "BENCH_solver.json" "sequential"
 
 let work_drift name stats =
   match Lazy.force committed_sequential with
   | None -> []
   | Some (Error msg) -> [ msg ]
   | Some (Ok committed) ->
-    List.filter_map
-      (fun (key, figure) ->
-        let v = figure stats in
-        match Option.bind (List.assoc_opt name committed) (Json.member key) with
-        | Some (Json.Int x) when x = v -> None
-        | Some (Json.Int x) ->
-          Some (Printf.sprintf "%s %d (BENCH_solver.json %d)" key v x)
-        | _ -> Some (Printf.sprintf "%s %d (BENCH_solver.json missing)" key v))
-      work_figures
+    figure_drift ~path:"BENCH_solver.json"
+      (Option.value (List.assoc_opt name committed) ~default:(Json.Obj []))
+      (List.map (fun (key, figure) -> (key, figure stats)) work_figures)
 
 let factors (r : Solver.result) =
   ( Partition.num_classes r.Solver.best.Solver.pi,
@@ -529,15 +537,23 @@ let faultsim_suite =
    then the three fig. 4 pipeline blocks (rows [<m>/c1], [<m>/c2],
    [<m>/lambda]) the flow actually minimizes, each through the naive
    reference and the packed engine at jobs 1 and N.  A row fails when an
-   engine violates the minimization contract or jobs > 1 changes the
-   cover.  Quick: dk27, mc and bbara, block C and pipeline blocks. *)
+   engine violates the minimization contract, jobs > 1 changes the
+   cover, or its jobs-1 cubes, literals, iterations or EXPAND raise
+   counts differ from the [packed] columns of the BENCH_minimize.json row
+   of the same name in the working directory.  The engine is
+   deterministic, so those figures are exact: a change that alters the
+   covers on purpose deletes the file and regenerates it with
+   `bench minimize`.  Quick: block C of dk27, mc, bbara and dk512, and
+   the pipeline blocks of dk27, mc, bbara and dk16 (dk512 and dk16's are
+   committed rows). *)
 
 module Cover = Stc_logic.Cover
 module Cube = Stc_logic.Cube
 
 let mz_blocks ~quick =
   let machines, pipeline =
-    if quick then ([ "dk27"; "mc"; "bbara" ], [ "dk27"; "mc"; "bbara" ])
+    if quick then
+      ([ "dk27"; "mc"; "bbara"; "dk512" ], [ "dk27"; "mc"; "bbara"; "dk16" ])
     else ([ "dk16"; "s1"; "dk512"; "tbk" ], [ "dk16"; "tbk" ])
   in
   List.map
@@ -590,6 +606,8 @@ let mz_instrumented f =
         "minimize.tautology_memo_hits";
         "minimize.dense_queries";
         "minimize.wide_queries";
+        "minimize.dense_expands";
+        "minimize.wide_expands";
         "minimize.expand_cube_gain";
         "minimize.expand_literal_gain";
         "minimize.irredundant_cube_gain";
@@ -626,12 +644,40 @@ let mz_packed_exn label r =
   | Some result -> result
   | None -> failwith (label ^ ": packed engine exceeded the naive budget?")
 
+let committed_packed = committed_rows "BENCH_minimize.json" "packed"
+
+(* The jobs-1 figures of a row that differ from its committed row; a
+   row the file does not hold is not compared.  Zero counters are left
+   out of the file, so a missing one reads 0. *)
+let cover_drift r =
+  match Lazy.force committed_packed with
+  | None -> []
+  | Some (Error msg) -> [ msg ]
+  | Some (Ok committed) -> (
+    match List.assoc_opt r.mz_name committed with
+    | None -> []
+    | Some packed ->
+      let cover, report = mz_packed_exn r.mz_name r.mz_packed in
+      let cubes, literals = Cover.cost cover in
+      let path = "BENCH_minimize.json" in
+      figure_drift ~path packed
+        [ ("cubes", cubes); ("literals", literals);
+          ("iterations", report.Minimize.iterations) ]
+      @ figure_drift ~path ~missing:0
+          (Option.value (Json.member "metrics" packed) ~default:(Json.Obj []))
+          (List.map
+             (fun key ->
+               let v = List.assoc_opt key r.mz_packed.mz_counters in
+               (key, Option.value v ~default:0))
+             [ "minimize.expand_raises_attempted"; "minimize.expand_raises_accepted" ]))
+
 let minimize_failure r =
   failing
-    [
-      (not r.mz_verified, "contract violated");
-      (not r.mz_deterministic, "jobs>1 changed the result");
-    ]
+    ([
+       (not r.mz_verified, "contract violated");
+       (not r.mz_deterministic, "jobs>1 changed the result");
+     ]
+    @ List.map (fun d -> (true, d)) (cover_drift r))
 
 (* The heavy machines keep the naive reference busy for minutes, so
    progress is streamed per engine. *)

@@ -180,9 +180,6 @@ let intern cache rows =
 
 let row_all_dc row = Array.for_all (fun w -> w = R.mask11) row
 
-let row_pair row k =
-  (row.(k / R.vars_per_word) lsr (2 * (k mod R.vars_per_word))) land 3
-
 let row_with_pair row k code =
   let r = Array.copy row in
   let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
@@ -192,7 +189,7 @@ let row_with_pair row k code =
 (* Cofactor one row by [x_k = polarity]: [None] when the row dies, the
    unchanged (shared) row when [x_k] is don't-care. *)
 let row_cofactor row k polarity =
-  match row_pair row k with
+  match R.pair row k with
   | 3 -> Some row
   | 2 -> if polarity then Some (row_with_pair row k 3) else None
   | 1 -> if polarity then None else Some (row_with_pair row k 3)
@@ -206,7 +203,7 @@ let select_var nv rows =
   Array.iter
     (fun row ->
       for k = 0 to nv - 1 do
-        match row_pair row k with
+        match R.pair row k with
         | 1 -> zeros.(k) <- zeros.(k) + 1
         | 2 -> ones.(k) <- ones.(k) + 1
         | _ -> ()
@@ -277,7 +274,7 @@ let single_row_complement nv row =
   let all_dc = Array.make (Array.length row) R.mask11 in
   let out = ref [] in
   for k = nv - 1 downto 0 do
-    match row_pair row k with
+    match R.pair row k with
     | 1 -> out := row_with_pair all_dc k 2 :: !out
     | 2 -> out := row_with_pair all_dc k 1 :: !out
     | _ -> ()
@@ -376,12 +373,10 @@ let rows_of_output hits o =
    Truth-table leaf.  A query about one cube looks only at the cube's
    own points, so the meeting cubes matter only on the cube's free
    (don't-care) variables.  With at most [leaf_vars] of them, the
-   cube's points fit a truth table of 2^free bits, kept as 32-point
-   chunks: free variable [j < 5] selects the bit inside a chunk (the
-   ones of [low_pattern.(j)]), free variable [j >= 5] bit [j - 5] of the
-   chunk index.  A meeting cube, cofactored onto the query cube, is then
-   one mask: the AND of its literals' patterns on the free variables.
-   Wider cubes keep the recursion above.
+   cube's points fit a {!Chunk} table over those variables, at most 8
+   chunks.  A meeting cube, cofactored onto the query cube, is then one
+   span of that table: the AND of its literals' patterns on the free
+   variables.  Wider cubes keep the recursion above.
    -------------------------------------------------------------------- *)
 
 let m_dense = Stc_obs.Metrics.counter "minimize.dense_queries"
@@ -390,20 +385,17 @@ let m_wide = Stc_obs.Metrics.counter "minimize.wide_queries"
 
 let leaf_vars = 8
 
-let low_pattern =
-  [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+(* Per-domain scratch: the cube's free variables, the span of the
+   meeting cube at hand, and per output [o] the points the meeting
+   cubes asserting [o] cover, chunk [x] at [acc.(o * chunks + x)]. *)
+type leaf = {
+  mutable free : int array;
+  span : Chunk.span;
+  mutable acc : int array;
+}
 
-let chunk_count nfree = 1 lsl max 0 (nfree - 5)
-
-(* A chunk with every point of an [nfree]-variable cube set. *)
-let chunk_ones nfree = (1 lsl (1 lsl min nfree 5)) - 1
-
-(* Per-domain scratch: the cube's free variables, and per output [o]
-   the points the meeting cubes asserting [o] cover, chunk [x] at
-   [acc.(o * chunks + x)]. *)
-type leaf = { mutable free : int array; mutable acc : int array }
-
-let leaf_key = Domain.DLS.new_key (fun () -> { free = [||]; acc = [||] })
+let leaf_key =
+  Domain.DLS.new_key (fun () -> { free = [||]; span = Chunk.span (); acc = [||] })
 
 let ensure = Stc_bits.Arena.ensure
 
@@ -422,12 +414,12 @@ let leaf_scan ~keep c cube =
     l.free <- ensure l.free nfree;
     let j = ref 0 in
     for k = 0 to nv - 1 do
-      if row_pair cin k = 3 then begin
+      if R.pair cin k = 3 then begin
         l.free.(!j) <- k;
         incr j
       end
     done;
-    let chunks = chunk_count nfree in
+    let chunks = Chunk.count nfree in
     l.acc <- ensure l.acc (no * chunks);
     Array.fill l.acc 0 (no * chunks) 0;
     let nw = R.in_words nv in
@@ -436,28 +428,10 @@ let leaf_scan ~keep c cube =
       let row = R.input_words cc in
       if Cube.output_overlap cc cube && keep i && not (rows_conflict nw row cin)
       then begin
-        (* [cc]'s points: [low] in every chunk [x] with
-           [x land hmask = hval]. *)
-        let low = ref (chunk_ones nfree) and hmask = ref 0 and hval = ref 0 in
-        for j = 0 to nfree - 1 do
-          match row_pair row l.free.(j) with
-          | 1 ->
-            if j < 5 then low := !low land lnot low_pattern.(j)
-            else hmask := !hmask lor (1 lsl (j - 5))
-          | 2 ->
-            if j < 5 then low := !low land low_pattern.(j)
-            else begin
-              hmask := !hmask lor (1 lsl (j - 5));
-              hval := !hval lor (1 lsl (j - 5))
-            end
-          | _ -> ()
-        done;
+        Chunk.set_span l.span ~vars:l.free nfree row;
         for o = 0 to no - 1 do
           if Cube.output_bit cc o && Cube.output_bit cube o then
-            for x = 0 to chunks - 1 do
-              if x land !hmask = !hval then
-                l.acc.((o * chunks) + x) <- l.acc.((o * chunks) + x) lor !low
-            done
+            Chunk.add l.span l.acc ~base:(o * chunks) nfree
         done
       end
     done;
@@ -470,7 +444,7 @@ let leaf_scan ~keep c cube =
 let leaf_sharp_supercube cube nfree =
   let l = Domain.DLS.get leaf_key in
   let num_vars = Cube.num_vars cube and num_outputs = Cube.num_outputs cube in
-  let chunks = chunk_count nfree and ones = chunk_ones nfree in
+  let chunks = Chunk.count nfree and ones = Chunk.ones nfree in
   let union = Array.make chunks 0 in
   let outw = Array.make (R.out_words num_outputs) 0 in
   for o = 0 to num_outputs - 1 do
@@ -492,8 +466,8 @@ let leaf_sharp_supercube cube nfree =
       for x = 0 to chunks - 1 do
         let u = union.(x) in
         if j < 5 then begin
-          if u land lnot low_pattern.(j) <> 0 then zero := true;
-          if u land low_pattern.(j) <> 0 then one := true
+          if u land lnot Chunk.low_pattern.(j) <> 0 then zero := true;
+          if u land Chunk.low_pattern.(j) <> 0 then one := true
         end
         else if u <> 0 then begin
           if x land (1 lsl (j - 5)) = 0 then zero := true else one := true

@@ -5,8 +5,9 @@
     Covers are array-backed.  The minimizer's per-cube queries
     ({!covers_cube}, {!sharp_supercube}) first restrict the cover to the
     queried cube.  When the cube leaves at most 8 input variables free,
-    the query is decided on a truth table over those variables: at most
-    256 points, one mask per meeting cube ([minimize.dense_queries] in
+    the query is decided on a truth table over those variables (a
+    {!Chunk} table): at most 256 points, one span per meeting cube
+    ([minimize.dense_queries] in
     {!Stc_obs.Metrics}).  Wider cubes ([minimize.wide_queries]),
     {!sharp_cube} and {!complement} run the recursion, on interned packed
     row sets with per-domain memo tables for tautology, cofactor and

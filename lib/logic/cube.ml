@@ -306,6 +306,8 @@ module Raw = struct
 
   let out_words = out_words
 
+  let pair row k = (row.(k / vars_per_word) lsr (2 * (k mod vars_per_word))) land 3
+
   let input_words c = c.inw
 
   let output_words c = c.outw

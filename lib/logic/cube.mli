@@ -135,6 +135,10 @@ module Raw : sig
 
   val out_words : int -> int
 
+  (** [pair row k] is the code of variable [k] in the packed input words
+      [row]: [1] Zero, [2] One, [3] Dc. *)
+  val pair : int array -> int -> int
+
   val input_words : t -> int array
 
   val output_words : t -> int array

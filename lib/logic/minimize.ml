@@ -45,12 +45,16 @@ let with_dc ?dc on =
 
 let off_set ?jobs ?dc on = Cover.complement ?jobs (with_dc ?dc on)
 
-(* The off-set as EXPAND reads it, built once per [minimize] call: the
-   input part of every off-cube as one row of a flat row-major array
-   ([nw] words per row), and for each output the ids of the off-cubes
-   asserting it, ascending.  A cube's blocking matrix is built from the
-   buckets of its own outputs only, and each output raise is decided by
-   an early-exit scan of one bucket. *)
+let m_dense_expands = Stc_obs.Metrics.counter "minimize.dense_expands"
+
+let m_wide_expands = Stc_obs.Metrics.counter "minimize.wide_expands"
+
+(* The off-set of a wide cover as EXPAND reads it: the input part of
+   every off-cube as one row of a flat row-major array ([nw] words per
+   row), and for each output the ids of the off-cubes asserting it,
+   ascending.  A cube's blocking matrix is built from the buckets of its
+   own outputs only, and each output raise is decided by an early-exit
+   scan of one bucket. *)
 type off_index = {
   nw : int;
   noff : int;
@@ -266,29 +270,174 @@ let expand_cube idx cube =
     R.make_packed ~num_vars:nv ~num_outputs:no cin cout
   end
 
+(* The off-set of a narrow cover as EXPAND reads it: one {!Chunk} table
+   per output over all [nv] variables, output [o]'s off-set points in
+   chunks [o * chunks ..] of [bits]; and for each distinct output part
+   of the off-cubes, how many of them carry each literal ([2k]: the
+   Zero of column [k], [2k + 1]: its One). *)
+type off_bitmaps = {
+  vars : int array;  (* 0 .. nv - 1 *)
+  chunks : int;
+  bits : int array;
+  groups : (int array * int array) list;
+}
+
+(* A cover is narrow when its off-set bitmaps hold at most 2^24 points
+   in all (2^19 chunks). *)
+let narrow ~num_vars ~num_outputs =
+  num_vars <= 24 && num_outputs <= (1 lsl 24) lsr num_vars
+
+let bitmap_off (off : Cover.t) =
+  let nv = off.Cover.num_vars and no = off.Cover.num_outputs in
+  let vars = Array.init nv Fun.id in
+  let chunks = Chunk.count nv in
+  let bits = Array.make (no * chunks) 0 in
+  let s = Chunk.span () in
+  let groups = Hashtbl.create 16 in
+  Array.iter
+    (fun r ->
+      let row = R.input_words r in
+      Chunk.set_span s ~vars nv row;
+      for o = 0 to no - 1 do
+        if Cube.output_bit r o then Chunk.add s bits ~base:(o * chunks) nv
+      done;
+      let outw = R.output_words r in
+      let h =
+        match Hashtbl.find_opt groups outw with
+        | Some h -> h
+        | None ->
+          let h = Array.make (2 * nv) 0 in
+          Hashtbl.add groups outw h;
+          h
+      in
+      for k = 0 to nv - 1 do
+        match R.pair row k with
+        | 1 -> h.(2 * k) <- h.(2 * k) + 1
+        | 2 -> h.((2 * k) + 1) <- h.((2 * k) + 1) + 1
+        | _ -> ()
+      done)
+    off.Cover.cubes;
+  { vars; chunks; bits; groups = Hashtbl.fold (fun w h acc -> (w, h) :: acc) groups [] }
+
+(* The literal histogram of the off-cubes sharing an output with output
+   part [outw]: the sum of their groups' histograms. *)
+let histogram bm outw =
+  let h = Array.make (2 * Array.length bm.vars) 0 in
+  List.iter
+    (fun (w, gh) ->
+      if Array.exists2 (fun a b -> a land b <> 0) w outw then
+        Array.iteri (fun i c -> h.(i) <- h.(i) + c) gh)
+    bm.groups;
+  h
+
+(* The greedy of [expand_cube] decided on the bitmaps.  A column's
+   blocker count is the number of output-overlapping off-cubes with the
+   opposite literal there, read off [hist]; and a raise is blocked
+   exactly when the raised cube meets an off-cube of one of its outputs,
+   that is when the half it adds (the cube with the column flipped)
+   meets the off-set bitmap of one of them. *)
+let expand_dense bm hist cube =
+  let nv = Cube.num_vars cube and no = Cube.num_outputs cube in
+  let cin = Array.copy (R.input_words cube) in
+  let cout = Array.copy (R.output_words cube) in
+  let s = Chunk.span () in
+  let meets o = Chunk.meets s bm.bits ~base:(o * bm.chunks) nv in
+  let meets_off () =
+    Chunk.set_span s ~vars:bm.vars nv cin;
+    let rec go o = o < no && ((Cube.output_bit cube o && meets o) || go (o + 1)) in
+    go 0
+  in
+  if meets_off () then cube
+  else begin
+    (* Fixed columns keyed (blocker count, index); [nv <= 24] fits the
+       index in 5 bits. *)
+    let keys = ref [] in
+    for k = nv - 1 downto 0 do
+      let code = R.pair cin k in
+      if code <> 3 then keys := ((hist.((2 * k) + (code land 1)) lsl 5) lor k) :: !keys
+    done;
+    let order = Array.of_list !keys in
+    Array.sort Int.compare order;
+    Array.iter
+      (fun key ->
+        let k = key land 31 in
+        Stc_obs.Metrics.incr m_raise_att;
+        let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
+        cin.(wi) <- cin.(wi) lxor (3 lsl p);
+        if meets_off () then cin.(wi) <- cin.(wi) lxor (3 lsl p)
+        else begin
+          cin.(wi) <- cin.(wi) lor (3 lsl p);
+          Stc_obs.Metrics.incr m_raise_acc
+        end)
+      order;
+    Chunk.set_span s ~vars:bm.vars nv cin;
+    for o = 0 to no - 1 do
+      let wi = o / R.outs_per_word and p = o mod R.outs_per_word in
+      if cout.(wi) land (1 lsl p) = 0 then begin
+        Stc_obs.Metrics.incr m_raise_att;
+        if not (meets o) then begin
+          cout.(wi) <- cout.(wi) lor (1 lsl p);
+          Stc_obs.Metrics.incr m_raise_acc
+        end
+      end
+    done;
+    R.make_packed ~num_vars:nv ~num_outputs:no cin cout
+  end
+
+(* The off-set as EXPAND reads it, built once per [minimize] call. *)
+type off_view = Bitmaps of off_bitmaps | Index of off_index
+
+let view_off (off : Cover.t) =
+  if narrow ~num_vars:off.Cover.num_vars ~num_outputs:off.Cover.num_outputs then
+    Bitmaps (bitmap_off off)
+  else Index (index_off off)
+
 (* EXPAND over a cover whose cubes flagged in [prime] are already prime
-   against the indexed off-set: those pass through unchanged (EXPAND
-   leaves a prime cube as it is, so re-raising it would only repeat the
-   same blocked attempts). *)
-let expand_indexed ~jobs ?prime idx cover =
+   against the off-set: those pass through unchanged (EXPAND leaves a
+   prime cube as it is, so re-raising it would only repeat the same
+   blocked attempts).  The bitmap engine's histograms are summed once
+   per distinct output part, before the cubes fan out. *)
+let expand_viewed ~jobs ?prime view cover =
   Stc_obs.Trace.span ~cat:"logic" "expand" @@ fun () ->
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
+  let skip i = match prime with Some p -> p.(i) | None -> false in
+  let raise_cube =
+    match view with
+    | Index idx ->
+      fun i ->
+        Stc_obs.Metrics.incr m_wide_expands;
+        expand_cube idx cubes.(i)
+    | Bitmaps bm ->
+      let by_part = Hashtbl.create 16 in
+      let hists =
+        Array.init n (fun i ->
+            if skip i then [||]
+            else
+              let outw = R.output_words cubes.(i) in
+              match Hashtbl.find_opt by_part outw with
+              | Some h -> h
+              | None ->
+                let h = histogram bm outw in
+                Hashtbl.add by_part outw h;
+                h)
+      in
+      fun i ->
+        Stc_obs.Metrics.incr m_dense_expands;
+        expand_dense bm hists.(i) cubes.(i)
+  in
   let raised =
     if n = 0 then [||]
     else
       Stc_util.Parallel.map_range ~jobs n
-        (fun i ->
-          match prime with
-          | Some p when p.(i) -> cubes.(i)
-          | _ -> expand_cube idx cubes.(i))
+        (fun i -> if skip i then cubes.(i) else raise_cube i)
         ~init:cubes.(0)
   in
   Cover.single_cube_containment
     (Cover.of_array ~num_vars:cover.Cover.num_vars
        ~num_outputs:cover.Cover.num_outputs raised)
 
-let expand ?(jobs = 1) ~off cover = expand_indexed ~jobs (index_off off) cover
+let expand ?(jobs = 1) ~off cover = expand_viewed ~jobs (view_off off) cover
 
 (* Index filter for "every other cube plus dc" in a shared
    [cover + dc]: cube [i] under test and the dropped cover cubes are
@@ -402,8 +551,8 @@ let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->
   Stc_obs.Metrics.incr m_calls;
   let initial_cubes, initial_literals = Cover.cost on in
-  let off = index_off (off_set ~jobs ?dc on) in
-  let expand ?prime c = gained g_expand c (expand_indexed ~jobs ?prime off c) in
+  let off = view_off (off_set ~jobs ?dc on) in
+  let expand ?prime c = gained g_expand c (expand_viewed ~jobs ?prime off c) in
   let irredundant c = gained g_irredundant c (irredundant ~jobs ?dc c) in
   let current = ref (irredundant (expand (Cover.single_cube_containment on))) in
   let best = ref !current in

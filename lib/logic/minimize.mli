@@ -5,11 +5,17 @@
     flow (fig. 1) and of the pipeline blocks C1/C2 (fig. 4); the area
     comparison of section 4 is made on the minimized covers.
 
-    The hot loop is bit-parallel: EXPAND raises columns against per-cube
-    blocking matrices derived from the off-set (one word-AND per
-    off-cube asserting one of the cube's outputs, read from an off-set
-    index built once per [minimize] call; cubes that REDUCE leaves
-    unchanged are prime and skip EXPAND), IRREDUNDANT splits cubes into relatively-essential and
+    The hot loop is bit-parallel.  EXPAND reads the off-set, built once
+    per [minimize] call, in one of two forms.  When
+    [num_outputs * 2^num_vars <= 2^24] it is one bitmap per output over
+    all input points, in the 32-point chunks of {!Chunk}: a raise is kept
+    iff the half it adds to the cube misses the bitmaps of the cube's
+    outputs, and columns are tried in ascending blocker count, read off
+    a literal histogram summed once per distinct output part.  Wider
+    covers keep per-cube blocking matrices (one word-AND per off-cube
+    asserting one of the cube's outputs).  Both give the same cubes.
+    Cubes that REDUCE leaves unchanged are prime and skip EXPAND.
+    IRREDUNDANT splits cubes into relatively-essential and
     partially-redundant classes before the sequential greedy drop, and
     the optional [jobs] argument fans the per-cube work of EXPAND and
     the classification pass of IRREDUNDANT (plus the per-output off-set
@@ -20,7 +26,9 @@
     8 of them; only wider cubes, and the off-set complement, run the
     Shannon recursion.  Progress is observable through the [minimize.*]
     counters of {!Stc_obs.Metrics} (expand raises attempted/accepted,
-    dense and wide queries, tautology calls and memo hits, cofactor cache
+    cubes raised on the bitmaps and on the matrices
+    ([minimize.dense_expands], [minimize.wide_expands]), dense and wide
+    queries, tautology calls and memo hits, cofactor cache
     hits, and each pass's cube and literal gain summed over a [minimize]
     call: [minimize.expand_cube_gain], [minimize.reduce_literal_gain],
     ...) and the [logic] trace spans. *)
@@ -50,7 +58,8 @@ val reference : ?budget:float -> ?dc:Cover.t -> Cover.t -> Cover.t * report
 (** [expand ?jobs ~off cover] raises each cube to a prime cube: columns
     and outputs are lifted, cheapest first, as long as the cube stays
     disjoint from the off-set [off]; then single-cube containment cleans
-    up. *)
+    up.  A cube that already meets an off-cube of one of its outputs
+    comes back unchanged, with no raise attempted. *)
 val expand : ?jobs:int -> off:Cover.t -> Cover.t -> Cover.t
 
 (** [irredundant ?jobs ?dc cover] removes cubes covered by the rest of

@@ -607,12 +607,25 @@ let planted_expand_case rng ~num_vars ~num_outputs =
   done;
   (Cover.make ~num_vars ~num_outputs on, Cover.make ~num_vars ~num_outputs !off)
 
+(* EXPAND decides its raises on off-set bitmaps when
+   [num_outputs * 2^num_vars <= 2^24] and on blocking matrices above
+   that.  Its properties draw from [dims ~wide:true] (2-5 variables:
+   bitmaps narrower than one 32-point chunk; 32-70: matrices), from
+   [mid_dims], and one case in eight from 21-25 variables, which
+   straddle the bound for every output count (a 2^24-point bitmap is
+   built per call, so these are the costly cases). *)
+let expand_dims rng =
+  match Rng.int rng 8 with
+  | 0 | 1 -> mid_dims rng
+  | 2 -> (21 + Rng.int rng 5, 1 + Rng.int rng 3)
+  | _ -> dims ~wide:true rng
+
 let test_expand_vs_reference =
   QCheck.Test.make ~count:200 ~name:"expand = blocking-count reference, cube for cube"
     QCheck.(int_bound 1000000)
     (fun seed ->
       let rng = Rng.create seed in
-      let num_vars, num_outputs = dims ~wide:true rng in
+      let num_vars, num_outputs = expand_dims rng in
       let on, off =
         if Rng.bool rng then planted_expand_case rng ~num_vars ~num_outputs
         else begin
@@ -632,7 +645,7 @@ let test_expand_fixed_point =
     QCheck.(int_bound 1000000)
     (fun seed ->
       let rng = Rng.create seed in
-      let num_vars, num_outputs = dims ~wide:true rng in
+      let num_vars, num_outputs = expand_dims rng in
       let on, dc, off =
         if Rng.bool rng then
           let on, off = planted_expand_case rng ~num_vars ~num_outputs in
@@ -714,6 +727,104 @@ let test_lambda_queries_dense () =
   check_bool "dense queries" true (count "minimize.dense_queries" > 0);
   check_int "wide queries" 0 (count "minimize.wide_queries");
   check_int "tautology calls" 0 (count "minimize.tautology_calls")
+
+(* [f ()] with the metrics registry on, and the named counters after. *)
+let with_counters names f =
+  let module Metrics = Stc_obs.Metrics in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled false)
+    (fun () ->
+      let r = f () in
+      (r, List.map (fun n -> Metrics.counter_value (Metrics.counter n)) names))
+
+(* [rows] with [pad] don't-care columns appended to each input part. *)
+let widen pad rows =
+  List.map
+    (fun r ->
+      match String.split_on_char ' ' r with
+      | [ i; o ] -> i ^ String.make pad '-' ^ " " ^ o
+      | _ -> assert false)
+    rows
+
+(* EXPAND of the rows [on] against the rows [off], on both engines: as
+   given (at most 5 variables: the bitmaps), and padded with 30
+   don't-care columns (the blocking matrices).  Both must give the rows
+   [expected], with [raises] attempted raises.  With [~no_output] the
+   on-cubes' output parts are cleared (a row cannot spell that). *)
+let check_expand_edge ?(no_output = false) label ~num_outputs ~on ~off ~expected
+    ~raises =
+  List.iter
+    (fun (engine, pad) ->
+      let num_vars = String.index (List.hd expected) ' ' + pad in
+      let cover rows = Cover.of_strings ~num_vars ~num_outputs (widen pad rows) in
+      let on =
+        if not no_output then cover on
+        else
+          Cover.of_array ~num_vars ~num_outputs
+            (Array.map
+               (fun c ->
+                 Cube.Raw.make_packed ~num_vars ~num_outputs
+                   (Cube.Raw.input_words c)
+                   (Array.make (Cube.Raw.out_words num_outputs) 0))
+               (cover on).Cover.cubes)
+      in
+      let result, counts =
+        with_counters
+          [ "minimize.dense_expands"; "minimize.wide_expands";
+            "minimize.expand_raises_attempted" ]
+          (fun () -> Minimize.expand ~off:(cover off) on)
+      in
+      let name = label ^ " (" ^ engine ^ ")" in
+      let used, other = if engine = "bitmaps" then (0, 1) else (1, 0) in
+      check_string name (Cover.to_string (cover expected)) (Cover.to_string result);
+      check_int (name ^ " raises") raises (List.nth counts 2);
+      check_int (name ^ " cubes raised") (Cover.size on) (List.nth counts used);
+      check_int (name ^ " other engine") 0 (List.nth counts other))
+    [ ("bitmaps", 0); ("matrices", 30) ]
+
+let test_expand_edges () =
+  (* Three variables: an eight-point bitmap. *)
+  check_expand_edge "narrow chunk" ~num_outputs:1 ~on:[ "000 1"; "001 1" ]
+    ~off:[ "1-- 1"; "01- 1" ] ~expected:[ "00- 1" ] ~raises:6;
+  check_expand_edge "empty off-set" ~num_outputs:2 ~on:[ "0101 10" ] ~off:[]
+    ~expected:[ "---- 11" ] ~raises:5;
+  (* No asserted output: no off-cube blocks a column; then output 0 is
+     blocked and output 1 is free. *)
+  check_expand_edge "no asserted output" ~no_output:true ~num_outputs:2
+    ~on:[ "010 11" ] ~off:[ "1-- 10" ] ~expected:[ "--- 01" ] ~raises:5;
+  check_expand_edge "meets the off-set" ~num_outputs:1 ~on:[ "01- 1" ]
+    ~off:[ "0-- 1" ] ~expected:[ "01- 1" ] ~raises:0;
+  (* Output 1 is blocked by one off-minterm inside the raised cube, and
+     raised when that minterm lies outside it. *)
+  check_expand_edge "output blocked by a minterm" ~num_outputs:2
+    ~on:[ "00- 10" ] ~off:[ "1-- 10"; "001 01" ] ~expected:[ "0-- 10" ]
+    ~raises:3;
+  check_expand_edge "output raised past a minterm" ~num_outputs:2
+    ~on:[ "00- 10" ] ~off:[ "1-- 10"; "101 01" ] ~expected:[ "0-- 11" ]
+    ~raises:3
+
+(* All three of tbk's blocks (Λ has 14 variables) raise every cube on
+   the off-set bitmaps, none on the blocking matrices. *)
+let test_tbk_expand_bitmaps () =
+  let module Context = Stc_analysis.Context in
+  let ctx = pipeline_context "tbk" in
+  List.iter
+    (fun (b : Context.block) ->
+      let result, counts =
+        with_counters [ "minimize.dense_expands"; "minimize.wide_expands" ]
+          (fun () -> fst (Minimize.minimize ~dc:b.Context.dc b.Context.on))
+      in
+      let label = b.Context.block_label in
+      check_string (label ^ " cover") (Cover.to_string b.Context.minimized)
+        (Cover.to_string result);
+      check_bool (label ^ " bitmap expands") true (List.nth counts 0 > 0);
+      check_int (label ^ " matrix expands") 0 (List.nth counts 1))
+    ctx.Context.blocks;
+  check_int "lambda variables" 14
+    (List.find (fun b -> b.Context.block_label = "lambda") ctx.Context.blocks)
+      .Context.on.Cover.num_vars
 
 let test_minimize_jobs_deterministic =
   QCheck.Test.make ~count:60 ~name:"minimize jobs:1 = jobs:2, cube for cube"
@@ -856,6 +967,9 @@ let () =
             test_pipeline_covers_pinned;
           Alcotest.test_case "tbk lambda queries on the leaf" `Quick
             test_lambda_queries_dense;
+          Alcotest.test_case "expand edge cases" `Quick test_expand_edges;
+          Alcotest.test_case "tbk blocks expand on the bitmap" `Quick
+            test_tbk_expand_bitmaps;
           Alcotest.test_case "of_string edge chars" `Quick
             test_of_string_edge_chars;
           Alcotest.test_case "scc canonicality" `Quick
