@@ -545,10 +545,46 @@ let faultsim_suite =
    covers on purpose deletes the file and regenerates it with
    `bench minimize`.  Quick: block C of dk27, mc, bbara and dk512, and
    the pipeline blocks of dk27, mc, bbara and dk16 (dk512 and dk16's are
-   committed rows). *)
+   committed rows).  Every corpus block raises its cubes on EXPAND's
+   off-set bitmaps; the row [random/26x64] (both sets, committed) is
+   raised on the blocking matrices. *)
 
 module Cover = Stc_logic.Cover
 module Cube = Stc_logic.Cube
+
+(* A seeded random cover over [num_vars] variables and two outputs:
+   [n] random cubes (each literal a don't-care with probability 3/10),
+   each cut into the four quarters of two of its don't-care columns, so
+   that EXPAND has raises to accept; [n/4] random don't-care cubes.  At
+   26 variables its off-set bitmaps would hold 2^27 points, past their
+   cap. *)
+let mz_random ~num_vars n =
+  let rng = Stc_util.Rng.create 1 in
+  let random_row () =
+    Bytes.init num_vars (fun _ ->
+        match Stc_util.Rng.int rng 10 with
+        | 0 | 1 | 2 -> '-'
+        | k -> if k land 1 = 0 then '0' else '1')
+  in
+  let outputs () = if Stc_util.Rng.bool rng then " 11" else " 10" in
+  let quarters () =
+    let row = random_row () and out = outputs () in
+    let free = List.filter (fun k -> Bytes.get row k = '-') (List.init num_vars Fun.id) in
+    match free with
+    | a :: b :: _ ->
+      List.map
+        (fun (x, y) ->
+          let q = Bytes.copy row in
+          Bytes.set q a x;
+          Bytes.set q b y;
+          Bytes.to_string q ^ out)
+        [ ('0', '0'); ('0', '1'); ('1', '0'); ('1', '1') ]
+    | _ -> [ Bytes.to_string row ^ out ]
+  in
+  let on = List.concat (List.init n (fun _ -> quarters ())) in
+  let dc = List.init (n / 4) (fun _ -> Bytes.to_string (random_row ()) ^ outputs ()) in
+  let cover rows = Cover.of_strings ~num_vars ~num_outputs:2 rows in
+  (Printf.sprintf "random/%dx%d" num_vars n, cover on, cover dc)
 
 let mz_blocks ~quick =
   let machines, pipeline =
@@ -567,6 +603,7 @@ let mz_blocks ~quick =
           (fun b -> (name ^ "/" ^ b.Context.block_label, b.Context.on, b.Context.dc))
           (Context.of_machine (benchmark_machine name)).Context.blocks)
       pipeline
+  @ [ mz_random ~num_vars:26 64 ]
 
 (* The naive reference predates every performance fix; on s1's 5000-row
    monolithic block a full pass takes hours.  Cap it and report the

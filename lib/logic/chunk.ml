@@ -3,6 +3,8 @@ module R = Cube.Raw
 let low_pattern =
   [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
 
+let pattern j = low_pattern.(j)
+
 let count n = 1 lsl max 0 (n - 5)
 
 let ones n = (1 lsl (1 lsl min n 5)) - 1

@@ -5,12 +5,14 @@
 
     A table ranges over [n] variables, listed in a [vars] array: the
     [j]-th variable [vars.(j)] selects, for [j < 5], the bits of
-    [low_pattern.(j)] inside a chunk (its points where the variable is
-    1), and for [j >= 5], bit [j - 5] of the chunk index.  A table of
+    [pattern j] inside a chunk (its points where the variable is 1), and
+    for [j >= 5], bit [j - 5] of the chunk index.  A table of
     [n] variables takes [count n] chunks of [ones n] (fewer than 32
     points when [n < 5]). *)
 
-val low_pattern : int array
+(** [pattern j], for [j < 5], is the points of a chunk where the [j]-th
+    variable is 1. *)
+val pattern : int -> int
 
 (** [count n] is the number of chunks of an [n]-variable table. *)
 val count : int -> int

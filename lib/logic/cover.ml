@@ -466,8 +466,8 @@ let leaf_sharp_supercube cube nfree =
       for x = 0 to chunks - 1 do
         let u = union.(x) in
         if j < 5 then begin
-          if u land lnot Chunk.low_pattern.(j) <> 0 then zero := true;
-          if u land Chunk.low_pattern.(j) <> 0 then one := true
+          if u land lnot (Chunk.pattern j) <> 0 then zero := true;
+          if u land Chunk.pattern j <> 0 then one := true
         end
         else if u <> 0 then begin
           if x land (1 lsl (j - 5)) = 0 then zero := true else one := true

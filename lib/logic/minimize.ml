@@ -98,20 +98,66 @@ let row_conflicts idx cin i =
   in
   go 0
 
+(* For each distinct output part of the off-cubes, how many of them
+   carry each literal ([2k]: the Zero of column [k], [2k + 1]: its
+   One). *)
+let literal_groups (off : Cover.t) =
+  let nv = off.Cover.num_vars in
+  let groups = Hashtbl.create 16 in
+  Array.iter
+    (fun r ->
+      let row = R.input_words r and outw = R.output_words r in
+      let h =
+        match Hashtbl.find_opt groups outw with
+        | Some h -> h
+        | None ->
+          let h = Array.make (2 * nv) 0 in
+          Hashtbl.add groups outw h;
+          h
+      in
+      for k = 0 to nv - 1 do
+        match R.pair row k with
+        | 1 -> h.(2 * k) <- h.(2 * k) + 1
+        | 2 -> h.((2 * k) + 1) <- h.((2 * k) + 1) + 1
+        | _ -> ()
+      done)
+    off.Cover.cubes;
+  Hashtbl.fold (fun w h acc -> (w, h) :: acc) groups []
+
+(* The literal histogram of the off-cubes sharing an output with output
+   part [outw]: the sum of their groups' histograms. *)
+let histogram ~num_vars groups outw =
+  let h = Array.make (2 * num_vars) 0 in
+  List.iter
+    (fun (w, gh) ->
+      if Array.exists2 (fun a b -> a land b <> 0) w outw then
+        Array.iteri (fun i c -> h.(i) <- h.(i) + c) gh)
+    groups;
+  h
+
+(* EXPAND's raise order for input part [cin]: its fixed columns by
+   ascending blocker count, then by index, as in espresso.  A column's
+   blockers are the off-cubes sharing an output with the cube that carry
+   the opposite literal there, read off the cube's histogram [hist]. *)
+let raise_order hist nv cin =
+  let keys = ref [] in
+  for k = nv - 1 downto 0 do
+    let code = R.pair cin k in
+    if code <> 3 then keys := ((hist.((2 * k) + (code land 1)) * nv) + k) :: !keys
+  done;
+  let order = Array.of_list !keys in
+  Array.sort Int.compare order;
+  Array.map (fun key -> key mod nv) order
+
 (* Per-domain scratch for the blocking matrix, reused across cubes so the
    hot loop allocates nothing proportional to the off-set.  [sets] holds
-   the conflict masks row-major ([nrel] rows of [nw] words), [counts]
-   each row's number of conflict columns, and [planes] a bit-sliced
-   vertical counter of conflicts per column: word [j * nw + w] holds bit
-   [j] of the count of every column of input word [w], at the column's
-   low pair bit.  [seen] stamps the off-cubes already entered for the
-   current cube ([epoch]), so an off-cube asserting several of the
-   cube's outputs gives one row. *)
+   the conflict masks row-major ([nrel] rows of [nw] words) and [counts]
+   each row's number of conflict columns.  [seen] stamps the off-cubes
+   already entered for the current cube ([epoch]), so an off-cube
+   asserting several of the cube's outputs gives one row. *)
 type scratch = {
   mutable sets : int array;
   mutable counts : int array;
-  mutable planes : int array;
-  mutable col_count : int array;
   mutable blocked : bool array;
   mutable seen : int array;
   mutable epoch : int;
@@ -119,30 +165,20 @@ type scratch = {
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { sets = [||]; counts = [||]; planes = [||]; col_count = [||];
-        blocked = [||]; seen = [||]; epoch = 0 })
+      { sets = [||]; counts = [||]; blocked = [||]; seen = [||]; epoch = 0 })
 
 let ensure = Stc_bits.Arena.ensure
 
-(* Smallest [l] with [n < 2^l]: planes enough to count to [n]. *)
-let bit_length n =
-  let rec go l = if n lsr l = 0 then l else go (l + 1) in
-  go 0
-
-(* Raise one cube against the off-set using a blocking matrix: for every
-   off-cube whose output part overlaps the cube's, record the set of
-   input columns on which the two conflict (one word-AND per off-cube).
-   A column may be raised as long as it is not the last conflict column
-   of any such set; raising it removes the column from every set, and
-   any set thereby reduced to a single column permanently blocks that
-   remaining column.  Columns are tried in ascending blocker count (then
-   index), as in espresso; the counts come from a carry-save add of each
-   set into the counter planes, so building them costs a few word
-   operations per row instead of one step per conflict bit.  Neither the
-   counts nor the blocked columns depend on the order of the rows.
-   Output parts are raised afterwards: output [o] may be added iff the
-   raised input part misses every off-cube of [o]'s bucket. *)
-let expand_cube idx cube =
+(* Raise one cube, in the order of [hist], against the off-set using a
+   blocking matrix: for every off-cube whose output part overlaps the
+   cube's, record the set of input columns on which the two conflict
+   (one word-AND per off-cube).  A column may be raised as long as it is
+   not the last conflict column of any such set; raising it removes the
+   column from every set, and any set thereby reduced to a single column
+   permanently blocks that remaining column.  Output parts are raised
+   afterwards: output [o] may be added iff the raised input part misses
+   every off-cube of [o]'s bucket. *)
+let expand_cube idx hist cube =
   let nv = Cube.num_vars cube in
   let no = Cube.num_outputs cube in
   let nw = idx.nw in
@@ -150,14 +186,9 @@ let expand_cube idx cube =
   let cout = Array.copy (R.output_words cube) in
   let rows = idx.rows in
   let noff = idx.noff in
-  (* A column's count is at most the number of off-cubes. *)
-  let np = bit_length noff in
   let s = Domain.DLS.get scratch_key in
   s.sets <- ensure s.sets (noff * nw);
   s.counts <- ensure s.counts noff;
-  s.planes <- ensure s.planes (np * nw);
-  Array.fill s.planes 0 (np * nw) 0;
-  s.col_count <- ensure s.col_count nv;
   s.blocked <- Stc_bits.Arena.ensure_bool s.blocked nv;
   Array.fill s.blocked 0 nv false;
   (* A grown [seen] is all zeros, below every epoch handed out. *)
@@ -189,14 +220,7 @@ let expand_cube idx cube =
       let v = cin.(w) land rows.(rbase + w) in
       let e = lnot (v lor (v lsr 1)) land R.mask01 in
       s.sets.(base + w) <- e;
-      cnt := !cnt + R.popcount e;
-      let carry = ref e and pi = ref w in
-      while !carry <> 0 do
-        let plane = s.planes.(!pi) in
-        s.planes.(!pi) <- plane lxor !carry;
-        carry := plane land !carry;
-        pi := !pi + nw
-      done
+      cnt := !cnt + R.popcount e
     done;
     if !cnt = 1 then s.blocked.(last_col base) <- true;
     s.counts.(!nrel) <- !cnt;
@@ -217,26 +241,7 @@ let expand_cube idx cube =
   if !invalid then cube
   else begin
     let nrel = !nrel in
-    (* Fixed columns of the cube, cheapest (fewest blockers) first; each
-       count is read bit by bit off the planes. *)
-    let fixed = ref [] in
-    for k = nv - 1 downto 0 do
-      let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
-      if (cin.(wi) lsr p) land 3 <> 3 then begin
-        let c = ref 0 in
-        for j = np - 1 downto 0 do
-          c := (!c lsl 1) lor ((s.planes.((j * nw) + wi) lsr p) land 1)
-        done;
-        s.col_count.(k) <- !c;
-        fixed := k :: !fixed
-      end
-    done;
-    let order =
-      List.stable_sort
-        (fun a b -> Int.compare s.col_count.(a) s.col_count.(b))
-        !fixed
-    in
-    List.iter
+    Array.iter
       (fun k ->
         Stc_obs.Metrics.incr m_raise_att;
         if not s.blocked.(k) then begin
@@ -255,7 +260,7 @@ let expand_cube idx cube =
             end
           done
         end)
-      order;
+      (raise_order hist nv cin);
     for o = 0 to no - 1 do
       let wi = o / R.outs_per_word and p = o mod R.outs_per_word in
       if cout.(wi) land (1 lsl p) = 0 then begin
@@ -270,22 +275,30 @@ let expand_cube idx cube =
     R.make_packed ~num_vars:nv ~num_outputs:no cin cout
   end
 
-(* The off-set of a narrow cover as EXPAND reads it: one {!Chunk} table
+(* The off-set as EXPAND's bitmaps read it: one {!Chunk} table
    per output over all [nv] variables, output [o]'s off-set points in
-   chunks [o * chunks ..] of [bits]; and for each distinct output part
-   of the off-cubes, how many of them carry each literal ([2k]: the
-   Zero of column [k], [2k + 1]: its One). *)
+   chunks [o * chunks ..] of [bits]. *)
 type off_bitmaps = {
   vars : int array;  (* 0 .. nv - 1 *)
   chunks : int;
   bits : int array;
-  groups : (int array * int array) list;
 }
 
-(* A cover is narrow when its off-set bitmaps hold at most 2^24 points
-   in all (2^19 chunks). *)
-let narrow ~num_vars ~num_outputs =
-  num_vars <= 24 && num_outputs <= (1 lsl 24) lsr num_vars
+(* Whether EXPAND reads the off-set on bitmaps when it raises [cubes]
+   cubes.  The bitmaps cost their [num_outputs * 2^num_vars] points to
+   build and to scan, the matrices about one row per off-cube for every
+   cube raised, so the choice weighs the two.  Minimizing 126 random
+   covers of 12-24 variables (1, 2 and 4 outputs, 8-512 cubes) with each
+   form forced, the bitmaps took 0.15-1.02 of the matrices' time at up
+   to 3 points per off-cube and cube, 0.6-2.0 at 3-10 and 0.96-130
+   above; under 2^12 points either form takes about 0.1 ms.  Above 2^24
+   points (4 MB) no bitmap is built. *)
+let bitmaps_pay ~cubes (off : Cover.t) =
+  off.Cover.num_vars <= 24
+  &&
+  let points = off.Cover.num_outputs lsl off.Cover.num_vars in
+  points <= 1 lsl 24
+  && (points <= 1 lsl 12 || points <= 4 * Cover.size off * cubes)
 
 let bitmap_off (off : Cover.t) =
   let nv = off.Cover.num_vars and no = off.Cover.num_outputs in
@@ -293,49 +306,19 @@ let bitmap_off (off : Cover.t) =
   let chunks = Chunk.count nv in
   let bits = Array.make (no * chunks) 0 in
   let s = Chunk.span () in
-  let groups = Hashtbl.create 16 in
   Array.iter
     (fun r ->
-      let row = R.input_words r in
-      Chunk.set_span s ~vars nv row;
+      Chunk.set_span s ~vars nv (R.input_words r);
       for o = 0 to no - 1 do
         if Cube.output_bit r o then Chunk.add s bits ~base:(o * chunks) nv
-      done;
-      let outw = R.output_words r in
-      let h =
-        match Hashtbl.find_opt groups outw with
-        | Some h -> h
-        | None ->
-          let h = Array.make (2 * nv) 0 in
-          Hashtbl.add groups outw h;
-          h
-      in
-      for k = 0 to nv - 1 do
-        match R.pair row k with
-        | 1 -> h.(2 * k) <- h.(2 * k) + 1
-        | 2 -> h.((2 * k) + 1) <- h.((2 * k) + 1) + 1
-        | _ -> ()
       done)
     off.Cover.cubes;
-  { vars; chunks; bits; groups = Hashtbl.fold (fun w h acc -> (w, h) :: acc) groups [] }
+  { vars; chunks; bits }
 
-(* The literal histogram of the off-cubes sharing an output with output
-   part [outw]: the sum of their groups' histograms. *)
-let histogram bm outw =
-  let h = Array.make (2 * Array.length bm.vars) 0 in
-  List.iter
-    (fun (w, gh) ->
-      if Array.exists2 (fun a b -> a land b <> 0) w outw then
-        Array.iteri (fun i c -> h.(i) <- h.(i) + c) gh)
-    bm.groups;
-  h
-
-(* The greedy of [expand_cube] decided on the bitmaps.  A column's
-   blocker count is the number of output-overlapping off-cubes with the
-   opposite literal there, read off [hist]; and a raise is blocked
-   exactly when the raised cube meets an off-cube of one of its outputs,
-   that is when the half it adds (the cube with the column flipped)
-   meets the off-set bitmap of one of them. *)
+(* The greedy of [expand_cube] decided on the bitmaps: a raise is
+   blocked exactly when the raised cube meets an off-cube of one of its
+   outputs, that is when the half it adds (the cube with the column
+   flipped) meets the off-set bitmap of one of them. *)
 let expand_dense bm hist cube =
   let nv = Cube.num_vars cube and no = Cube.num_outputs cube in
   let cin = Array.copy (R.input_words cube) in
@@ -349,18 +332,8 @@ let expand_dense bm hist cube =
   in
   if meets_off () then cube
   else begin
-    (* Fixed columns keyed (blocker count, index); [nv <= 24] fits the
-       index in 5 bits. *)
-    let keys = ref [] in
-    for k = nv - 1 downto 0 do
-      let code = R.pair cin k in
-      if code <> 3 then keys := ((hist.((2 * k) + (code land 1)) lsl 5) lor k) :: !keys
-    done;
-    let order = Array.of_list !keys in
-    Array.sort Int.compare order;
     Array.iter
-      (fun key ->
-        let k = key land 31 in
+      (fun k ->
         Stc_obs.Metrics.incr m_raise_att;
         let wi = k / R.vars_per_word and p = 2 * (k mod R.vars_per_word) in
         cin.(wi) <- cin.(wi) lxor (3 lsl p);
@@ -369,7 +342,7 @@ let expand_dense bm hist cube =
           cin.(wi) <- cin.(wi) lor (3 lsl p);
           Stc_obs.Metrics.incr m_raise_acc
         end)
-      order;
+      (raise_order hist nv cin);
     Chunk.set_span s ~vars:bm.vars nv cin;
     for o = 0 to no - 1 do
       let wi = o / R.outs_per_word and p = o mod R.outs_per_word in
@@ -384,44 +357,52 @@ let expand_dense bm hist cube =
     R.make_packed ~num_vars:nv ~num_outputs:no cin cout
   end
 
-(* The off-set as EXPAND reads it, built once per [minimize] call. *)
-type off_view = Bitmaps of off_bitmaps | Index of off_index
+(* The off-set as EXPAND reads it, built once per [minimize] call: its
+   literal groups, which order the raises, and what decides them. *)
+type off_view = {
+  groups : (int array * int array) list;
+  engine : engine;
+}
 
-let view_off (off : Cover.t) =
-  if narrow ~num_vars:off.Cover.num_vars ~num_outputs:off.Cover.num_outputs then
-    Bitmaps (bitmap_off off)
-  else Index (index_off off)
+and engine = Bitmaps of off_bitmaps | Index of off_index
+
+let view_off ~cubes (off : Cover.t) =
+  { groups = literal_groups off;
+    engine =
+      (if bitmaps_pay ~cubes off then Bitmaps (bitmap_off off)
+       else Index (index_off off)) }
 
 (* EXPAND over a cover whose cubes flagged in [prime] are already prime
    against the off-set: those pass through unchanged (EXPAND leaves a
    prime cube as it is, so re-raising it would only repeat the same
-   blocked attempts).  The bitmap engine's histograms are summed once
-   per distinct output part, before the cubes fan out. *)
+   blocked attempts).  The histograms are summed once per distinct
+   output part, before the cubes fan out. *)
 let expand_viewed ~jobs ?prime view cover =
   Stc_obs.Trace.span ~cat:"logic" "expand" @@ fun () ->
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
+  let num_vars = cover.Cover.num_vars in
   let skip i = match prime with Some p -> p.(i) | None -> false in
+  let by_part = Hashtbl.create 16 in
+  let hists =
+    Array.init n (fun i ->
+        if skip i then [||]
+        else
+          let outw = R.output_words cubes.(i) in
+          match Hashtbl.find_opt by_part outw with
+          | Some h -> h
+          | None ->
+            let h = histogram ~num_vars view.groups outw in
+            Hashtbl.add by_part outw h;
+            h)
+  in
   let raise_cube =
-    match view with
+    match view.engine with
     | Index idx ->
       fun i ->
         Stc_obs.Metrics.incr m_wide_expands;
-        expand_cube idx cubes.(i)
+        expand_cube idx hists.(i) cubes.(i)
     | Bitmaps bm ->
-      let by_part = Hashtbl.create 16 in
-      let hists =
-        Array.init n (fun i ->
-            if skip i then [||]
-            else
-              let outw = R.output_words cubes.(i) in
-              match Hashtbl.find_opt by_part outw with
-              | Some h -> h
-              | None ->
-                let h = histogram bm outw in
-                Hashtbl.add by_part outw h;
-                h)
-      in
       fun i ->
         Stc_obs.Metrics.incr m_dense_expands;
         expand_dense bm hists.(i) cubes.(i)
@@ -434,10 +415,10 @@ let expand_viewed ~jobs ?prime view cover =
         ~init:cubes.(0)
   in
   Cover.single_cube_containment
-    (Cover.of_array ~num_vars:cover.Cover.num_vars
-       ~num_outputs:cover.Cover.num_outputs raised)
+    (Cover.of_array ~num_vars ~num_outputs:cover.Cover.num_outputs raised)
 
-let expand ?(jobs = 1) ~off cover = expand_viewed ~jobs (view_off off) cover
+let expand ?(jobs = 1) ~off cover =
+  expand_viewed ~jobs (view_off ~cubes:(Cover.size cover) off) cover
 
 (* Index filter for "every other cube plus dc" in a shared
    [cover + dc]: cube [i] under test and the dropped cover cubes are
@@ -551,7 +532,7 @@ let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->
   Stc_obs.Metrics.incr m_calls;
   let initial_cubes, initial_literals = Cover.cost on in
-  let off = view_off (off_set ~jobs ?dc on) in
+  let off = view_off ~cubes:(Cover.size on) (off_set ~jobs ?dc on) in
   let expand ?prime c = gained g_expand c (expand_viewed ~jobs ?prime off c) in
   let irredundant c = gained g_irredundant c (irredundant ~jobs ?dc c) in
   let current = ref (irredundant (expand (Cover.single_cube_containment on))) in

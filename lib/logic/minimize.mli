@@ -5,15 +5,17 @@
     flow (fig. 1) and of the pipeline blocks C1/C2 (fig. 4); the area
     comparison of section 4 is made on the minimized covers.
 
-    The hot loop is bit-parallel.  EXPAND reads the off-set, built once
-    per [minimize] call, in one of two forms.  When
-    [num_outputs * 2^num_vars <= 2^24] it is one bitmap per output over
-    all input points, in the 32-point chunks of {!Chunk}: a raise is kept
-    iff the half it adds to the cube misses the bitmaps of the cube's
-    outputs, and columns are tried in ascending blocker count, read off
-    a literal histogram summed once per distinct output part.  Wider
-    covers keep per-cube blocking matrices (one word-AND per off-cube
-    asserting one of the cube's outputs).  Both give the same cubes.
+    The hot loop is bit-parallel.  EXPAND tries columns in ascending
+    blocker count, read off a literal histogram of the off-set summed
+    once per distinct output part, and reads the off-set, built once per
+    [minimize] call, in one of two forms that give the same cubes.  When
+    its [num_outputs * 2^num_vars] points are few next to the off-cubes
+    times the cubes to raise (at most 4 times as many, or at most 2^12),
+    and at most 2^24, it is one bitmap per output over all input points,
+    in the 32-point chunks of {!Chunk}: a raise is kept iff the half it
+    adds to the cube misses the bitmaps of the cube's outputs.
+    Otherwise each cube gets a blocking matrix (one word-AND per
+    off-cube asserting one of the cube's outputs).
     Cubes that REDUCE leaves unchanged are prime and skip EXPAND.
     IRREDUNDANT splits cubes into relatively-essential and
     partially-redundant classes before the sequential greedy drop, and

@@ -607,17 +607,17 @@ let planted_expand_case rng ~num_vars ~num_outputs =
   done;
   (Cover.make ~num_vars ~num_outputs on, Cover.make ~num_vars ~num_outputs !off)
 
-(* EXPAND decides its raises on off-set bitmaps when
-   [num_outputs * 2^num_vars <= 2^24] and on blocking matrices above
-   that.  Its properties draw from [dims ~wide:true] (2-5 variables:
-   bitmaps narrower than one 32-point chunk; 32-70: matrices), from
-   [mid_dims], and one case in eight from 21-25 variables, which
-   straddle the bound for every output count (a 2^24-point bitmap is
-   built per call, so these are the costly cases). *)
+(* EXPAND decides its raises on off-set bitmaps when their points are
+   few (at most 2^12) or few next to its off-cubes times its cubes, and
+   on blocking matrices otherwise.  Its properties draw from
+   [dims ~wide:true] (2-5 variables: bitmaps, narrower than one 32-point
+   chunk; 32-70: matrices), from [mid_dims], and one case in eight from
+   11-14 variables, where the choice turns on the size of the cover and
+   of its off-set. *)
 let expand_dims rng =
   match Rng.int rng 8 with
   | 0 | 1 -> mid_dims rng
-  | 2 -> (21 + Rng.int rng 5, 1 + Rng.int rng 3)
+  | 2 -> (11 + Rng.int rng 4, 1 + Rng.int rng 3)
   | _ -> dims ~wide:true rng
 
 let test_expand_vs_reference =
@@ -826,6 +826,20 @@ let test_tbk_expand_bitmaps () =
     (List.find (fun b -> b.Context.block_label = "lambda") ctx.Context.blocks)
       .Context.on.Cover.num_vars
 
+(* A few cubes over 20 variables: a 2^20-point bitmap would cost far
+   more than the few hundred matrix rows, so EXPAND raises them on the
+   matrices. *)
+let test_small_cover_expands_on_matrices () =
+  let rng = Rng.create 7 in
+  let on = random_cover rng ~num_vars:20 ~num_outputs:1 ~max_cubes:8 in
+  let result, counts =
+    with_counters [ "minimize.dense_expands"; "minimize.wide_expands" ]
+      (fun () -> fst (Minimize.minimize on))
+  in
+  check_bool "contract" true (Minimize.verify ~on result);
+  check_int "bitmap expands" 0 (List.nth counts 0);
+  check_bool "matrix expands" true (List.nth counts 1 > 0)
+
 let test_minimize_jobs_deterministic =
   QCheck.Test.make ~count:60 ~name:"minimize jobs:1 = jobs:2, cube for cube"
     QCheck.(int_bound 1000000)
@@ -970,6 +984,8 @@ let () =
           Alcotest.test_case "expand edge cases" `Quick test_expand_edges;
           Alcotest.test_case "tbk blocks expand on the bitmap" `Quick
             test_tbk_expand_bitmaps;
+          Alcotest.test_case "small cover expands on the matrices" `Quick
+            test_small_cover_expands_on_matrices;
           Alcotest.test_case "of_string edge chars" `Quick
             test_of_string_edge_chars;
           Alcotest.test_case "scc canonicality" `Quick
