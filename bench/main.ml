@@ -616,9 +616,28 @@ type mz_run = {
   mz_counters : (string * int) list;
 }
 
-(* One metered minimization.  Caches are cleared first so every engine
-   starts cold and the cofactor/tautology hit counters are comparable
-   between runs. *)
+(* The [minimize.*] counters recorded per engine.  Each is a pure
+   function of the covers, so the jobs-1 and jobs-N runs must read the
+   same values. *)
+let mz_counter_names =
+  [
+    "minimize.expand_raises_attempted";
+    "minimize.expand_raises_accepted";
+    "minimize.tautology_calls";
+    "minimize.dense_queries";
+    "minimize.wide_queries";
+    "minimize.dense_expands";
+    "minimize.wide_expands";
+    "minimize.expand_cube_gain";
+    "minimize.expand_literal_gain";
+    "minimize.irredundant_cube_gain";
+    "minimize.irredundant_literal_gain";
+    "minimize.reduce_cube_gain";
+    "minimize.reduce_literal_gain";
+  ]
+
+(* One metered minimization.  The leaf's scratch is cleared first so
+   every engine starts cold. *)
 let mz_instrumented f =
   Cover.clear_caches ();
   Metrics.set_enabled true;
@@ -635,23 +654,7 @@ let mz_instrumented f =
         match Metrics.find name with
         | Some (Metrics.Counter n) when n <> 0 -> Some (name, n)
         | _ -> None)
-      [
-        "minimize.expand_raises_attempted";
-        "minimize.expand_raises_accepted";
-        "minimize.cofactor_cache_hits";
-        "minimize.tautology_calls";
-        "minimize.tautology_memo_hits";
-        "minimize.dense_queries";
-        "minimize.wide_queries";
-        "minimize.dense_expands";
-        "minimize.wide_expands";
-        "minimize.expand_cube_gain";
-        "minimize.expand_literal_gain";
-        "minimize.irredundant_cube_gain";
-        "minimize.irredundant_literal_gain";
-        "minimize.reduce_cube_gain";
-        "minimize.reduce_literal_gain";
-      ]
+      mz_counter_names
   in
   Metrics.set_enabled false;
   { mz_wall; mz_result; mz_counters }
@@ -683,6 +686,10 @@ let mz_packed_exn label r =
 
 let committed_packed = committed_rows "BENCH_minimize.json" "packed"
 
+(* A counter of a run; zero counters are not recorded. *)
+let mz_counter run name =
+  Option.value (List.assoc_opt name run.mz_counters) ~default:0
+
 (* The jobs-1 figures of a row that differ from its committed row; a
    row the file does not hold is not compared.  Zero counters are left
    out of the file, so a missing one reads 0. *)
@@ -702,11 +709,16 @@ let cover_drift r =
           ("iterations", report.Minimize.iterations) ]
       @ figure_drift ~path ~missing:0
           (Option.value (Json.member "metrics" packed) ~default:(Json.Obj []))
-          (List.map
-             (fun key ->
-               let v = List.assoc_opt key r.mz_packed.mz_counters in
-               (key, Option.value v ~default:0))
-             [ "minimize.expand_raises_attempted"; "minimize.expand_raises_accepted" ]))
+          (List.map (fun key -> (key, mz_counter r.mz_packed key)) mz_counter_names))
+
+(* The counters of the jobs-N run that differ from the jobs-1 run's. *)
+let counter_drift r =
+  List.filter_map
+    (fun key ->
+      let one = mz_counter r.mz_packed key and par = mz_counter r.mz_par key in
+      if one = par then None
+      else Some (Printf.sprintf "jobs:%d %s %d (jobs:1 %d)" par_jobs key par one))
+    mz_counter_names
 
 let minimize_failure r =
   failing
@@ -714,7 +726,7 @@ let minimize_failure r =
        (not r.mz_verified, "contract violated");
        (not r.mz_deterministic, "jobs>1 changed the result");
      ]
-    @ List.map (fun d -> (true, d)) (cover_drift r))
+    @ List.map (fun d -> (true, d)) (counter_drift r @ cover_drift r))
 
 (* The heavy machines keep the naive reference busy for minutes, so
    progress is streamed per engine. *)

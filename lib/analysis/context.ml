@@ -43,11 +43,10 @@ let of_realization ?(conventional = false) ?(all_archs = false) ?(cycles = 1)
     { block_label = label; on; dc; minimized = fst (Minimize.minimize ~jobs ~dc on) }
   in
   let p = encode (fun () -> Tables.pipeline realization) in
-  (* Lambda, C2, C1.  The covers do not depend on the order, but the
-     minimizer's capped memo caches make its work and peak heap do (on
-     tbk the two orders differ by about 15 % in peak RSS, either way
-     round depending on the input's symbol order), so the order is fixed
-     to keep those figures comparable from one version to the next. *)
+  (* Lambda, C2, C1: the largest block first.  No minimization reads
+     state left by another, so neither the covers nor the minimizer's
+     counters depend on the order; it is kept so that traces list the
+     blocks as earlier versions did. *)
   let lambda = block "lambda" (p.Tables.lambda_on, p.Tables.lambda_dc) in
   let c2 = block "c2" (p.Tables.c2_on, p.Tables.c2_dc) in
   let c1 = block "c1" (p.Tables.c1_on, p.Tables.c1_dc) in

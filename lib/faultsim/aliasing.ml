@@ -128,45 +128,31 @@ let measure_fast ~jobs ~sessions ~width (net : Netlist.t) =
   in
   let num_classes = Array.length cl.Netlist.representatives in
   let verdicts = Array.make num_classes (false, false) in
-  let cursor = Atomic.make 0 in
-  let worker () =
-    let scr = Engine.scratch eng in
-    let rec loop () =
-      let ci = Atomic.fetch_and_add cursor 1 in
-      if ci < num_classes then begin
-        let fault = cl.Netlist.faults.(cl.Netlist.representatives.(ci)) in
-        let stream = ref false and signature = ref false in
-        List.iter2
-          (fun (p, g, observed) golden_sig ->
-            let misr = Misr.create ~width ~seed:0 () in
-            let into = Array.make (Array.length observed) 0 in
-            for b = 0 to Engine.num_batches p - 1 do
-              if Engine.response eng scr g p ~batch:b fault ~observed ~into
-              then stream := true;
-              let valid = min w (p.Engine.cycles - (b * w)) in
-              for lane = 0 to valid - 1 do
-                let word = ref 0 in
-                Array.iter
-                  (fun wd -> word := (!word lsl 1) lor ((wd lsr lane) land 1))
-                  into;
-                ignore (Misr.absorb misr !word)
-              done
-            done;
-            if Misr.signature misr <> golden_sig then signature := true)
-          packed_sessions golden_sigs;
-        verdicts.(ci) <- (!stream, !signature);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let jobs = max 1 (min jobs (max 1 num_classes)) in
-  if jobs = 1 then worker ()
-  else begin
-    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains
-  end;
+  Stc_util.Parallel.iter_range_local ~jobs
+    ~local:(fun () -> Engine.scratch eng)
+    num_classes
+    (fun scr ci ->
+      let fault = cl.Netlist.faults.(cl.Netlist.representatives.(ci)) in
+      let stream = ref false and signature = ref false in
+      List.iter2
+        (fun (p, g, observed) golden_sig ->
+          let misr = Misr.create ~width ~seed:0 () in
+          let into = Array.make (Array.length observed) 0 in
+          for b = 0 to Engine.num_batches p - 1 do
+            if Engine.response eng scr g p ~batch:b fault ~observed ~into
+            then stream := true;
+            let valid = min w (p.Engine.cycles - (b * w)) in
+            for lane = 0 to valid - 1 do
+              let word = ref 0 in
+              Array.iter
+                (fun wd -> word := (!word lsl 1) lor ((wd lsr lane) land 1))
+                into;
+              ignore (Misr.absorb misr !word)
+            done
+          done;
+          if Misr.signature misr <> golden_sig then signature := true)
+        packed_sessions golden_sigs;
+      verdicts.(ci) <- (!stream, !signature));
   (* Equivalent faults produce identical observed traces, hence identical
      signatures: weight each class verdict by its raw member count. *)
   let stream_detected = ref 0

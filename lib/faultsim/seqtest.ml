@@ -111,28 +111,13 @@ let run ?(seed = 20240705) ?(jobs = 1) ?(naive = false) ~cycles ~state_width
       in
       let num_classes = Array.length cl.Netlist.representatives in
       let hits = Array.make num_classes None in
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let values = Array.make num_gates 0 in
-        let inputs = Array.make num_inputs 0 in
-        let rec loop () =
-          let c = Atomic.fetch_and_add cursor 1 in
-          if c < num_classes then begin
-            hits.(c) <-
-              first_detect ~values ~inputs
-                cl.Netlist.faults.(cl.Netlist.representatives.(c));
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let jobs = max 1 (min jobs (max 1 num_classes)) in
-      if jobs = 1 then worker ()
-      else begin
-        let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-        worker ();
-        List.iter Domain.join domains
-      end;
+      Stc_util.Parallel.iter_range_local ~jobs
+        ~local:(fun () -> (Array.make num_gates 0, Array.make num_inputs 0))
+        num_classes
+        (fun (values, inputs) c ->
+          hits.(c) <-
+            first_detect ~values ~inputs
+              cl.Netlist.faults.(cl.Netlist.representatives.(c)));
       let detections = ref [] and detected = ref 0 in
       Array.iteri
         (fun c hit ->

@@ -52,37 +52,16 @@ let union a b =
     invalid_arg "Cover.union: dimension mismatch";
   { a with cubes = Array.append a.cubes b.cubes }
 
-let array_filter_map f a =
-  let out = ref [] in
-  for i = Array.length a - 1 downto 0 do
-    match f a.(i) with Some x -> out := x :: !out | None -> ()
-  done;
-  Array.of_list !out
-
-let cofactor c ~wrt =
-  { c with cubes = array_filter_map (fun cube -> Cube.cofactor cube ~wrt) c.cubes }
-
 (* --------------------------------------------------------------------
    Single-output engine: rows are bare packed input parts (the word
    arrays of {!Cube.Raw}), shared with the cubes they come from and
-   never mutated in place.
-
-   Row sets are interned into [rnode]s keyed by their canonical
-   (sorted, deduped) content, so the tautology / cofactor / complement
-   memo tables can be keyed by the node id: two covers that reach the
-   same sub-cover during the Shannon recursion share one node and one
-   memo entry.  Caches are per-domain (Domain.DLS) - every operation is
-   a pure function of row content, so results are identical no matter
-   which domain computes them.
+   never mutated in place.  Tautology and complement are plain Shannon
+   recursions on row arrays kept canonical (sorted, deduped) at every
+   cofactor, so each result is a pure function of row content and does
+   not depend on which domain computes it.
    -------------------------------------------------------------------- *)
 
 let m_taut_calls = Stc_obs.Metrics.counter "minimize.tautology_calls"
-
-let m_taut_memo = Stc_obs.Metrics.counter "minimize.tautology_memo_hits"
-
-let m_cof_hits = Stc_obs.Metrics.counter "minimize.cofactor_cache_hits"
-
-type rnode = { rid : int; rows : int array array }
 
 (* Lexicographic word order; on the equal-length rows of one cover it is
    the order [Stdlib.compare] gives, without the polymorphic dispatch. *)
@@ -95,60 +74,6 @@ let compare_row (a : int array) (b : int array) =
       if c <> 0 then c else go (i + 1)
   in
   go 0
-
-module Rows_key = struct
-  type t = int array array
-
-  let equal (a : t) (b : t) =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun x y -> Array.length x = Array.length y && compare_row x y = 0)
-         a b
-
-  (* Deep FNV-style mix over every word: the polymorphic hash only
-     samples a few elements, which collapses large row sets onto a
-     handful of buckets. *)
-  let hash (rows : t) =
-    let h = ref (Array.length rows lxor 0x9e3779b9) in
-    Array.iter
-      (fun r ->
-        Array.iter
-          (fun w -> h := ((!h * 0x01000193) + (w lxor (w lsr 31))) land max_int)
-          r)
-      rows;
-    !h
-end
-
-module Rows_tbl = Hashtbl.Make (Rows_key)
-
-type cache = {
-  mutable next_rid : int;
-  intern : rnode Rows_tbl.t;
-  taut : (int, bool) Hashtbl.t;
-  cof : (int, rnode) Hashtbl.t;  (* keyed by {!cof_key} *)
-  compl_ : (int, int array array) Hashtbl.t;
-}
-
-let cache_cap = 1 lsl 16
-
-let fresh_cache () =
-  { next_rid = 0;
-    intern = Rows_tbl.create 1024;
-    taut = Hashtbl.create 1024;
-    cof = Hashtbl.create 1024;
-    compl_ = Hashtbl.create 256 }
-
-let cache_key = Domain.DLS.new_key fresh_cache
-
-let reset_cache c =
-  (* [next_rid] stays monotonic so entries added by frames that still
-     hold a pre-reset node can never alias a fresh node. *)
-  Rows_tbl.reset c.intern;
-  Hashtbl.reset c.taut;
-  Hashtbl.reset c.cof;
-  Hashtbl.reset c.compl_
-
-let clear_caches () = reset_cache (Domain.DLS.get cache_key)
 
 (* Canonicalize a row list: sorted, duplicates removed.  Rows are shared,
    not copied. *)
@@ -167,16 +92,6 @@ let canonical_rows rows_list =
     done;
     if !out = n then a else Array.sub a 0 !out
   end
-
-let intern cache rows =
-  match Rows_tbl.find_opt cache.intern rows with
-  | Some n -> n
-  | None ->
-    if Rows_tbl.length cache.intern >= cache_cap then reset_cache cache;
-    let n = { rid = cache.next_rid; rows } in
-    cache.next_rid <- cache.next_rid + 1;
-    Rows_tbl.add cache.intern rows n;
-    n
 
 let row_all_dc row = Array.for_all (fun w -> w = R.mask11) row
 
@@ -222,51 +137,27 @@ let select_var nv rows =
   if !best < 0 then None
   else Some (!best, !best_min > 0)
 
-(* One packed int per (node, variable, polarity): variables stay below
-   2^20 and node ids below 2^41 on 63-bit ints. *)
-let cof_key node k polarity =
-  (node.rid lsl 21) lor (k lsl 1) lor Bool.to_int polarity
+let rows_cofactor rows k polarity =
+  let out = ref [] in
+  for i = Array.length rows - 1 downto 0 do
+    match row_cofactor rows.(i) k polarity with
+    | Some r -> out := r :: !out
+    | None -> ()
+  done;
+  canonical_rows !out
 
-let node_cofactor cache node k polarity =
-  let key = cof_key node k polarity in
-  match Hashtbl.find_opt cache.cof key with
-  | Some n ->
-    Stc_obs.Metrics.incr m_cof_hits;
-    n
-  | None ->
-    let rows = ref [] in
-    for i = Array.length node.rows - 1 downto 0 do
-      match row_cofactor node.rows.(i) k polarity with
-      | Some r -> rows := r :: !rows
-      | None -> ()
-    done;
-    let n = intern cache (canonical_rows !rows) in
-    Hashtbl.add cache.cof key n;
-    n
-
-let rec node_tautology cache nv node =
+let rec rows_tautology nv rows =
   Stc_obs.Metrics.incr m_taut_calls;
-  match Hashtbl.find_opt cache.taut node.rid with
-  | Some b ->
-    Stc_obs.Metrics.incr m_taut_memo;
-    b
-  | None ->
-    let b =
-      if Array.exists row_all_dc node.rows then true
-      else
-        match select_var nv node.rows with
-        | None -> false (* empty, or no fixed literal and no all-dc row *)
-        | Some (k, binate) ->
-          if binate then
-            node_tautology cache nv (node_cofactor cache node k true)
-            && node_tautology cache nv (node_cofactor cache node k false)
-          else
-            (* Unate leaf: a unate cover is a tautology iff it contains
-               the universal row, which was just ruled out. *)
-            false
-    in
-    Hashtbl.add cache.taut node.rid b;
-    b
+  if Array.exists row_all_dc rows then true
+  else
+    match select_var nv rows with
+    | None -> false (* empty, or no fixed literal and no all-dc row *)
+    | Some (k, binate) ->
+      (* Unate leaf: a unate cover is a tautology iff it contains the
+         universal row, which was just ruled out. *)
+      binate
+      && rows_tautology nv (rows_cofactor rows k true)
+      && rows_tautology nv (rows_cofactor rows k false)
 
 (* Complement of a single row by De Morgan: one row per fixed position,
    carrying only the opposite literal (everything else don't-care). *)
@@ -281,35 +172,20 @@ let single_row_complement nv row =
   done;
   Array.of_list !out
 
-let rec node_complement cache nv nw node =
-  if Array.length node.rows = 0 then
-    (* Width is not recoverable from empty content, so this case stays
-       outside the content-keyed memo. *)
-    [| Array.make nw R.mask11 |]
+let rec rows_complement nv nw rows =
+  if Array.length rows = 0 then [| Array.make nw R.mask11 |]
+  else if Array.exists row_all_dc rows then [||]
+  else if Array.length rows = 1 then single_row_complement nv rows.(0)
   else
-    match Hashtbl.find_opt cache.compl_ node.rid with
-    | Some rows -> rows
-    | None ->
-      let result =
-        if Array.exists row_all_dc node.rows then [||]
-        else if Array.length node.rows = 1 then
-          single_row_complement nv node.rows.(0)
-        else
-          match select_var nv node.rows with
-          | None -> assert false (* nonempty without all-dc row has a literal *)
-          | Some (k, _) ->
-            let branch polarity =
-              let sub =
-                node_complement cache nv nw (node_cofactor cache node k polarity)
-              in
-              Array.map
-                (fun r -> row_with_pair r k (if polarity then 2 else 1))
-                sub
-            in
-            Array.append (branch true) (branch false)
+    match select_var nv rows with
+    | None -> assert false (* nonempty without all-dc row has a literal *)
+    | Some (k, _) ->
+      let branch polarity =
+        Array.map
+          (fun r -> row_with_pair r k (if polarity then 2 else 1))
+          (rows_complement nv nw (rows_cofactor rows k polarity))
       in
-      Hashtbl.add cache.compl_ node.rid result;
-      result
+      Array.append (branch true) (branch false)
 
 (* --------------------------------------------------------------------
    Cover-level operations on top of the engine.
@@ -373,17 +249,20 @@ let rows_of_output hits o =
    Truth-table leaf.  A query about one cube looks only at the cube's
    own points, so the meeting cubes matter only on the cube's free
    (don't-care) variables.  With at most [leaf_vars] of them, the
-   cube's points fit a {!Chunk} table over those variables, at most 8
+   cube's points fit a {!Chunk} table over those variables, at most 32
    chunks.  A meeting cube, cofactored onto the query cube, is then one
    span of that table: the AND of its literals' patterns on the free
-   variables.  Wider cubes keep the recursion above.
+   variables.  Wider cubes keep the recursion above.  At 10 variables
+   every query of the corpus machines' blocks takes the leaf; at 8,
+   s1's output block sent 4 815 queries with 9 or 10 free variables to
+   the recursion.
    -------------------------------------------------------------------- *)
 
 let m_dense = Stc_obs.Metrics.counter "minimize.dense_queries"
 
 let m_wide = Stc_obs.Metrics.counter "minimize.wide_queries"
 
-let leaf_vars = 8
+let leaf_vars = 10
 
 (* Per-domain scratch: the cube's free variables, the span of the
    meeting cube at hand, and per output [o] the points the meeting
@@ -396,6 +275,11 @@ type leaf = {
 
 let leaf_key =
   Domain.DLS.new_key (fun () -> { free = [||]; span = Chunk.span (); acc = [||] })
+
+let clear_caches () =
+  let l = Domain.DLS.get leaf_key in
+  l.free <- [||];
+  l.acc <- [||]
 
 let ensure = Stc_bits.Arena.ensure
 
@@ -486,14 +370,13 @@ let covers_cube ?(keep = keep_all) c cube =
   | Some nfree -> Option.is_none (leaf_sharp_supercube cube nfree)
   | None ->
     Stc_obs.Metrics.incr m_wide;
-    let cache = Domain.DLS.get cache_key in
     let hits = meeting ~keep c cube in
     let ok = ref true in
     let o = ref 0 in
     while !ok && !o < c.num_outputs do
       if Cube.output_bit cube !o then begin
-        let node = intern cache (canonical_rows (rows_of_output hits !o)) in
-        if not (node_tautology cache c.num_vars node) then ok := false
+        let rows = canonical_rows (rows_of_output hits !o) in
+        if not (rows_tautology c.num_vars rows) then ok := false
       end;
       incr o
     done;
@@ -506,15 +389,12 @@ let covers a b = Array.for_all (fun cube -> covers_cube a cube) b.cubes
 
 let equivalent a b = covers a b && covers b a
 
-let complement_rows_for_output c o =
-  let cache = Domain.DLS.get cache_key in
-  let node = intern cache (canonical_rows (rows_for_output c o)) in
-  node_complement cache c.num_vars (R.in_words c.num_vars) node
-
 let complement ?(jobs = 1) c =
   let per_output =
     Stc_util.Parallel.map_range ~jobs c.num_outputs
-      (fun o -> complement_rows_for_output c o)
+      (fun o ->
+        rows_complement c.num_vars (R.in_words c.num_vars)
+          (canonical_rows (rows_for_output c o)))
       ~init:[||]
   in
   let cubes = ref [] in
@@ -534,21 +414,20 @@ let sharp_cube ?(keep = keep_all) cube c =
   let num_vars = Cube.num_vars cube in
   let num_outputs = Cube.num_outputs cube in
   let nw = R.in_words num_vars in
-  let cache = Domain.DLS.get cache_key in
   let cube_in = R.input_words cube in
   (* Complement [c] inside the subspace of [cube]: cofactor the
      intersecting rows first, so the recursion only sees the cube's free
      variables.  For points of [cube] the cofactored cover agrees with
      [c], so complement-then-intersect yields the same point set as a
-     global complement restricted to [cube] - but the cofactored row sets
-     are tiny and repeat across calls, so the interned complement memo
-     actually hits. *)
+     global complement restricted to [cube], from much smaller row
+     sets. *)
   let hits = meeting ~keep c cube in
   let cubes = ref [] in
   for o = num_outputs - 1 downto 0 do
     if Cube.output_bit cube o then begin
-      let node = intern cache (canonical_rows (rows_of_output hits o)) in
-      let comp = node_complement cache num_vars nw node in
+      let comp =
+        rows_complement num_vars nw (canonical_rows (rows_of_output hits o))
+      in
       for i = Array.length comp - 1 downto 0 do
         let r = comp.(i) in
         if not (rows_conflict nw r cube_in) then begin

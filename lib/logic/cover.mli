@@ -1,20 +1,20 @@
 (** Covers: sets of multi-output cubes, with the classical two-level
-    operations (cofactor, tautology, containment, complement) implemented
-    by unate/binate Shannon recursion as in Espresso.
+    operations (tautology, containment, complement) implemented by
+    unate/binate Shannon recursion as in Espresso.
 
     Covers are array-backed.  The minimizer's per-cube queries
     ({!covers_cube}, {!sharp_supercube}) first restrict the cover to the
-    queried cube.  When the cube leaves at most 8 input variables free,
+    queried cube.  When the cube leaves at most 10 input variables free,
     the query is decided on a truth table over those variables (a
-    {!Chunk} table): at most 256 points, one span per meeting cube
-    ([minimize.dense_queries] in
-    {!Stc_obs.Metrics}).  Wider cubes ([minimize.wide_queries]),
-    {!sharp_cube} and {!complement} run the recursion, on interned packed
-    row sets with per-domain memo tables for tautology, cofactor and
-    complement results (the [minimize.tautology_calls],
-    [minimize.tautology_memo_hits] and [minimize.cofactor_cache_hits]
-    counters).  Every operation is a pure function of cover content, so
-    results do not depend on which domain computes them. *)
+    {!Chunk} table): at most 1 024 points, one span per meeting cube
+    ([minimize.dense_queries] in {!Stc_obs.Metrics}); every query of
+    the corpus machines' blocks is one.  Wider cubes
+    ([minimize.wide_queries]), {!sharp_cube} and {!complement} run the
+    recursion on packed row arrays, sorted and deduplicated at every
+    cofactor, without memo tables ([minimize.tautology_calls] counts its
+    tautology calls).  Every operation is a pure function of cover
+    content, so results and counters do not depend on which domain
+    computes them. *)
 
 type t = private {
   num_vars : int;
@@ -51,10 +51,6 @@ val add : t -> Cube.t -> t
 
 (** [union a b] concatenates two covers of equal dimensions. *)
 val union : t -> t -> t
-
-(** [cofactor c ~wrt] is the Shannon cofactor: cubes intersecting [wrt],
-    cofactored. *)
-val cofactor : t -> wrt:Cube.t -> t
 
 (** [tautology c] holds when every input minterm is covered for every
     output.  Unate reduction + binate-variable Shannon recursion with a
@@ -104,10 +100,10 @@ val single_cube_containment : t -> t
     (minterm, output-set); exponential, for tests on small covers. *)
 val minterms : t -> t
 
-(** [clear_caches ()] drops the calling domain's memo tables (interned
-    row sets, tautology/cofactor/complement results).  The tables are
-    bounded and self-evicting; this is for benchmarks that want cold
-    starts. *)
+(** [clear_caches ()] drops the calling domain's truth-table leaf
+    scratch (the buffers {!covers_cube} and {!sharp_supercube} reuse
+    between queries), so the next query starts as on a fresh domain.
+    For benchmarks that want cold starts. *)
 val clear_caches : unit -> unit
 
 val pp : Format.formatter -> t -> unit

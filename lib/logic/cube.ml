@@ -251,30 +251,6 @@ let consensus a b =
     if !any then Some { a with inw; outw } else None
   end
 
-let cofactor c ~wrt =
-  if disjoint c wrt then None
-  else begin
-    let nw = Array.length c.inw in
-    let inw = Array.make nw 0 in
-    for i = 0 to nw - 1 do
-      let f = Array.unsafe_get wrt.inw i in
-      (* pairs of [wrt] that are fixed (01 or 10) become Dc in the result *)
-      let dc01 = f land (f lsr 1) land mask01 in
-      let fixed01 = mask01 land lnot dc01 in
-      Array.unsafe_set inw i
-        (Array.unsafe_get c.inw i lor fixed01 lor (fixed01 lsl 1))
-    done;
-    let ow = Array.length c.outw in
-    let outw = Array.make ow 0 in
-    let any = ref false in
-    for i = 0 to ow - 1 do
-      let v = Array.unsafe_get c.outw i land Array.unsafe_get wrt.outw i in
-      if v <> 0 then any := true;
-      Array.unsafe_set outw i v
-    done;
-    if !any then Some { c with inw; outw } else None
-  end
-
 let dc_count c = c.nv - literals c
 
 let output_count c =

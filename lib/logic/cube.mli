@@ -99,11 +99,6 @@ val supercube : t -> t -> t
     is not 1 or the output intersection is empty. *)
 val consensus : t -> t -> t option
 
-(** [cofactor c ~wrt] is the Shannon cofactor of [c] with respect to cube
-    [wrt] (input parts only; output part of [c] is restricted to outputs of
-    [wrt]): [None] if [c] does not intersect [wrt]. *)
-val cofactor : t -> wrt:t -> t option
-
 (** [equal a b] structural equality. *)
 val equal : t -> t -> bool
 

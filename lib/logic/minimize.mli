@@ -25,15 +25,16 @@
     for every [jobs] value.  IRREDUNDANT's and REDUCE's per-cube
     queries ({!Cover.covers_cube}, {!Cover.sharp_supercube}) are decided
     on a truth table of the cube's free variables when it has at most
-    8 of them; only wider cubes, and the off-set complement, run the
+    10 of them; only wider cubes, and the off-set complement, run the
     Shannon recursion.  Progress is observable through the [minimize.*]
     counters of {!Stc_obs.Metrics} (expand raises attempted/accepted,
     cubes raised on the bitmaps and on the matrices
     ([minimize.dense_expands], [minimize.wide_expands]), dense and wide
-    queries, tautology calls and memo hits, cofactor cache
-    hits, and each pass's cube and literal gain summed over a [minimize]
-    call: [minimize.expand_cube_gain], [minimize.reduce_literal_gain],
-    ...) and the [logic] trace spans. *)
+    queries, tautology calls, and each pass's cube and literal gain
+    summed over a [minimize] call: [minimize.expand_cube_gain],
+    [minimize.reduce_literal_gain], ...) and the [logic] trace spans.
+    Every counter is a pure function of the covers, so it reads the
+    same for every [jobs] value. *)
 
 type report = {
   initial_cubes : int;

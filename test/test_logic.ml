@@ -42,11 +42,11 @@ let dims ?(wide = false) rng =
   let num_outputs = 1 + Rng.int rng 3 in
   (num_vars, num_outputs)
 
-(* 6-12 variables, still small enough for truth tables, with a
+(* 8-14 variables, still small enough for truth tables, with a
    uniformly drawn number of free variables per cube: the minimizer's
-   per-cube queries then land on both sides of the 8-free-variable
+   per-cube queries then land on both sides of the 10-free-variable
    truth-table leaf. *)
-let mid_dims rng = (6 + Rng.int rng 7, 1 + Rng.int rng 3)
+let mid_dims rng = (8 + Rng.int rng 7, 1 + Rng.int rng 3)
 
 let spread_cube rng ~num_vars ~num_outputs =
   let free = Array.init num_vars (fun k -> k < Rng.int rng (num_vars + 1)) in
@@ -79,7 +79,7 @@ let rec split_cube rng ~depth cube =
     half Cube.Zero @ half Cube.One
   end
 
-(* A 6-12-variable query: a cover of spread cubes and a query cube.
+(* An 8-14-variable query: a cover of spread cubes and a query cube.
    Half the time the cover also holds a split of the cube with some
    pieces dropped, so covered and nearly covered queries occur. *)
 let mid_query rng ~max_cubes =
@@ -257,7 +257,7 @@ let sharp_cube_agrees c cube =
   done;
   !ok
 
-(* A narrow query (2-5 variables) or, half the time, a 6-12-variable
+(* A narrow query (2-5 variables) or, half the time, an 8-14-variable
    one from [mid_query]. *)
 let oracle_query rng ~max_cubes =
   if Rng.bool rng then mid_query rng ~max_cubes
@@ -305,11 +305,11 @@ let test_cover_sharp_supercube =
 
 (* The leaf's per-domain scratch starts empty on a fresh domain (the
    minimizer's [jobs] workers are spawned per call) and must grow
-   without losing the hits already entered: 256 minterm cubes cover
-   the full 8-variable cube. *)
+   without losing the hits already entered: 1 024 minterm cubes cover
+   the full 10-variable cube, the widest the leaf takes. *)
 let test_leaf_fresh_domain () =
-  let full = Cube.full ~num_vars:8 ~num_outputs:1 in
-  let c = Cover.minterms (Cover.of_array ~num_vars:8 ~num_outputs:1 [| full |]) in
+  let full = Cube.full ~num_vars:10 ~num_outputs:1 in
+  let c = Cover.minterms (Cover.of_array ~num_vars:10 ~num_outputs:1 [| full |]) in
   let covered, rest =
     Domain.join
       (Domain.spawn (fun () ->
@@ -704,29 +704,43 @@ let test_pipeline_covers_pinned () =
        [ "9774a276d8df0173ff4ddf8bb80a2895"; "43a1f5986169d843b97b3269edd560e9";
          "82b7b6fd7fe27c869825bc192ea29a84" ]) ]
 
-(* tbk's output block is the flow's largest minimization, and its
-   IRREDUNDANT and REDUCE queries leave at most 8 variables free: every
-   one must be decided on the truth-table leaf, none by the recursion. *)
-let test_lambda_queries_dense () =
+(* The blocks [labels] of [name]'s fig. 4 pipeline, minimized again with
+   the metrics on: each must come out as the flow's cover, with every
+   IRREDUNDANT and REDUCE query decided on the truth-table leaf and none
+   by the recursion. *)
+let check_queries_dense name labels =
   let module Context = Stc_analysis.Context in
   let module Metrics = Stc_obs.Metrics in
-  let ctx = pipeline_context "tbk" in
-  let b =
-    List.find (fun b -> b.Context.block_label = "lambda") ctx.Context.blocks
-  in
-  let count name = Metrics.counter_value (Metrics.counter name) in
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Metrics.set_enabled false)
-      (fun () -> fst (Minimize.minimize ~dc:b.Context.dc b.Context.on))
-  in
-  check_string "same cover" (Cover.to_string b.Context.minimized)
-    (Cover.to_string result);
-  check_bool "dense queries" true (count "minimize.dense_queries" > 0);
-  check_int "wide queries" 0 (count "minimize.wide_queries");
-  check_int "tautology calls" 0 (count "minimize.tautology_calls")
+  let ctx = pipeline_context name in
+  let count n = Metrics.counter_value (Metrics.counter n) in
+  List.iter
+    (fun label ->
+      let b =
+        List.find (fun b -> b.Context.block_label = label) ctx.Context.blocks
+      in
+      Metrics.set_enabled true;
+      Metrics.reset ();
+      let result =
+        Fun.protect
+          ~finally:(fun () -> Metrics.set_enabled false)
+          (fun () -> fst (Minimize.minimize ~dc:b.Context.dc b.Context.on))
+      in
+      let what s = Printf.sprintf "%s/%s %s" name label s in
+      check_string (what "same cover") (Cover.to_string b.Context.minimized)
+        (Cover.to_string result);
+      check_bool (what "dense queries") true (count "minimize.dense_queries" > 0);
+      check_int (what "wide queries") 0 (count "minimize.wide_queries");
+      check_int (what "tautology calls") 0 (count "minimize.tautology_calls"))
+    labels
+
+(* tbk's output block is the flow's largest minimization; its queries
+   leave at most 8 variables free. *)
+let test_lambda_queries_dense () = check_queries_dense "tbk" [ "lambda" ]
+
+(* dk16's output block makes five queries with 9 free variables, which
+   the recursion decided while the leaf stopped at 8. *)
+let test_dk16_queries_dense () =
+  check_queries_dense "dk16" [ "c1"; "c2"; "lambda" ]
 
 (* [f ()] with the metrics registry on, and the named counters after. *)
 let with_counters names f =
@@ -981,6 +995,8 @@ let () =
             test_pipeline_covers_pinned;
           Alcotest.test_case "tbk lambda queries on the leaf" `Quick
             test_lambda_queries_dense;
+          Alcotest.test_case "dk16 blocks query on the leaf" `Quick
+            test_dk16_queries_dense;
           Alcotest.test_case "expand edge cases" `Quick test_expand_edges;
           Alcotest.test_case "tbk blocks expand on the bitmap" `Quick
             test_tbk_expand_bitmaps;

@@ -32,8 +32,9 @@ trap 'rm -rf "$obs_dir"' EXIT
 # linted against the versioned bench schema:
 #   solver    dk16 / dk512 / tbk: paper factors, 30 s cap, work figures
 #   faultsim  optimized and parallel graders must match the naive one
-#   minimize  packed engine must meet the contract, jobs>1 the same cover,
-#             jobs-1 covers and raise counts those of BENCH_minimize.json
+#   minimize  packed engine must meet the contract, jobs>1 the same cover
+#             and minimize.* counters, jobs-1 covers and counters those of
+#             BENCH_minimize.json
 #   core      packed bit engine must match the element-wise references
 #   verify    equivalence + redundancy proofs must hold, jobs-invariant
 #   anytime   stochastic tier: gap >= 0, seeded determinism
