@@ -626,6 +626,7 @@ let mz_counter_names =
     "minimize.tautology_calls";
     "minimize.dense_queries";
     "minimize.wide_queries";
+    "minimize.count_queries";
     "minimize.dense_expands";
     "minimize.wide_expands";
     "minimize.expand_cube_gain";

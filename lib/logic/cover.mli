@@ -2,13 +2,15 @@
     operations (tautology, containment, complement) implemented by
     unate/binate Shannon recursion as in Espresso.
 
-    Covers are array-backed.  The minimizer's per-cube queries
-    ({!covers_cube}, {!sharp_supercube}) first restrict the cover to the
-    queried cube.  When the cube leaves at most 10 input variables free,
-    the query is decided on a truth table over those variables (a
-    {!Chunk} table): at most 1 024 points, one span per meeting cube
-    ([minimize.dense_queries] in {!Stc_obs.Metrics}); every query of
-    the corpus machines' blocks is one.  Wider cubes
+    Covers are array-backed.  The per-cube queries ({!covers_cube},
+    {!sharp_supercube}) first restrict the cover to the queried cube.
+    When the cube leaves at most 10 input variables free, the query is
+    decided on a truth table over those variables (a {!Chunk} table): at
+    most 1 024 points, one span per meeting cube
+    ([minimize.dense_queries] in {!Stc_obs.Metrics}).  The minimizer asks
+    them only on passes too small, or covers too wide, for its
+    point-count tables (see {!Minimize}); {!covers} and the cover lint
+    ask them always.  Wider cubes
     ([minimize.wide_queries]), {!sharp_cube} and {!complement} run the
     recursion on packed row arrays, sorted and deduplicated at every
     cofactor, without memo tables ([minimize.tautology_calls] counts its

@@ -22,16 +22,27 @@
     the optional [jobs] argument fans the per-cube work of EXPAND and
     the classification pass of IRREDUNDANT (plus the per-output off-set
     complements) over that many OCaml domains.  Results are identical
-    for every [jobs] value.  IRREDUNDANT's and REDUCE's per-cube
-    queries ({!Cover.covers_cube}, {!Cover.sharp_supercube}) are decided
-    on a truth table of the cube's free variables when it has at most
-    10 of them; only wider cubes, and the off-set complement, run the
-    Shannon recursion.  Progress is observable through the [minimize.*]
+    for every [jobs] value.  IRREDUNDANT and REDUCE decide a pass on one
+    point-count table when it pays: for each output and input point, how
+    many alive cubes of [cover + dc] cover it, in 16-bit counts.  A cube
+    is covered by the others iff all its counts are at least 2; REDUCE
+    shrinks it to the supercube of its count-1 points; a dropped or
+    shrunk cube updates its counts.  The table pays when its
+    [num_outputs * 2^num_vars] points plus the cubes' own points are at
+    most [8 * n * (n + dc)] for [n] cubes and [dc] don't-care cubes (the
+    measured margin over the per-query scan), with at most 21 variables
+    and 2^21 points; [minimize] refills one table's bytes in every
+    pass.  Otherwise each query ({!Cover.covers_cube},
+    {!Cover.sharp_supercube}) scans [cover + dc] and decides on a truth
+    table of the cube's free variables when it has at most 10 of them;
+    only wider cubes, and the off-set complement, run the Shannon
+    recursion.  Progress is observable through the [minimize.*]
     counters of {!Stc_obs.Metrics} (expand raises attempted/accepted,
     cubes raised on the bitmaps and on the matrices
-    ([minimize.dense_expands], [minimize.wide_expands]), dense and wide
-    queries, tautology calls, and each pass's cube and literal gain
-    summed over a [minimize] call: [minimize.expand_cube_gain],
+    ([minimize.dense_expands], [minimize.wide_expands]), queries on the
+    tables ([minimize.count_queries]), dense and wide per-cube queries,
+    tautology calls, and each pass's cube and literal gain summed over a
+    [minimize] call: [minimize.expand_cube_gain],
     [minimize.reduce_literal_gain], ...) and the [logic] trace spans.
     Every counter is a pure function of the covers, so it reads the
     same for every [jobs] value. *)
@@ -82,6 +93,3 @@ val off_set : ?jobs:int -> ?dc:Cover.t -> Cover.t -> Cover.t
 (** [verify ~on ?dc result] checks the minimization contract:
     [(on \ dc) <= result <= on + dc]. *)
 val verify : on:Cover.t -> ?dc:Cover.t -> Cover.t -> bool
-
-(** [is_irredundant ?dc cover] holds when no single cube can be dropped. *)
-val is_irredundant : ?dc:Cover.t -> Cover.t -> bool

@@ -391,6 +391,26 @@ let test_minimize_uses_dont_cares () =
   check_int "1 cube" 1 (Cover.size result);
   check_bool "contract" true (Truth.equivalent_with_dc ~on ~dc result)
 
+(* "Every other alive cube plus dc" in [cover + dc], by index: cube [i]
+   and the dropped cover cubes are skipped, the dc cubes past [n] kept. *)
+let others ~n alive i j = j >= n || (j <> i && alive.(j))
+
+let with_dc ?dc cover =
+  match dc with None -> cover | Some d -> Cover.union cover d
+
+(* No single cube of [cover] is covered by the rest plus [dc]. *)
+let is_irredundant ?dc cover =
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
+  let context = with_dc ?dc cover in
+  let all_alive = Array.make n true in
+  let rec go i =
+    i >= n
+    || (not (Cover.covers_cube ~keep:(others ~n all_alive i) context cubes.(i)))
+       && go (i + 1)
+  in
+  go 0
+
 let test_minimize_contract =
   QCheck.Test.make ~count:150 ~name:"minimize satisfies on <= f <= on+dc"
     QCheck.(int_bound 1000000)
@@ -402,7 +422,7 @@ let test_minimize_contract =
       let result, _ = Minimize.minimize ~dc on in
       Truth.equivalent_with_dc ~on ~dc result
       && Minimize.verify ~on ~dc result
-      && Minimize.is_irredundant ~dc result)
+      && is_irredundant ~dc result)
 
 let test_minimize_never_worse =
   (* Cube count never increases (expand keeps it, containment/irredundant
@@ -458,7 +478,7 @@ let test_reduce_keeps_function =
 
 (* A single cube inside the don't-care set is redundant: IRREDUNDANT
    must drop it, as it does when a second such cube is present, and
-   [is_irredundant] must agree. *)
+   the test's [is_irredundant] must agree. *)
 let test_irredundant_single_cube_dc () =
   let cover rows = Cover.of_strings ~num_vars:2 ~num_outputs:1 rows in
   let dc = cover [ "1- 1" ] in
@@ -467,7 +487,7 @@ let test_irredundant_single_cube_dc () =
   check_int "two cubes dropped" 0
     (Cover.size (Minimize.irredundant ~dc (cover [ "11 1"; "10 1" ])));
   check_bool "is_irredundant agrees" false
-    (Minimize.is_irredundant ~dc (cover [ "11 1" ]));
+    (is_irredundant ~dc (cover [ "11 1" ]));
   check_int "kept without dc" 1
     (Cover.size (Minimize.irredundant (cover [ "11 1" ])))
 
@@ -705,10 +725,10 @@ let test_pipeline_covers_pinned () =
          "82b7b6fd7fe27c869825bc192ea29a84" ]) ]
 
 (* The blocks [labels] of [name]'s fig. 4 pipeline, minimized again with
-   the metrics on: each must come out as the flow's cover, with every
-   IRREDUNDANT and REDUCE query decided on the truth-table leaf and none
-   by the recursion. *)
-let check_queries_dense name labels =
+   the metrics on: each must come out as the flow's cover, with
+   IRREDUNDANT's and REDUCE's queries decided on the point-count tables
+   and none by the recursion. *)
+let check_queries_counted name labels =
   let module Context = Stc_analysis.Context in
   let module Metrics = Stc_obs.Metrics in
   let ctx = pipeline_context name in
@@ -728,19 +748,19 @@ let check_queries_dense name labels =
       let what s = Printf.sprintf "%s/%s %s" name label s in
       check_string (what "same cover") (Cover.to_string b.Context.minimized)
         (Cover.to_string result);
-      check_bool (what "dense queries") true (count "minimize.dense_queries" > 0);
+      check_bool (what "count queries") true (count "minimize.count_queries" > 0);
       check_int (what "wide queries") 0 (count "minimize.wide_queries");
       check_int (what "tautology calls") 0 (count "minimize.tautology_calls"))
     labels
 
-(* tbk's output block is the flow's largest minimization; its queries
-   leave at most 8 variables free. *)
-let test_lambda_queries_dense () = check_queries_dense "tbk" [ "lambda" ]
+(* tbk's output block is the flow's largest minimization: 14 variables
+   and 3 outputs, so its table has 49 152 points. *)
+let test_lambda_queries_counted () = check_queries_counted "tbk" [ "lambda" ]
 
-(* dk16's output block makes five queries with 9 free variables, which
-   the recursion decided while the leaf stopped at 8. *)
-let test_dk16_queries_dense () =
-  check_queries_dense "dk16" [ "c1"; "c2"; "lambda" ]
+(* dk16's three blocks, the small C1 and C2 included, query on the
+   tables too. *)
+let test_dk16_queries_counted () =
+  check_queries_counted "dk16" [ "c1"; "c2"; "lambda" ]
 
 (* [f ()] with the metrics registry on, and the named counters after. *)
 let with_counters names f =
@@ -752,6 +772,136 @@ let with_counters names f =
     (fun () ->
       let r = f () in
       (r, List.map (fun n -> Metrics.counter_value (Metrics.counter n)) names))
+
+(* IRREDUNDANT and REDUCE as the minimizer ran them before its
+   point-count tables: one {!Cover.covers_cube} or
+   {!Cover.sharp_supercube} scan of [cover + dc] per query. *)
+let reference_irredundant ?dc cover =
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
+  let context = with_dc ?dc cover in
+  let covered alive i =
+    Cover.covers_cube ~keep:(others ~n alive i) context cubes.(i)
+  in
+  let all_alive = Array.make n true in
+  let order =
+    List.stable_sort
+      (fun a b ->
+        let la = Cube.literals cubes.(a) and lb = Cube.literals cubes.(b) in
+        if la <> lb then Int.compare lb la else Cube.compare cubes.(a) cubes.(b))
+      (List.filter (covered all_alive) (List.init n Fun.id))
+  in
+  let alive = Array.make n true in
+  List.iter (fun i -> if covered alive i then alive.(i) <- false) order;
+  Cover.make ~num_vars:cover.Cover.num_vars ~num_outputs:cover.Cover.num_outputs
+    (List.filteri (fun i _ -> alive.(i)) (Array.to_list cubes))
+
+let reference_reduce ?dc cover =
+  let n = Cover.size cover in
+  let num_vars = cover.Cover.num_vars and num_outputs = cover.Cover.num_outputs in
+  (* Shrunk cubes are written back, so later queries see them. *)
+  let context =
+    Cover.of_array ~num_vars ~num_outputs
+      (Array.copy (with_dc ?dc cover).Cover.cubes)
+  in
+  let cubes = context.Cover.cubes in
+  let alive = Array.make n true in
+  for i = 0 to n - 1 do
+    match Cover.sharp_supercube ~keep:(others ~n alive i) cubes.(i) context with
+    | None -> alive.(i) <- false
+    | Some shrunk -> cubes.(i) <- shrunk
+  done;
+  Cover.make ~num_vars ~num_outputs
+    (List.filteri (fun i _ -> i < n && alive.(i)) (Array.to_list cubes))
+
+(* [Minimize.irredundant] and [Minimize.reduce] of [on] against the
+   references, cube for cube, and how many table queries they made. *)
+let passes_agree ?dc on =
+  let (same_irr, same_red), counts =
+    with_counters [ "minimize.count_queries" ] (fun () ->
+        ( same_cover (Minimize.irredundant ?dc on) (reference_irredundant ?dc on),
+          same_cover (Minimize.reduce ?dc on) (reference_reduce ?dc on) ))
+  in
+  (same_irr && same_red, List.hd counts)
+
+(* A cover for the pass checks, a dc set half the time.  Half the cases
+   have 2-6 variables and up to 40 cubes (small covers take the
+   per-query scan, larger ones the table); one in four has 8-14
+   variables and cubes with uniformly many free ones (up to 40 cubes
+   plus pieces of one, so cubes on the table also have more than 10 free
+   variables); one in four has 32-70 variables and one output (never a
+   table). *)
+let pass_case rng =
+  let on =
+    match Rng.int rng 4 with
+    | 0 -> random_cover rng ~num_vars:(32 + Rng.int rng 39) ~num_outputs:1 ~max_cubes:40
+    | 1 -> fst (mid_query rng ~max_cubes:40)
+    | _ ->
+      let num_vars, num_outputs = dims rng in
+      random_cover rng ~num_vars:(num_vars + Rng.int rng 2) ~num_outputs ~max_cubes:40
+  in
+  let num_vars = on.Cover.num_vars and num_outputs = on.Cover.num_outputs in
+  let dc =
+    if Rng.bool rng then Some (random_cover rng ~num_vars ~num_outputs ~max_cubes:6)
+    else None
+  in
+  (on, dc)
+
+let test_passes_vs_per_query =
+  QCheck.Test.make ~count:300
+    ~name:"irredundant/reduce = per-query reference"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let on, dc = pass_case (Rng.create seed) in
+      fst (passes_agree ?dc on))
+
+(* The generator above lands on both sides of the table's cost rule. *)
+let test_pass_cases_take_both_forms () =
+  let counted = ref 0 and scanned = ref 0 in
+  for seed = 1 to 200 do
+    let on, dc = pass_case (Rng.create seed) in
+    let same, queries = passes_agree ?dc on in
+    check_bool (Printf.sprintf "seed %d agrees" seed) true same;
+    if queries > 0 then incr counted else incr scanned
+  done;
+  check_bool "some covers on the table" true (!counted >= 40);
+  check_bool "some covers per query" true (!scanned >= 40)
+
+(* Edge cases of the passes, each on the form [table] says, against the
+   references. *)
+let check_pass_edge label ~table ?dc on =
+  let same, queries = passes_agree ?dc on in
+  check_bool (label ^ ": same covers") true same;
+  check_bool (label ^ ": on the table") table (queries > 0)
+
+let test_pass_edges () =
+  let cover nv rows = Cover.of_strings ~num_vars:nv ~num_outputs:1 rows in
+  (* Two copies of one cube: IRREDUNDANT drops one, REDUCE drops the
+     first and leaves the second. *)
+  let dups = cover 2 [ "11 1"; "11 1"; "10 1"; "01 1"; "00 1" ] in
+  check_pass_edge "duplicates" ~table:true dups;
+  check_int "one duplicate left" 4 (Cover.size (Minimize.irredundant dups));
+  check_string "reduce keeps the second copy" "11 1\n10 1\n01 1\n00 1\n"
+    (Cover.to_string (Minimize.reduce dups));
+  (* A dc cube covering two on-cubes: both go. *)
+  let on = cover 2 [ "11 1"; "10 1"; "0- 1" ] and dc = cover 2 [ "1- 1" ] in
+  check_pass_edge "dc covers on-cubes" ~table:true ~dc on;
+  check_string "irredundant" "0- 1\n" (Cover.to_string (Minimize.irredundant ~dc on));
+  check_string "reduce" "0- 1\n" (Cover.to_string (Minimize.reduce ~dc on));
+  (* One cube and no dc: nothing to query against; it stays. *)
+  let one = cover 3 [ "1-0 1" ] in
+  check_pass_edge "one cube" ~table:false one;
+  check_string "reduce keeps it" "1-0 1\n" (Cover.to_string (Minimize.reduce one));
+  (* 64 variables, 40 cubes of one literal each: the width is checked
+     before any shift by it ([1 lsl 64] would read as 1 and the cubes'
+     [2^63] points would sum to 0), so the cover never reaches the
+     table. *)
+  let wide =
+    Cover.make ~num_vars:64 ~num_outputs:1
+      (List.init 40 (fun k ->
+           Cube.of_string (String.init 64 (fun j -> if j = k then '1' else '-') ^ " 1")))
+  in
+  check_pass_edge "64 variables" ~table:false wide
 
 (* [rows] with [pad] don't-care columns appended to each input part. *)
 let widen pad rows =
@@ -993,10 +1143,15 @@ let () =
           qcheck test_expand_fixed_point;
           Alcotest.test_case "pipeline covers pinned" `Quick
             test_pipeline_covers_pinned;
-          Alcotest.test_case "tbk lambda queries on the leaf" `Quick
-            test_lambda_queries_dense;
-          Alcotest.test_case "dk16 blocks query on the leaf" `Quick
-            test_dk16_queries_dense;
+          qcheck test_passes_vs_per_query;
+          Alcotest.test_case "pass cases take both forms" `Quick
+            test_pass_cases_take_both_forms;
+          Alcotest.test_case "irredundant/reduce edge cases" `Quick
+            test_pass_edges;
+          Alcotest.test_case "tbk lambda queries on counts" `Quick
+            test_lambda_queries_counted;
+          Alcotest.test_case "dk16 blocks query on counts" `Quick
+            test_dk16_queries_counted;
           Alcotest.test_case "expand edge cases" `Quick test_expand_edges;
           Alcotest.test_case "tbk blocks expand on the bitmap" `Quick
             test_tbk_expand_bitmaps;

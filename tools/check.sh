@@ -99,6 +99,13 @@ dune exec bin/ostr.exe -- selftest tbk --jobs 1 > "$obs_dir/selftest_j1.txt"
 dune exec bin/ostr.exe -- selftest tbk --jobs 2 > "$obs_dir/selftest_j2.txt"
 cmp "$obs_dir/selftest_j1.txt" "$obs_dir/selftest_j2.txt"
 
+echo "== selftest s1: --jobs 1 and --jobs 2 reports must be identical =="
+# s1's output block (18 variables, 6 outputs) has the largest point-count
+# table, which IRREDUNDANT's classifying domains share read-only.
+dune exec bin/ostr.exe -- selftest s1 --jobs 1 > "$obs_dir/selftest_s1_j1.txt"
+dune exec bin/ostr.exe -- selftest s1 --jobs 2 > "$obs_dir/selftest_s1_j2.txt"
+cmp "$obs_dir/selftest_s1_j1.txt" "$obs_dir/selftest_s1_j2.txt"
+
 echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
 # zero warnings; --werror turns any regression into a nonzero exit.  Keep
