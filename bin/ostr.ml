@@ -771,7 +771,8 @@ let verify_cmd =
          & info [ "cec" ]
              ~doc:
                "Equivalence checking only: minimized blocks vs their on/dc \
-                specification, netlists vs the FSM tables.")
+                specification (the minimizer's cover checker), netlists vs \
+                the FSM tables (SAT).")
   in
   let redundant =
     Arg.(value & flag

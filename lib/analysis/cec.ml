@@ -1,7 +1,8 @@
-(* SAT-based combinational equivalence checking.  See cec.mli for the
-   codes and the modulo-dc proof obligations. *)
+(* Combinational equivalence checking.  See cec.mli for the codes and
+   the modulo-dc proof obligations. *)
 
 module Cover = Stc_logic.Cover
+module Minimize = Stc_logic.Minimize
 module N = Stc_netlist.Netlist
 module Tables = Stc_encoding.Tables
 module Code = Stc_encoding.Code
@@ -47,34 +48,31 @@ let prove_outputs s ?(assumptions = []) ~inputs ~impl ~on_lits ~dc_lits ~bad ()
 
 (* --- blocks vs. specification ---------------------------------------- *)
 
+(* The cover checker's lowest violation of each kind per output. *)
 let check_block ~subject (b : Context.block) =
-  let s = Solver.create () in
-  let inputs = Cnf.fresh_inputs s b.Context.on.Cover.num_vars in
-  let impl = Cnf.add_cover s b.Context.minimized ~inputs in
-  let on_lits = Cnf.add_cover s b.Context.on ~inputs in
-  let dc_lits = Cnf.add_cover s b.Context.dc ~inputs in
-  let bad o ~off ~witness =
-    if off then
-      D.error ~code:"CEC001" ~subject
-        ~loc:(Printf.sprintf "output %d" o)
-        (Printf.sprintf
-           "minimized cover asserts an off-set minterm (witness inputs %s)"
-           witness)
-    else
-      D.error ~code:"CEC002" ~subject
-        ~loc:(Printf.sprintf "output %d" o)
-        (Printf.sprintf
-           "minimized cover drops a care on-set minterm (witness inputs %s)"
-           witness)
+  let outputs = b.Context.minimized.Cover.num_outputs in
+  let found = Minimize.check ~on:b.Context.on ~dc:b.Context.dc b.Context.minimized in
+  let bad o (kind, code, what) =
+    match List.filter (fun v -> v.Minimize.kind = kind && v.Minimize.output = o) found with
+    | [] -> None
+    | v :: vs ->
+      let witness = List.fold_left (fun p v -> min p v.Minimize.point) v.Minimize.point vs in
+      Some
+        (D.error ~code ~subject ~loc:(Printf.sprintf "output %d" o)
+           (Printf.sprintf "minimized cover %s (witness inputs %s)" what witness))
   in
-  match prove_outputs s ~inputs ~impl ~on_lits ~dc_lits ~bad () with
+  let kinds =
+    [ (Minimize.Off_set, "CEC001", "asserts an off-set minterm");
+      (Minimize.Uncovered, "CEC002", "drops a care on-set minterm") ]
+  in
+  match List.concat_map (fun o -> List.filter_map (bad o) kinds) (List.init outputs Fun.id) with
   | [] ->
     [
       D.info ~code:"CEC003" ~subject ~loc:"cover"
         (Printf.sprintf
            "implementation proven equivalent to the on/dc specification \
             on all %d outputs"
-           (Array.length impl));
+           outputs);
     ]
   | errs -> errs
 
@@ -242,8 +240,9 @@ let pass =
   {
     Pass.name = "cec";
     doc =
-      "SAT equivalence proofs: minimized blocks vs. on/dc specification, \
-       architecture netlists vs. FSM tables (CEC001-CEC005)";
+      "equivalence proofs: minimized blocks vs. on/dc specification on \
+       the cover checker, architecture netlists vs. FSM tables by SAT \
+       (CEC001-CEC005)";
     run =
       (fun ctx ->
         List.concat_map

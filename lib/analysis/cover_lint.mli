@@ -1,6 +1,9 @@
 (** Cover lint: correctness and redundancy checks on two-level covers,
     in particular on {!Stc_logic.Minimize} output against its on/dc
-    specification.
+    specification: COV001/COV002 are views of
+    {!Stc_logic.Minimize.check}, COV003 of
+    {!Stc_logic.Minimize.redundant}; COV004/COV005 scan the cubes COV003
+    flags (a cube equal to or inside another is covered by the rest).
 
     Diagnostic codes (stable):
     - [COV001] error: a cube asserts an output on a minterm of the
@@ -11,16 +14,10 @@
     - [COV003] warning: redundant cube (the rest of the cover plus the
       don't-care set already covers it);
     - [COV004] warning: cube contained in another single cube;
-    - [COV005] warning: duplicate cube;
-    - [COV006] note: the redundancy analysis (COV003-COV005, quadratic
-      in cubes) was truncated to the first {!redundancy_limit} cubes;
-      the note names the number of cubes left unanalyzed, and the
-      COV001/COV002 correctness checks still cover the whole block. *)
+    - [COV005] warning: duplicate cube.
 
-(** Cube-count budget past which the pass truncates the quadratic
-    redundancy analysis (with a COV006 note naming the skipped cube
-    count). *)
-val redundancy_limit : int
+    COV006 (redundancy analysis truncated past a cube budget) is
+    retired and not reused. *)
 
 (** The context pass: checks every synthesized block
     ({!Context.t.blocks}) against its on/dc specification. *)
@@ -35,9 +32,8 @@ val check_block :
   Stc_logic.Cover.t ->
   Diagnostic.t list
 
-(** [check_redundancy ~subject ?dc ?limit cover] reports
-    COV003/COV004/COV005 on a standalone cover; with [limit] only the
-    first [limit] cubes participate (the truncated budget mode). *)
+(** [check_redundancy ~subject ?dc cover] reports COV003/COV004/COV005
+    on a standalone cover. *)
 val check_redundancy :
-  subject:string -> ?dc:Stc_logic.Cover.t -> ?limit:int ->
-  Stc_logic.Cover.t -> Diagnostic.t list
+  subject:string -> ?dc:Stc_logic.Cover.t -> Stc_logic.Cover.t ->
+  Diagnostic.t list

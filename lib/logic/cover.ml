@@ -385,9 +385,9 @@ let covers_cube ?(keep = keep_all) c cube =
 let tautology c =
   covers_cube c (Cube.full ~num_vars:c.num_vars ~num_outputs:c.num_outputs)
 
-let covers a b = Array.for_all (fun cube -> covers_cube a cube) b.cubes
-
-let equivalent a b = covers a b && covers b a
+let equivalent a b =
+  let covers a b = Array.for_all (covers_cube a) b.cubes in
+  covers a b && covers b a
 
 let complement ?(jobs = 1) c =
   let per_output =

@@ -7,10 +7,9 @@
     When the cube leaves at most 10 input variables free, the query is
     decided on a truth table over those variables (a {!Chunk} table): at
     most 1 024 points, one span per meeting cube
-    ([minimize.dense_queries] in {!Stc_obs.Metrics}).  The minimizer asks
-    them only on passes too small, or covers too wide, for its
-    point-count tables (see {!Minimize}); {!covers} and the cover lint
-    ask them always.  Wider cubes
+    ([minimize.dense_queries] in {!Stc_obs.Metrics}).  The minimizer and
+    its cover checker ask them only on passes too small, or covers too
+    wide, for their point-count tables (see {!Minimize}).  Wider cubes
     ([minimize.wide_queries]), {!sharp_cube} and {!complement} run the
     recursion on packed row arrays, sorted and deduplicated at every
     cofactor, without memo tables ([minimize.tautology_calls] counts its
@@ -65,9 +64,6 @@ val tautology : t -> bool
     restricts [c] to the cubes whose index it accepts, so "the rest of
     the cover" needs no new cover per query. *)
 val covers_cube : ?keep:(int -> bool) -> t -> Cube.t -> bool
-
-(** [covers a b]: [a] covers every cube of [b]. *)
-val covers : t -> t -> bool
 
 (** [equivalent a b] is semantic equality (mutual cover containment). *)
 val equivalent : t -> t -> bool

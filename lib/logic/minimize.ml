@@ -440,7 +440,8 @@ let others ~n alive i j = j >= n || (j <> i && alive.(j))
 let m_count = Stc_obs.Metrics.counter "minimize.count_queries"
 
 (* 16-bit counts, output [o]'s point [p] at [2 * ((o lsl nv) + p)];
-   points number the variables from bit 0. *)
+   points number the variables as {!Cover.eval} does, variable 0 in the
+   top bit. *)
 type counts = { nv : int; tbl : Bytes.t }
 
 (* The variables of input part [w] (one word: at most 21 variables)
@@ -450,7 +451,7 @@ type counts = { nv : int; tbl : Bytes.t }
 let vars_with code nv w =
   let v = ref 0 in
   for k = 0 to nv - 1 do
-    if (w lsr (2 * k)) land 3 = code then v := !v lor (1 lsl k)
+    if (w lsr (2 * k)) land 3 = code then v := !v lor (1 lsl (nv - 1 - k))
   done;
   !v
 
@@ -495,30 +496,28 @@ let count_cube t delta cube =
     end
   done
 
+(* The lowest point of [cube] whose count on output [o] is below [k]:
+   the free variables' subsets are walked in ascending order. *)
+let lowest_below t k cube o =
+  let w = (R.input_words cube).(0) in
+  let v = vars_with 2 t.nv w and m = vars_with 3 t.nv w in
+  let base = o lsl t.nv in
+  let rec go f =
+    if Bytes.get_uint16_ne t.tbl (2 * (base + (v lor f))) < k then Some (v lor f)
+    else if f = m then None
+    else go ((f - m) land m)
+  in
+  go 0
+
 (* Is every point of [cube], on each of its outputs, covered by another
    counted cube? *)
 let covered_twice t cube =
   Stc_obs.Metrics.incr m_count;
-  let w = (R.input_words cube).(0) in
-  let v = vars_with 2 t.nv w and m = vars_with 3 t.nv w in
-  let no = Cube.num_outputs cube in
-  let ok = ref true and o = ref 0 in
-  while !ok && !o < no do
-    if Cube.output_bit cube !o then begin
-      let base = !o lsl t.nv in
-      let f = ref 0 and more = ref true in
-      while !more do
-        if Bytes.get_uint16_ne t.tbl (2 * (base + (v lor !f))) < 2 then begin
-          ok := false;
-          more := false
-        end
-        else if !f = m then more := false
-        else f := (!f - m) land m
-      done
-    end;
-    incr o
-  done;
-  !ok
+  let rec go o =
+    o >= Cube.num_outputs cube
+    || ((not (Cube.output_bit cube o)) || lowest_below t 2 cube o = None) && go (o + 1)
+  in
+  go 0
 
 (* REDUCE's query on the table: the supercube of the points of [cube]
    counted once (covered by no other cube), per output of [cube], or
@@ -550,8 +549,9 @@ let counted_once_supercube t cube =
   if Array.for_all (fun x -> x = 0) outw then None
   else begin
     for k = 0 to nv - 1 do
-      if m land (1 lsl k) <> 0 then begin
-        let zero = !all land (1 lsl k) = 0 and one = !any land (1 lsl k) <> 0 in
+      let b = 1 lsl (nv - 1 - k) in
+      if m land b <> 0 then begin
+        let zero = !all land b = 0 and one = !any land b <> 0 in
         let code = Bool.to_int zero lor (Bool.to_int one lsl 1) in
         inw.(0) <- inw.(0) land lnot (3 lsl (2 * k)) lor (code lsl (2 * k))
       end
@@ -559,46 +559,58 @@ let counted_once_supercube t cube =
     Some (R.make_packed ~num_vars:nv ~num_outputs:no inw outw)
   end
 
-(* The table of [cubes], if one pays for a pass over its first [n], in
-   [scratch]'s bytes when they are large enough. *)
+(* The table of [cubes], in [scratch]'s bytes when they are large
+   enough. *)
+let table_of scratch ~num_vars ~num_outputs cubes =
+  let len = 2 * (num_outputs lsl num_vars) in
+  if Bytes.length !scratch < len then scratch := Bytes.create len;
+  Bytes.fill !scratch 0 len '\000';
+  let t = { nv = num_vars; tbl = !scratch } in
+  Array.iter (count_cube t 1) cubes;
+  t
+
+(* The table of [cubes], if one pays for a pass over its first [n]. *)
 let table_for scratch ~num_vars ~num_outputs ~n cubes =
-  if not (counts_pay ~num_vars ~num_outputs ~n cubes) then None
-  else begin
-    let len = 2 * (num_outputs lsl num_vars) in
-    if Bytes.length !scratch < len then scratch := Bytes.create len;
-    Bytes.fill !scratch 0 len '\000';
-    let t = { nv = num_vars; tbl = !scratch } in
-    Array.iter (count_cube t 1) cubes;
-    Some t
-  end
+  if counts_pay ~num_vars ~num_outputs ~n cubes then
+    Some (table_of scratch ~num_vars ~num_outputs cubes)
+  else None
+
+(* IRREDUNDANT's classification: one (parallelizable) covered-by-all-
+   others test per cube, on a point-count table when one pays (shared
+   read-only by the domains), else one per-query scan of [cover + dc].
+   Also returns the test, for the greedy drop, and its table. *)
+let classify scratch ~jobs ?dc cover =
+  let cubes = cover.Cover.cubes in
+  let n = Array.length cubes in
+  let context = with_dc ?dc cover in
+  let table =
+    table_for scratch ~num_vars:cover.Cover.num_vars
+      ~num_outputs:cover.Cover.num_outputs ~n context.Cover.cubes
+  in
+  let covered_by_others alive i =
+    match table with
+    | Some t -> covered_twice t cubes.(i)
+    | None -> Cover.covers_cube ~keep:(others ~n alive i) context cubes.(i)
+  in
+  let all = Array.make n true in
+  (Stc_util.Parallel.map_range ~jobs n (covered_by_others all) ~init:false,
+   covered_by_others, table)
+
+let redundant ?(jobs = 1) ?dc cover =
+  let covered, _, _ = classify (ref Bytes.empty) ~jobs ?dc cover in
+  covered
 
 (* IRREDUNDANT via the relatively-essential / partially-redundant split:
-   one (parallelizable) covered-by-all-others test per cube classifies it
-   as relatively essential (kept unconditionally) or partially redundant;
-   only the partially-redundant cubes then go through the sequential
-   greedy drop, most-specific first.  The tests read a point-count table
-   when one pays, shared read-only by the classifying domains; otherwise
-   each is one per-query scan of [cover + dc]. *)
+   the classification keeps the relatively essential cubes
+   unconditionally; only the partially-redundant cubes then go through
+   the sequential greedy drop, most-specific first. *)
 let irredundant_in scratch ~jobs ?dc cover =
   Stc_obs.Trace.span ~cat:"logic" "irredundant" @@ fun () ->
   let cubes = cover.Cover.cubes in
   let n = Array.length cubes in
   if n = 0 || (n = 1 && Option.is_none dc) then cover
   else begin
-    let num_vars = cover.Cover.num_vars
-    and num_outputs = cover.Cover.num_outputs in
-    let context = with_dc ?dc cover in
-    let table = table_for scratch ~num_vars ~num_outputs ~n context.Cover.cubes in
-    let covered_by_others alive i =
-      match table with
-      | Some t -> covered_twice t cubes.(i)
-      | None -> Cover.covers_cube ~keep:(others ~n alive i) context cubes.(i)
-    in
-    let covered =
-      Stc_util.Parallel.map_range ~jobs n
-        (covered_by_others (Array.make n true))
-        ~init:false
-    in
+    let covered, covered_by_others, table = classify scratch ~jobs ?dc cover in
     let partially_redundant = ref [] in
     for i = n - 1 downto 0 do
       if covered.(i) then partially_redundant := i :: !partially_redundant
@@ -623,7 +635,8 @@ let irredundant_in scratch ~jobs ?dc cover =
     for i = n - 1 downto 0 do
       if alive.(i) then kept := cubes.(i) :: !kept
     done;
-    Cover.make ~num_vars ~num_outputs !kept
+    Cover.make ~num_vars:cover.Cover.num_vars
+      ~num_outputs:cover.Cover.num_outputs !kept
   end
 
 let irredundant ?(jobs = 1) ?dc cover =
@@ -673,21 +686,55 @@ let reduce_in scratch ?dc cover =
 
 let reduce ?dc cover = fst (reduce_in (ref Bytes.empty) ?dc cover)
 
-let verify ~on ?dc result =
-  let care_on =
-    match dc with
-    | None -> on
-    | Some d ->
-      (* on \ dc: don't-cares take precedence where the sets overlap. *)
-      Cover.of_array ~num_vars:on.Cover.num_vars
-        ~num_outputs:on.Cover.num_outputs
-        (Array.concat
-           (Array.to_list
-              (Array.map
-                 (fun cube -> (Cover.sharp_cube cube d).Cover.cubes)
-                 on.Cover.cubes)))
+(* The cover checker: every result cube must lie in [on + dc], every
+   on-cube in [result + dc].  Each containment reads a table of its
+   right-hand side (every count at least 1) when {!counts_pay} takes
+   one, else asks {!Cover.covers_cube} per cube and output. *)
+
+type kind = Off_set | Uncovered
+
+type violation = { kind : kind; cube : int; output : int; point : string }
+
+(* For each cube of [queries] and each output it asserts, the lowest
+   point of the cube that [within] leaves uncovered on that output. *)
+let uncovered scratch kind ~within queries =
+  let nv = within.Cover.num_vars and no = within.Cover.num_outputs in
+  let cubes = queries.Cover.cubes in
+  let point bit = String.init nv (fun k -> if bit k then '1' else '0') in
+  let lowest =
+    if counts_pay ~num_vars:nv ~num_outputs:no ~n:(Array.length cubes)
+         (Array.append cubes within.Cover.cubes)
+    then begin
+      let t = table_of scratch ~num_vars:nv ~num_outputs:no within.Cover.cubes in
+      fun cube o ->
+        Stc_obs.Metrics.incr m_count;
+        Option.map (fun p -> point (fun k -> (p lsr (nv - 1 - k)) land 1 = 1))
+          (lowest_below t 1 cube o)
+    end
+    else fun cube o ->
+      let c = Cube.make ~input:(Cube.input cube) ~output:(Array.init no (( = ) o)) in
+      if Cover.covers_cube within c then None
+      else
+        let lows = (Cover.sharp_cube c within).Cover.cubes in
+        let lows = Array.map (fun r -> point (fun k -> Cube.get r k = Cube.One)) lows in
+        Some (Array.fold_left min lows.(0) lows)
   in
-  Cover.covers result care_on && Cover.covers (with_dc ?dc on) result
+  List.concat
+    (List.mapi
+       (fun i cube ->
+         List.filter_map
+           (fun o ->
+             if not (Cube.output_bit cube o) then None
+             else Option.map (fun point -> { kind; cube = i; output = o; point }) (lowest cube o))
+           (List.init no Fun.id))
+       (Array.to_list cubes))
+
+let check ~on ?dc result =
+  let scratch = ref Bytes.empty in
+  uncovered scratch Off_set ~within:(with_dc ?dc on) result
+  @ uncovered scratch Uncovered ~within:(with_dc ?dc result) on
+
+let verify ~on ?dc result = check ~on ?dc result = []
 
 let minimize ?(jobs = 1) ?dc on =
   Stc_obs.Trace.span ~cat:"logic" "minimize" @@ fun () ->

@@ -45,7 +45,8 @@
     [minimize] call: [minimize.expand_cube_gain],
     [minimize.reduce_literal_gain], ...) and the [logic] trace spans.
     Every counter is a pure function of the covers, so it reads the
-    same for every [jobs] value. *)
+    same for every [jobs] value.  The same tables decide {!check}, the
+    one test of whether a cover meets its on/dc spec. *)
 
 type report = {
   initial_cubes : int;
@@ -76,10 +77,14 @@ val reference : ?budget:float -> ?dc:Cover.t -> Cover.t -> Cover.t * report
     comes back unchanged, with no raise attempted. *)
 val expand : ?jobs:int -> off:Cover.t -> Cover.t -> Cover.t
 
+(** [redundant ?jobs ?dc cover] is IRREDUNDANT's classification: for
+    each cube, whether the rest of [cover] plus [dc] covers it. *)
+val redundant : ?jobs:int -> ?dc:Cover.t -> Cover.t -> bool array
+
 (** [irredundant ?jobs ?dc cover] removes cubes covered by the rest of
     the cover (plus [dc]): relatively essential cubes are kept, the
-    partially redundant rest is dropped greedily, most specific
-    first. *)
+    partially redundant rest ({!redundant}) is dropped greedily, most
+    specific first. *)
 val irredundant : ?jobs:int -> ?dc:Cover.t -> Cover.t -> Cover.t
 
 (** [reduce ?dc cover] shrinks each cube to the supercube of the parts only
@@ -90,6 +95,21 @@ val reduce : ?dc:Cover.t -> Cover.t -> Cover.t
 (** [off_set ?jobs ?dc on] is the complement of [on + dc]. *)
 val off_set : ?jobs:int -> ?dc:Cover.t -> Cover.t -> Cover.t
 
-(** [verify ~on ?dc result] checks the minimization contract:
-    [(on \ dc) <= result <= on + dc]. *)
+(** A failing pair of {!check}: result cube [cube] asserts [output]
+    outside [on + dc] ([Off_set]), or on-cube [cube] has a point of
+    [output] outside [result + dc] ([Uncovered]).  [point] is the cube's
+    lowest failing input point as a 0/1 string, variable 0 first. *)
+type kind = Off_set | Uncovered
+
+type violation = { kind : kind; cube : int; output : int; point : string }
+
+(** [check ~on ?dc result] is the cover checker: every violation of
+    [(on \ dc) <= result <= on + dc], [Off_set] first, in cube and
+    output order.  A containment reads a point-count table of its
+    right-hand side when {!irredundant}'s cost rule takes one, else
+    asks {!Cover.covers_cube} per cube and output (and
+    {!Cover.sharp_cube} for a failing one).  It complements nothing. *)
+val check : on:Cover.t -> ?dc:Cover.t -> Cover.t -> violation list
+
+(** [verify ~on ?dc result] holds when {!check} finds nothing. *)
 val verify : on:Cover.t -> ?dc:Cover.t -> Cover.t -> bool

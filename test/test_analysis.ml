@@ -120,21 +120,18 @@ let test_cover_duplicate_and_contained () =
   check_bool "COV005 duplicate" true (has_code "COV005" diags);
   check_bool "COV004 contained" true (has_code "COV004" diags)
 
-(* COV003 sees the rest of the cover plus dc, never the cube itself and
-   never cubes past the budget. *)
+(* COV003 sees the rest of the cover plus dc, never the cube itself. *)
 let test_cover_redundant_cube () =
   let mk rows = Cover.make ~num_vars:3 ~num_outputs:1 rows in
-  let cov003 ?dc ?limit c =
+  let cov003 ?dc c =
     List.filter_map
       (fun d -> if d.D.code = "COV003" then Some d.D.loc else None)
-      (Cover_lint.check_redundancy ~subject:"blk" ?dc ?limit c)
+      (Cover_lint.check_redundancy ~subject:"blk" ?dc c)
   in
   let consensus = mk [ cube "10-" "1"; cube "-11" "1"; cube "1-1" "1" ] in
   check_bool "consensus cube redundant" true (cov003 consensus = [ "cube 2" ]);
   check_bool "irredundant cover clean" true
     (cov003 (mk [ cube "10-" "1"; cube "-11" "1" ]) = []);
-  check_bool "beyond the budget not in the rest" true
-    (cov003 ~limit:2 (mk [ cube "1-1" "1"; cube "10-" "1"; cube "-11" "1" ]) = []);
   check_bool "dc alone covers" true
     (cov003 ~dc:(mk [ cube "1--" "1" ]) (mk [ cube "11-" "1" ]) = [ "cube 0" ]);
   check_bool "a lone cube is not redundant" true (cov003 (mk [ cube "11-" "1" ]) = [])
@@ -482,6 +479,54 @@ let test_fig4_pinned () =
       ("dk512", "c9ed541182672b18d5a2f4bf70873601", "c08dd1a8a1e2ebcb988dde45397b2418");
     ]
 
+(* A wrong C1 cover (one cube dropped: IRREDUNDANT kept each cube for a
+   care point only it covers) built into fig. 4: the cover checker
+   refutes the block and the SAT proof refutes the netlist. *)
+let test_verify_catches_bad_fig4 () =
+  let ctx = Context.of_machine (benchmark "dk27") in
+  let block label =
+    List.find (fun b -> b.Context.block_label = label) ctx.Context.blocks
+  in
+  let c1 = block "c1" and c2 = block "c2" and lambda = block "lambda" in
+  let m = c1.Context.minimized in
+  let wrong =
+    Cover.make ~num_vars:m.Cover.num_vars ~num_outputs:m.Cover.num_outputs
+      (List.tl (Array.to_list m.Cover.cubes))
+  in
+  let fig4 =
+    Stc_faultsim.Arch.pipeline
+      ~covers:(wrong, c2.Context.minimized, lambda.Context.minimized)
+      ctx.Context.tables
+  in
+  let seeded =
+    {
+      ctx with
+      Context.blocks = [ { c1 with Context.minimized = wrong }; c2; lambda ];
+      fig4;
+      netlists =
+        [
+          {
+            Context.net_label = "fig4";
+            netlist = fig4.Stc_faultsim.Arch.netlist;
+            built = fig4;
+            feedback_free = true;
+          };
+        ];
+    }
+  in
+  let diags = Stc_analysis.Verify.run ~select:[ "cec" ] seeded in
+  let on subject code =
+    List.exists
+      (fun d -> d.D.code = code && d.D.subject = Context.subject ctx subject)
+      diags
+  in
+  check_bool "c1 refuted by the checker" true (on "c1" "CEC001" || on "c1" "CEC002");
+  check_bool "c1 not certified" false (on "c1" "CEC003");
+  check_bool "c2 certified" true (on "c2" "CEC003");
+  check_bool "fig4 refuted by SAT" true (on "fig4" "CEC004");
+  check_bool "fig4's c1 group not certified" false
+    (List.exists (fun d -> d.D.code = "CEC005" && d.D.loc = "c1") diags)
+
 let () =
   ignore codes;
   Alcotest.run "stc_analysis"
@@ -554,5 +599,7 @@ let () =
             test_verify_family;
           Alcotest.test_case "cec refutes a wrong cover" `Quick
             test_verify_catches_bad_cover;
+          Alcotest.test_case "cec refutes a wrong fig4 c1" `Quick
+            test_verify_catches_bad_fig4;
         ] );
     ]

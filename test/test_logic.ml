@@ -903,6 +903,117 @@ let test_pass_edges () =
   in
   check_pass_edge "64 variables" ~table:false wide
 
+(* The cover checker from truth tables: for each result cube and output
+   it asserts, the lowest point of the cube outside [on + dc]; for each
+   on-cube and output, the lowest point outside [result + dc].  Points
+   ascend as {!Cover.eval} numbers them, variable 0 in the top bit. *)
+let reference_check ~on ?dc result =
+  let nv = on.Cover.num_vars and no = on.Cover.num_outputs in
+  let dc = Option.value dc ~default:(Cover.empty ~num_vars:nv ~num_outputs:no) in
+  let t_on = Truth.table on and t_dc = Truth.table dc and t_res = Truth.table result in
+  let side kind queries inside =
+    List.concat
+      (List.mapi
+         (fun i cube ->
+           List.filter_map
+             (fun o ->
+               let rec first v =
+                 if v = 1 lsl nv then None
+                 else if Cube.matches cube v && not (inside v o) then
+                   Some
+                     { Minimize.kind; cube = i; output = o;
+                       point =
+                         String.init nv (fun k ->
+                             if (v lsr (nv - 1 - k)) land 1 = 1 then '1' else '0') }
+                 else first (v + 1)
+               in
+               if Cube.output_bit cube o then first 0 else None)
+             (List.init no Fun.id))
+         (Array.to_list queries.Cover.cubes))
+  in
+  side Minimize.Off_set result (fun v o -> t_on.(v).(o) || t_dc.(v).(o))
+  @ side Minimize.Uncovered on (fun v o -> t_res.(v).(o) || t_dc.(v).(o))
+
+(* A spec of 2-12 variables (11-12 in one case in four) with a
+   minimized result, wrong in about half the cases: a result cube dropped, a random cube or an output bit
+   added, or the dc-set left out of the check.  Up to 4 cubes (mostly
+   per-query checks) or up to 40 (mostly tables); the on-cubes have
+   uniformly many free variables, so queries over more than 10 free
+   ones occur. *)
+let check_case rng =
+  let num_vars = if Rng.int rng 4 = 0 then 11 + Rng.int rng 2 else 2 + Rng.int rng 11 in
+  let num_outputs = 1 + Rng.int rng 3 in
+  let max_cubes = if Rng.bool rng then 4 else 40 in
+  let on =
+    Cover.make ~num_vars ~num_outputs
+      (List.init (1 + Rng.int rng max_cubes) (fun _ ->
+           spread_cube rng ~num_vars ~num_outputs))
+  in
+  let dc =
+    if Rng.bool rng then Some (random_cover rng ~num_vars ~num_outputs ~max_cubes:6)
+    else None
+  in
+  let result = fst (Minimize.minimize ?dc on) in
+  let cubes = Array.to_list result.Cover.cubes in
+  let n = List.length cubes in
+  let remake cubes = Cover.make ~num_vars ~num_outputs cubes in
+  let k = Rng.int rng (max n 1) in
+  let unasserted =
+    if n = 0 then []
+    else
+      List.filter
+        (fun o -> not (Cube.output_bit (List.nth cubes k) o))
+        (List.init num_outputs Fun.id)
+  in
+  match if Rng.int rng 3 = 0 then 4 else Rng.int rng 4 with
+  | 0 when n > 0 -> (on, dc, remake (List.filteri (fun i _ -> i <> k) cubes))
+  | 2 when unasserted <> [] ->
+    let o = List.nth unasserted (Rng.int rng (List.length unasserted)) in
+    let widen i c =
+      if i <> k then c
+      else
+        let output = Cube.output c in
+        output.(o) <- true;
+        Cube.make ~input:(Cube.input c) ~output
+    in
+    (on, dc, remake (List.mapi widen cubes))
+  | 3 when dc <> None -> (on, None, result)
+  | 4 -> (on, dc, result)
+  | _ -> (on, dc, remake (random_cube rng ~num_vars ~num_outputs :: cubes))
+
+let test_check_vs_truth_tables =
+  QCheck.Test.make ~count:400 ~name:"check = truth-table reference"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let on, dc, result = check_case (Rng.create seed) in
+      Minimize.check ~on ?dc result = reference_check ~on ?dc result)
+
+(* The cases above are wrong about half the time, and the checker
+   answers them on both forms: the table and the per-query scan (also
+   over 10 or more variables). *)
+let test_check_cases_take_both_forms () =
+  let wrong = ref 0 and counted = ref 0 and scanned = ref 0 and over_ten = ref 0 in
+  for seed = 1 to 200 do
+    let on, dc, result = check_case (Rng.create seed) in
+    let violations, counts =
+      with_counters
+        [ "minimize.count_queries"; "minimize.dense_queries"; "minimize.wide_queries" ]
+        (fun () -> Minimize.check ~on ?dc result)
+    in
+    let counters = Array.of_list counts in
+    check_bool (Printf.sprintf "seed %d agrees" seed) true
+      (violations = reference_check ~on ?dc result);
+    if violations <> [] then incr wrong;
+    if counters.(0) > 0 then incr counted;
+    if counters.(1) + counters.(2) > 0 then incr scanned;
+    if counters.(1) + counters.(2) > 0 && on.Cover.num_vars >= 10 then incr over_ten
+  done;
+  check_bool "some wrong" true (!wrong >= 60);
+  check_bool "some right" true (!wrong <= 140);
+  check_bool "some checks on the table" true (!counted >= 40);
+  check_bool "some checks per query" true (!scanned >= 40);
+  check_bool "some per-query checks over 10+ variables" true (!over_ten >= 10)
+
 (* [rows] with [pad] don't-care columns appended to each input part. *)
 let widen pad rows =
   List.map
@@ -1148,6 +1259,9 @@ let () =
             test_pass_cases_take_both_forms;
           Alcotest.test_case "irredundant/reduce edge cases" `Quick
             test_pass_edges;
+          qcheck test_check_vs_truth_tables;
+          Alcotest.test_case "check cases take both forms" `Quick
+            test_check_cases_take_both_forms;
           Alcotest.test_case "tbk lambda queries on counts" `Quick
             test_lambda_queries_counted;
           Alcotest.test_case "dk16 blocks query on counts" `Quick

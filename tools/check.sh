@@ -110,11 +110,9 @@ echo "== static lint gate (benchmark suite, --werror) =="
 # Expected-clean set: each of these machines must lint with zero errors AND
 # zero warnings; --werror turns any regression into a nonzero exit.  Keep
 # the list explicit so a regression shows up as a diff of this file, not as
-# a silent skip.  s1 is excluded from the per-commit gate only because
-# the cover-lint minterm-enumeration checks on its 5000-cube blocks exceed
-# the CI time budget (minimization itself is fast with the packed engine);
-# it is linted offline (see EXPERIMENTS.md "Static analysis").
-LINT_WERROR_CLEAN="bbara bbtas dk14 dk15 dk16 dk17 dk27 dk512 mc shiftreg tav tbk"
+# a silent skip.  s1 is in the set: its cover lint reads the minimizer's
+# point-count tables, so its blocks lint in well under a second.
+LINT_WERROR_CLEAN="bbara bbtas dk14 dk15 dk16 dk17 dk27 dk512 mc shiftreg tav tbk s1"
 for m in $LINT_WERROR_CLEAN; do
   echo "   lint --werror $m"
   dune exec bin/ostr.exe -- lint "$m" --werror > /dev/null
