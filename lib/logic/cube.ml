@@ -182,14 +182,6 @@ let output_contains a b =
 let contains a b =
   a.nv = b.nv && a.no = b.no && input_contains a b && output_contains a b
 
-let disjoint a b =
-  let conflict = ref false in
-  for i = 0 to Array.length a.inw - 1 do
-    if words_conflict (Array.unsafe_get a.inw i land Array.unsafe_get b.inw i)
-    then conflict := true
-  done;
-  !conflict
-
 let output_overlap a b =
   let overlap = ref false in
   for i = 0 to Array.length a.outw - 1 do

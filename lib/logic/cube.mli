@@ -73,11 +73,6 @@ val input_size : t -> float
     output part is a superset).  Allocation-free. *)
 val contains : t -> t -> bool
 
-(** [disjoint a b] tests whether the input parts do not intersect (some
-    variable is fixed to opposite values), i.e. [distance a b > 0].
-    Allocation-free. *)
-val disjoint : t -> t -> bool
-
 (** [output_overlap a b] tests whether the output parts share an asserted
     bit.  Allocation-free. *)
 val output_overlap : t -> t -> bool

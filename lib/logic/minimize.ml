@@ -496,15 +496,15 @@ let count_cube t delta cube =
     end
   done
 
-(* The lowest point of [cube] whose count on output [o] is below [k]:
-   the free variables' subsets are walked in ascending order. *)
+(* The lowest point of [cube] whose count on output [o] is below [k],
+   or -1: the free variables' subsets are walked in ascending order. *)
 let lowest_below t k cube o =
   let w = (R.input_words cube).(0) in
   let v = vars_with 2 t.nv w and m = vars_with 3 t.nv w in
   let base = o lsl t.nv in
   let rec go f =
-    if Bytes.get_uint16_ne t.tbl (2 * (base + (v lor f))) < k then Some (v lor f)
-    else if f = m then None
+    if Bytes.get_uint16_ne t.tbl (2 * (base + (v lor f))) < k then v lor f
+    else if f = m then -1
     else go ((f - m) land m)
   in
   go 0
@@ -515,7 +515,7 @@ let covered_twice t cube =
   Stc_obs.Metrics.incr m_count;
   let rec go o =
     o >= Cube.num_outputs cube
-    || ((not (Cube.output_bit cube o)) || lowest_below t 2 cube o = None) && go (o + 1)
+    || ((not (Cube.output_bit cube o)) || lowest_below t 2 cube o < 0) && go (o + 1)
   in
   go 0
 
@@ -596,8 +596,8 @@ let classify scratch ~jobs ?dc cover =
   (Stc_util.Parallel.map_range ~jobs n (covered_by_others all) ~init:false,
    covered_by_others, table)
 
-let redundant ?(jobs = 1) ?dc cover =
-  let covered, _, _ = classify (ref Bytes.empty) ~jobs ?dc cover in
+let redundant ?dc cover =
+  let covered, _, _ = classify (ref Bytes.empty) ~jobs:1 ?dc cover in
   covered
 
 (* IRREDUNDANT via the relatively-essential / partially-redundant split:
@@ -708,8 +708,8 @@ let uncovered scratch kind ~within queries =
       let t = table_of scratch ~num_vars:nv ~num_outputs:no within.Cover.cubes in
       fun cube o ->
         Stc_obs.Metrics.incr m_count;
-        Option.map (fun p -> point (fun k -> (p lsr (nv - 1 - k)) land 1 = 1))
-          (lowest_below t 1 cube o)
+        let p = lowest_below t 1 cube o in
+        if p < 0 then None else Some (point (fun k -> (p lsr (nv - 1 - k)) land 1 = 1))
     end
     else fun cube o ->
       let c = Cube.make ~input:(Cube.input cube) ~output:(Array.init no (( = ) o)) in

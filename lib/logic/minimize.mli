@@ -77,9 +77,9 @@ val reference : ?budget:float -> ?dc:Cover.t -> Cover.t -> Cover.t * report
     comes back unchanged, with no raise attempted. *)
 val expand : ?jobs:int -> off:Cover.t -> Cover.t -> Cover.t
 
-(** [redundant ?jobs ?dc cover] is IRREDUNDANT's classification: for
-    each cube, whether the rest of [cover] plus [dc] covers it. *)
-val redundant : ?jobs:int -> ?dc:Cover.t -> Cover.t -> bool array
+(** [redundant ?dc cover] is IRREDUNDANT's classification: for each
+    cube, whether the rest of [cover] plus [dc] covers it. *)
+val redundant : ?dc:Cover.t -> Cover.t -> bool array
 
 (** [irredundant ?jobs ?dc cover] removes cubes covered by the rest of
     the cover (plus [dc]): relatively essential cubes are kept, the

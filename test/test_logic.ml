@@ -935,11 +935,11 @@ let reference_check ~on ?dc result =
   @ side Minimize.Uncovered on (fun v o -> t_res.(v).(o) || t_dc.(v).(o))
 
 (* A spec of 2-12 variables (11-12 in one case in four) with a
-   minimized result, wrong in about half the cases: a result cube dropped, a random cube or an output bit
-   added, or the dc-set left out of the check.  Up to 4 cubes (mostly
-   per-query checks) or up to 40 (mostly tables); the on-cubes have
-   uniformly many free variables, so queries over more than 10 free
-   ones occur. *)
+   minimized result, wrong in about half the cases: a result cube
+   dropped, a random cube or an output bit added, or the dc-set left out
+   of the check.  Up to 4 cubes (mostly per-query checks) or up to 40
+   (mostly tables); the on-cubes have uniformly many free variables, so
+   queries over more than 10 free ones occur. *)
 let check_case rng =
   let num_vars = if Rng.int rng 4 = 0 then 11 + Rng.int rng 2 else 2 + Rng.int rng 11 in
   let num_outputs = 1 + Rng.int rng 3 in
