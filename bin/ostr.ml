@@ -717,7 +717,7 @@ let lint_cmd =
       $ conventional $ list_passes $ obs_term)
 
 (* ------------------------------------------------------------------ *)
-(* verify: SAT-backed formal verification                              *)
+(* verify: formal verification                                          *)
 (* ------------------------------------------------------------------ *)
 
 let verify_cmd =
@@ -772,30 +772,38 @@ let verify_cmd =
              ~doc:
                "Equivalence checking only: minimized blocks vs their on/dc \
                 specification (the minimizer's cover checker), netlists vs \
-                the FSM tables (SAT).")
+                the FSM tables (every input point evaluated when a group \
+                spans at most 2^22 points, lowest failing point as the \
+                witness; SAT above that).")
   in
   let redundant =
     Arg.(value & flag
          & info [ "redundant" ]
              ~doc:
                "Untestable-fault proofs only: random-pattern simulation \
-                settles the testable classes, then one cone-sized \
-                good-vs-faulty miter per class left, UNSAT = provably \
-                redundant.")
+                settles most testable classes, then every class left is \
+                graded on all input points (netlists of at most 2^22 \
+                points: undetected = provably redundant) or gets one \
+                cone-sized good-vs-faulty SAT miter (UNSAT = provably \
+                redundant).")
   in
   let prove =
     Arg.(value & flag
          & info [ "prove" ]
              ~doc:
-               "Pipeline-property proofs only: SAT-backed register-feedback \
-                certificates (upgrades the structural NET010/NET011).")
+               "Pipeline-property proofs only: register-feedback \
+                certificates (upgrades the structural NET010/NET011), \
+                decided by flipping each register bit on every input point \
+                (at most 2^22 points, lowest witness) or by a SAT miter.")
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "SAT-backed formal verification: equivalence proofs (--cec), \
+         "Formal verification: equivalence proofs (--cec), \
           untestable-fault proofs (--redundant) and pipeline-property \
-          proofs (--prove); all three by default.")
+          proofs (--prove); all three by default.  Netlist obligations \
+          over at most 2^22 input points are decided by evaluating every \
+          point, wider ones by SAT.")
     Term.(
       const run $ machine_arg $ timeout_arg $ jobs_arg $ werror $ json_out
       $ all_archs $ cec $ redundant $ prove $ obs_term)

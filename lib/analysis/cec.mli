@@ -8,12 +8,19 @@
       that the shipped cover is correct, whichever engine produced it -
       decided by the cover checker {!Stc_logic.Minimize.check} on the
       minimizer's point-count tables;
-    - every architecture netlist against the FSM truth tables, by
-      {!Stc_sat.Solver} miters (so every fig. 4 block is also proved by
-      SAT, as part of its netlist): fig. 4's
-      C1/C2/Lambda cones, fig. 1's monolithic block, fig. 2 in both
-      functional ([test_mode = 0], state from R) and test
+    - every architecture netlist against the FSM truth tables (so every
+      fig. 4 block is also proved a second time, as part of its
+      netlist): fig. 4's C1/C2/Lambda cones, fig. 1's monolithic block,
+      fig. 2 in both functional ([test_mode = 0], state from R) and test
       ([test_mode = 1], state from T) modes, and fig. 3's two copies.
+      A group whose netlist has at most
+      {!Stc_faultsim.Exhaustive.max_points} points over its inputs not
+      pinned by the mode is decided by the dense engine: the fanin cone
+      of the group's outputs is evaluated on every point of the group's
+      variables and the other inputs that cone reads, and compared with
+      the tables word by word ("asserts" is impl and not on and not dc,
+      "drops" is not impl and on).  Wider groups go to
+      {!Stc_sat.Solver} miters with the same two questions.
 
     Diagnostic codes (stable):
     - [CEC001] error: a block cover asserts an output on an off-set
@@ -23,7 +30,8 @@
       witness);
     - [CEC003] note: block proven equivalent to its specification;
     - [CEC004] error: a netlist output disagrees with its table spec on
-      a care minterm (witness);
+      a care minterm (witness: the group's lowest failing assignment
+      when decided densely, the SAT model's otherwise);
     - [CEC005] note: netlist group proven equivalent to its tables.
 
     CEC006-CEC008 are retired and not reused. *)

@@ -37,8 +37,9 @@ let pass =
   {
     Pass.name = "sat-redundant";
     doc =
-      "per-fault good-vs-faulty SAT miters: prove collapsed fault classes \
-       untestable and report the redundant-fault list (RED001-RED002)";
+      "untestable-fault proofs, every class graded on all input points up \
+       to 2^22 and by per-fault SAT miters above: the redundant-fault \
+       list (RED001-RED002)";
     run =
       (fun ctx ->
         List.concat_map

@@ -1,8 +1,12 @@
 (** Untestable-fault proofs as an analysis pass.
 
-    Wraps {!Stc_sat.Prove.redundant} over every netlist target:
+    Wraps {!Stc_sat.Prove.redundant} over every netlist target: every
+    collapsed class is graded on all input points when the netlist has
+    at most {!Stc_faultsim.Exhaustive.max_points}, else each class left
+    by random simulation gets a SAT miter.
     - [RED001] note per raw fault proven untestable (no input assignment
-      propagates it to an observed output - UNSAT miter);
+      propagates it to an observed output: no point detects it, or its
+      miter is UNSAT);
     - [RED002] note per netlist: summary counts, including how many
       classes were settled structurally (empty observed cone).
 

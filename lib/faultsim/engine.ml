@@ -111,42 +111,43 @@ type golden = {
 
 let all_ones = -1
 
-let controlling_counts (net : Netlist.t) values =
-  let n = Netlist.num_gates net in
-  let once = Array.make n 0 and twice = Array.make n 0 in
+let controlling_counts (net : Netlist.t) values ~once ~twice =
+  let gates = net.Netlist.gates in
+  for idx = 0 to Array.length gates - 1 do
+    match Array.unsafe_get gates idx with
+    | (Netlist.And xs | Netlist.Or xs) as gate ->
+      let flip = match gate with Netlist.And _ -> all_ones | _ -> 0 in
+      let o = ref 0 and t = ref 0 in
+      for k = 0 to Array.length xs - 1 do
+        let c = values.(Array.unsafe_get xs k) lxor flip in
+        t := !t lor (!o land c);
+        o := !o lor c
+      done;
+      once.(idx) <- !o;
+      twice.(idx) <- !t
+    | _ -> ()
+  done
+
+let golden_buffer t ~batches =
+  let n = Netlist.num_gates t.net in
+  let rows () = Array.init batches (fun _ -> Array.make n 0) in
+  { values = rows (); once = rows (); twice = rows () }
+
+let golden_into t (p : packed) (g : golden) =
+  if num_batches p > Array.length g.values then
+    invalid_arg "Engine.golden_into: buffer has too few batches";
+  let n = Netlist.num_gates t.net in
   Array.iteri
-    (fun idx gate ->
-      let count flip xs =
-        let o = ref 0 and t = ref 0 in
-        Array.iter
-          (fun x ->
-            let c = values.(x) lxor flip in
-            t := !t lor (!o land c);
-            o := !o lor c)
-          xs;
-        once.(idx) <- !o;
-        twice.(idx) <- !t
-      in
-      match gate with
-      | Netlist.And xs -> count all_ones xs
-      | Netlist.Or xs -> count 0 xs
-      | _ -> ())
-    net.Netlist.gates;
-  (once, twice)
+    (fun b inputs ->
+      Netlist.eval_into t.net ~values:g.values.(b) ~inputs;
+      Metrics.add m_gate_evals n;
+      controlling_counts t.net g.values.(b) ~once:g.once.(b) ~twice:g.twice.(b))
+    p.words
 
 let golden t (p : packed) : golden =
-  let n = Netlist.num_gates t.net in
-  let values =
-    Array.map
-      (fun inputs ->
-        let values = Array.make n 0 in
-        Netlist.eval_into t.net ~values ~inputs;
-        Metrics.add m_gate_evals n;
-        values)
-      p.words
-  in
-  let counts = Array.map (controlling_counts t.net) values in
-  { values; once = Array.map fst counts; twice = Array.map snd counts }
+  let g = golden_buffer t ~batches:(num_batches p) in
+  golden_into t p g;
+  g
 
 (* ------------------------------------------------------------------ *)
 (* Cone-limited incremental faulty evaluation                          *)

@@ -74,6 +74,15 @@ type golden = {
 
 val golden : t -> packed -> golden
 
+(** [golden_buffer t ~batches] is a zeroed {!golden} for up to [batches]
+    batches, to be refilled by {!golden_into}. *)
+val golden_buffer : t -> batches:int -> golden
+
+(** [golden_into t p g] is {!golden} written into [g]'s first
+    [num_batches p] batches, so a stream of slices reuses one buffer.
+    @raise Invalid_argument when [g] has fewer batches. *)
+val golden_into : t -> packed -> golden -> unit
+
 (** Per-domain workspace for incremental faulty evaluation. *)
 type scratch
 

@@ -458,22 +458,88 @@ let sharp_supercube ?(keep = keep_all) cube c =
    contains, so it sorts before them and one forward pass over the kept
    prefix suffices; equal duplicates collapse onto the first copy.  The
    result order is the sorted order - a canonical function of the cover
-   as a set, independent of the input arrangement. *)
+   as a set, independent of the input arrangement.
+
+   When the input part is one word (at most 31 variables), the kept
+   cubes are indexed by the set of variables they fix (a bitmask, one
+   bit per variable at the low bit of its pair), then by their input
+   word.  A container fixes a subset of the candidate's fixed variables,
+   to the same values, and leaves the rest don't-care, so for each such
+   subset its input word is the candidate's with every other pair raised
+   to [11]: one hash lookup.  The subsets are enumerated when there are
+   fewer of them than distinct fixed sets kept, else the kept sets are
+   scanned.  Only the cubes found are tested in full.  Wider covers scan
+   the kept list. *)
 let single_cube_containment c =
-  let order a b =
-    let la = Cube.literals a and lb = Cube.literals b in
+  Stc_obs.Trace.span ~cat:"logic" "scc" @@ fun () ->
+  let order (la, oa, a) (lb, ob, b) =
     if la <> lb then Int.compare la lb
-    else
-      let oa = Cube.output_count a and ob = Cube.output_count b in
-      if oa <> ob then Int.compare ob oa else Cube.compare a b
+    else if oa <> ob then Int.compare ob oa
+    else Cube.compare a b
   in
-  let sorted = Array.copy c.cubes in
+  let sorted =
+    Array.map (fun q -> (Cube.literals q, Cube.output_count q, q)) c.cubes
+  in
   Array.sort order sorted;
+  let sorted = Array.map (fun (_, _, q) -> q) sorted in
   let kept = ref [] in
+  let contained, index =
+    if R.in_words c.num_vars <> 1 then
+      ((fun cube -> List.exists (fun k -> Cube.contains k cube) !kept), ignore)
+    else begin
+      (* fixed set -> input word -> kept cubes *)
+      let by_fixed : (int, (int, Cube.t list) Hashtbl.t) Hashtbl.t =
+        Hashtbl.create 64
+      in
+      let sets = ref [] and nsets = ref 0 in
+      let fixed w = (w lxor (w lsr 1)) land R.mask01 in
+      let found cube w f by_word =
+        let pairs = f lor (f lsl 1) in
+        match Hashtbl.find_opt by_word ((w land pairs) lor (R.mask11 land lnot pairs)) with
+        | Some ks -> List.exists (fun k -> Cube.contains k cube) ks
+        | None -> false
+      in
+      let contained cube =
+        let w = (R.input_words cube).(0) in
+        let fc = fixed w in
+        if 1 lsl R.popcount fc <= !nsets then
+          let rec subsets f =
+            (match Hashtbl.find_opt by_fixed f with
+             | Some by_word -> found cube w f by_word
+             | None -> false)
+            || (f <> 0 && subsets ((f - 1) land fc))
+          in
+          subsets fc
+        else
+          List.exists
+            (fun (f, by_word) -> f land lnot fc = 0 && found cube w f by_word)
+            !sets
+      in
+      let index cube =
+        let w = (R.input_words cube).(0) in
+        let f = fixed w in
+        let by_word =
+          match Hashtbl.find_opt by_fixed f with
+          | Some t -> t
+          | None ->
+            let t = Hashtbl.create 8 in
+            Hashtbl.add by_fixed f t;
+            sets := (f, t) :: !sets;
+            incr nsets;
+            t
+        in
+        Hashtbl.replace by_word w
+          (cube :: Option.value (Hashtbl.find_opt by_word w) ~default:[])
+      in
+      (contained, index)
+    end
+  in
   Array.iter
     (fun cube ->
-      if not (List.exists (fun k -> Cube.contains k cube) !kept) then
-        kept := cube :: !kept)
+      if not (contained cube) then begin
+        kept := cube :: !kept;
+        index cube
+      end)
     sorted;
   { c with cubes = Array.of_list (List.rev !kept) }
 

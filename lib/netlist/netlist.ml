@@ -180,11 +180,50 @@ let stats (net : t) =
 
 let all_ones = -1
 
+(* Plain loops, no closures: this is the inner loop of every golden
+   evaluation. *)
+let eval_gate values idx gate =
+  match gate with
+  | Input _ -> Array.unsafe_get values idx
+  | Const true -> all_ones
+  | Const false -> 0
+  | Buf x -> values.(x)
+  | Not x -> lnot values.(x)
+  | And xs ->
+    let acc = ref all_ones in
+    for k = 0 to Array.length xs - 1 do
+      acc := !acc land values.(Array.unsafe_get xs k)
+    done;
+    !acc
+  | Or xs ->
+    let acc = ref 0 in
+    for k = 0 to Array.length xs - 1 do
+      acc := !acc lor values.(Array.unsafe_get xs k)
+    done;
+    !acc
+  | Xor xs ->
+    let acc = ref 0 in
+    for k = 0 to Array.length xs - 1 do
+      acc := !acc lxor values.(Array.unsafe_get xs k)
+    done;
+    !acc
+  | Mux { sel; a; b } ->
+    let s = values.(sel) in
+    (lnot s land values.(a)) lor (s land values.(b))
+
+let eval_good (net : t) ~values ~inputs =
+  Array.iteri (fun k g -> values.(g) <- inputs.(k)) net.inputs;
+  let gates = net.gates in
+  for idx = 0 to Array.length gates - 1 do
+    values.(idx) <- eval_gate values idx (Array.unsafe_get gates idx)
+  done
+
 let eval_into ?fault (net : t) ~values ~inputs =
   if Array.length inputs <> Array.length net.inputs then
     invalid_arg "Netlist.eval: input count mismatch";
   if Array.length values <> num_gates net then
     invalid_arg "Netlist.eval_into: values buffer size mismatch";
+  if fault = None then eval_good net ~values ~inputs else
   let next_input = ref 0 in
   let faulty_output, faulty_pin =
     match fault with

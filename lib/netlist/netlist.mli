@@ -109,6 +109,11 @@ val eval : ?fault:fault -> t -> inputs:int array -> int array
     @raise Invalid_argument on input or buffer length mismatch. *)
 val eval_into : ?fault:fault -> t -> values:int array -> inputs:int array -> unit
 
+(** [eval_gate values g gate] is the word of gate [g] (whose kind is
+    [gate]) read from its operands' [values]; an [Input] gate reads its
+    own slot [values.(g)]. *)
+val eval_gate : int array -> int -> gate -> int
+
 (** [eval_outputs net ?fault ~inputs] returns just the primary output
     words, in declaration order. *)
 val eval_outputs : ?fault:fault -> t -> inputs:int array -> int array

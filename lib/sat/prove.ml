@@ -2,6 +2,7 @@
 
 module N = Stc_netlist.Netlist
 module Engine = Stc_faultsim.Engine
+module Exhaustive = Stc_faultsim.Exhaustive
 module Rng = Stc_util.Rng
 module Metrics = Stc_obs.Metrics
 module Trace = Stc_obs.Trace
@@ -18,16 +19,34 @@ let m_sim_detected = Metrics.counter "sat.redundant.sim_detected"
 
 let sorted_unique a = Array.of_list (List.sort_uniq compare (Array.to_list a))
 
+(* Grade every active class against [p] and retire the detected ones: a
+   detected class has a concrete test, so it is testable.  Returns how
+   many classes [p] settled. *)
+let grade_round eng ~jobs ~observed ~active p g =
+  let verdicts =
+    Engine.grade eng ~jobs ~need_cycles:false p g ~observed ~active
+  in
+  let fresh = ref 0 in
+  Array.iteri
+    (fun c v ->
+      if active.(c) && v <> Engine.Undetected then begin
+        active.(c) <- false;
+        incr fresh
+      end)
+    verdicts;
+  Metrics.add m_sim_detected !fresh;
+  !fresh
+
 (* Stage 1.  Random patterns, [round_batches] words per input per round,
    graded against every class still undetected.  Rounds go on while they
    detect something new and the patterns drawn so far number fewer than
-   2^inputs.  A detected class has a concrete test, so it is testable. *)
+   2^inputs.  Returns the undetected classes as [true]. *)
 let round_batches = 8
 
 let seed = 0x5a7
 
-let simulate ~jobs ~observed (net : N.t) =
-  let eng = Engine.create ~protected:observed net in
+let simulate eng ~jobs ~observed =
+  let net = Engine.netlist eng in
   let nclasses = Array.length (Engine.collapsed eng).N.representatives in
   let active = Array.make nclasses true in
   let rng = Rng.create seed in
@@ -44,25 +63,40 @@ let simulate ~jobs ~observed (net : N.t) =
         masks = Array.make round_batches full;
       }
     in
-    let verdicts =
-      Engine.grade eng ~jobs ~need_cycles:false p (Engine.golden eng p)
-        ~observed ~active
-    in
-    let fresh = ref 0 in
-    Array.iteri
-      (fun c v ->
-        if active.(c) && v <> Engine.Undetected then begin
-          active.(c) <- false;
-          incr fresh
-        end)
-      verdicts;
-    Metrics.add m_sim_detected !fresh;
+    let fresh = grade_round eng ~jobs ~observed ~active p (Engine.golden eng p) in
     let drawn = drawn + p.Engine.cycles in
-    if !fresh > 0 && (ninputs >= N.word_bits || drawn < 1 lsl ninputs) then
+    if fresh > 0 && (ninputs >= N.word_bits || drawn < 1 lsl ninputs) then
       round drawn
   in
   round 0;
   active
+
+(* The dense stage, for netlists of at most [Exhaustive.max_points]
+   input points: every class the random rounds left is graded on every
+   point, one slice at a time, until none is left.  A class still
+   undetected then has no test at all: it is untestable, and
+   unobservable when its cone reaches no observed gate. *)
+let exhaustive eng ~jobs ~observed ~is_observed active =
+  let net = Engine.netlist eng in
+  let cl = Engine.collapsed eng in
+  let left = ref (Array.fold_left (fun n a -> if a then n + 1 else n) 0 active) in
+  let all = Array.init (Array.length net.N.inputs) Fun.id in
+  let g = Engine.golden_buffer eng ~batches:Exhaustive.slice_words in
+  Exhaustive.iter (Exhaustive.space net all) (fun ~first:_ p ->
+      Engine.golden_into eng p g;
+      left := !left - grade_round eng ~jobs ~observed ~active p g;
+      !left > 0);
+  let readers = N.readers net in
+  let unobservable =
+    Array.mapi
+      (fun c undetected ->
+        undetected
+        &&
+        let site = cl.N.faults.(cl.N.representatives.(c)).N.gate in
+        not (Array.exists (fun g -> is_observed.(g)) (N.cone ~readers net site)))
+      active
+  in
+  (active, unobservable)
 
 (* Stage 2.  One fresh solver per surviving class, holding the good
    circuit's fanin of the observed gates the fault can reach and the
@@ -117,6 +151,33 @@ let prove_class ~readers ~is_observed (net : N.t) (good, bad) fault =
        Solver.solve s = Solver.Unsat))
   end
 
+(* Stage 2: one SAT miter per class the random rounds left. *)
+let prove eng ~jobs ~is_observed survivors =
+  let net = Engine.netlist eng in
+  let cl = Engine.collapsed eng in
+  let nclasses = Array.length cl.N.classes in
+  let survivors =
+    List.filter (fun c -> survivors.(c)) (List.init nclasses Fun.id)
+    |> Array.of_list
+  in
+  let untestable = Array.make nclasses false in
+  let unobservable = Array.make nclasses false in
+  let readers = N.readers net in
+  let n = N.num_gates net in
+  Stc_util.Parallel.iter_range_local ~jobs
+    ~local:(fun () -> (Array.make n 0, Array.make n 0))
+    (Array.length survivors)
+    (fun scratch i ->
+      let ci = survivors.(i) in
+      let fault = cl.N.faults.(cl.N.representatives.(ci)) in
+      match prove_class ~readers ~is_observed net scratch fault with
+      | None ->
+        (* the fault cannot reach any observed net: trivially untestable *)
+        untestable.(ci) <- true;
+        unobservable.(ci) <- true
+      | Some unsat -> untestable.(ci) <- unsat);
+  (untestable, unobservable)
+
 let redundant ?(jobs = 1) ?observed (net : N.t) =
   Trace.span ~cat:"sat" "sat.redundant" @@ fun () ->
   let observed =
@@ -124,33 +185,25 @@ let redundant ?(jobs = 1) ?observed (net : N.t) =
     | Some o -> sorted_unique o
     | None -> sorted_unique (Array.map snd net.N.outputs)
   in
-  let cl = N.collapse ~protected:observed net in
-  let nclasses = Array.length cl.N.classes in
+  let is_observed = Array.make (N.num_gates net) false in
+  Array.iter (fun g -> is_observed.(g) <- true) observed;
+  let eng = Engine.create ~protected:observed net in
   let survivors =
     Trace.span ~cat:"sat" "sat.redundant.simulate" @@ fun () ->
-    let undetected = simulate ~jobs ~observed net in
-    List.filter (fun c -> undetected.(c)) (List.init nclasses Fun.id)
-    |> Array.of_list
+    simulate eng ~jobs ~observed
   in
-  let untestable = Array.make nclasses false in
-  let unobservable = Array.make nclasses false in
-  Trace.span ~cat:"sat" "sat.redundant.prove" (fun () ->
-      let readers = N.readers net in
-      let n = N.num_gates net in
-      let is_observed = Array.make n false in
-      Array.iter (fun g -> is_observed.(g) <- true) observed;
-      Stc_util.Parallel.iter_range_local ~jobs
-        ~local:(fun () -> (Array.make n 0, Array.make n 0))
-        (Array.length survivors)
-        (fun scratch i ->
-          let ci = survivors.(i) in
-          let fault = cl.N.faults.(cl.N.representatives.(ci)) in
-          match prove_class ~readers ~is_observed net scratch fault with
-          | None ->
-            (* the fault cannot reach any observed net: trivially untestable *)
-            untestable.(ci) <- true;
-            unobservable.(ci) <- true
-          | Some unsat -> untestable.(ci) <- unsat));
+  let dense = Exhaustive.fits (Array.length net.N.inputs) in
+  Exhaustive.decided ~dense;
+  let untestable, unobservable =
+    if dense then
+      Trace.span ~cat:"sat" "sat.redundant.exhaustive" @@ fun () ->
+      exhaustive eng ~jobs ~observed ~is_observed survivors
+    else
+      Trace.span ~cat:"sat" "sat.redundant.prove" @@ fun () ->
+      prove eng ~jobs ~is_observed survivors
+  in
+  let cl = Engine.collapsed eng in
+  let nclasses = Array.length cl.N.classes in
   let redundant_classes = ref 0 and unobservable_classes = ref 0 in
   let idxs = ref [] in
   for ci = nclasses - 1 downto 0 do

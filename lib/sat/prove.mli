@@ -10,18 +10,27 @@
       classes against seeded random patterns, one fixed-size round after
       another, until a round detects nothing new or the rounds have
       drawn 2{^inputs} patterns.  A detected class has a concrete test,
-      so it is testable and never reaches SAT;
-    - {b SAT}: every class left gets a fresh solver holding only the
-      good circuit's fanin of the observed gates in the fault's output
-      cone plus the faulty copy of that cone, and one clause forcing
-      some of those observed gates to differ.  UNSAT is a {e proof} that
-      no test pattern exists.  A class whose cone holds no observed gate
-      is untestable without a SAT call.
+      so it is testable;
+    - {b exhaustive}, when the netlist has at most
+      {!Stc_faultsim.Exhaustive.max_points} input points: every class
+      left is graded by the same engine on every point, streamed in
+      slices of words, until none is left.  A class no point detects
+      has no test: it is untestable, without a SAT call;
+    - {b SAT}, on wider netlists: every class left gets a fresh solver
+      holding only the good circuit's fanin of the observed gates in
+      the fault's output cone plus the faulty copy of that cone, and
+      one clause forcing some of those observed gates to differ.  UNSAT
+      is a {e proof} that no test pattern exists.
+
+    Either way a class whose cone holds no observed gate is counted
+    [unobservable].
 
     Instrumentation: counter [sat.redundant.sim_detected] (classes the
-    simulation settled) and spans [sat.redundant.simulate] /
-    [sat.redundant.prove] inside [sat.redundant]; the solves themselves
-    charge the [sat.*] solver counters. *)
+    simulation stages settled), spans [sat.redundant.simulate] and
+    [sat.redundant.exhaustive] or [sat.redundant.prove] inside
+    [sat.redundant], and one [verify.dense_obligations] or
+    [verify.sat_obligations] per call; the solves charge the [sat.*]
+    solver counters. *)
 
 type netlist := Stc_netlist.Netlist.t
 
@@ -32,8 +41,7 @@ type verdict = {
       (** untestable raw faults, in [fault_sites] order *)
   redundant_classes : int;
   unobservable_classes : int;
-      (** classes proven untestable structurally: no observed gate in
-          the fault cone (no SAT call needed) *)
+      (** untestable classes whose fault cone holds no observed gate *)
 }
 
 (** [redundant ?jobs ?observed net] proves every collapsed fault class

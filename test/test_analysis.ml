@@ -527,6 +527,151 @@ let test_verify_catches_bad_fig4 () =
   check_bool "fig4's c1 group not certified" false
     (List.exists (fun d -> d.D.code = "CEC005" && d.D.loc = "c1") diags)
 
+(* --- the dense engine against the SAT miters ------------------------------ *)
+
+module N = Stc_netlist.Netlist
+module Rng = Stc_util.Rng
+
+(* [f ()] with the obligation counters' deltas: (result, dense, sat). *)
+let obligations f =
+  let module Metrics = Stc_obs.Metrics in
+  let read c = Metrics.counter_value (Metrics.counter c) in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  let d0 = read "verify.dense_obligations"
+  and s0 = read "verify.sat_obligations" in
+  let v = f () in
+  (v, read "verify.dense_obligations" - d0, read "verify.sat_obligations" - s0)
+
+(* A diagnostic without its witness: the dense engine names the lowest
+   failing point, a SAT model any failing point. *)
+let verdict d =
+  let msg = d.D.message in
+  let cut =
+    let rec find i =
+      if i + 8 > String.length msg then String.length msg
+      else if String.sub msg i 8 = "(witness" then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  (d.D.code, D.severity_to_string d.D.severity, d.D.loc, String.sub msg 0 cut)
+
+(* A small random machine's flow, fig. 1 included: its fig. 4 and fig. 1
+   netlists have at most 12 inputs. *)
+let random_context rng =
+  let n = 3 + Rng.int rng 5 in
+  let m =
+    Stc_fsm.Generate.random ~rng ~name:"dv" ~num_states:n
+      ~num_inputs:(if Rng.bool rng then 2 else 4) ~num_outputs:(2 + Rng.int rng 2)
+      ~ensure_reduced:false ()
+  in
+  Context.of_machine ~conventional:true m
+
+(* [t]'s netlist with at most one seeded fault: none, an And turned Or
+   (or back), two output wires swapped, or (fig. 4) one cube dropped
+   from a block before the structure is built. *)
+let seeded rng (ctx : Context.t) (t : Context.netlist_target) =
+  let net = t.Context.netlist in
+  let wrong_gate () =
+    let logic =
+      List.filter
+        (fun g -> match net.N.gates.(g) with N.And _ | N.Or _ -> true | _ -> false)
+        (List.init (N.num_gates net) Fun.id)
+    in
+    if logic = [] then net
+    else
+      let victim = List.nth logic (Rng.int rng (List.length logic)) in
+      Rebuild.copy net ~gate:(fun g gate ->
+          match gate with
+          | N.And xs when g = victim -> N.Or xs
+          | N.Or xs when g = victim -> N.And xs
+          | gate -> gate)
+  in
+  match Rng.int rng 4 with
+  | 0 -> net
+  | 1 -> wrong_gate ()
+  | 2 ->
+    let outs = Array.copy net.N.outputs in
+    let n = Array.length outs in
+    if n < 2 then net
+    else begin
+      let i = Rng.int rng n in
+      let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+      let (a, ga), (b, gb) = (outs.(i), outs.(j)) in
+      outs.(i) <- (a, gb);
+      outs.(j) <- (b, ga);
+      Rebuild.copy net ~outputs:outs
+    end
+  | _ when t.Context.net_label = "fig4" ->
+    let cover label =
+      (List.find (fun b -> b.Context.block_label = label) ctx.Context.blocks)
+        .Context.minimized
+    in
+    let drop (c : Cover.t) =
+      let cubes = Array.to_list c.Cover.cubes in
+      if cubes = [] then c
+      else
+        let k = Rng.int rng (List.length cubes) in
+        Cover.make ~num_vars:c.Cover.num_vars ~num_outputs:c.Cover.num_outputs
+          (List.filteri (fun i _ -> i <> k) cubes)
+    in
+    let c1 = cover "c1" and c2 = cover "c2" and lambda = cover "lambda" in
+    let covers =
+      match Rng.int rng 3 with
+      | 0 -> (drop c1, c2, lambda)
+      | 1 -> (c1, drop c2, lambda)
+      | _ -> (c1, c2, drop lambda)
+    in
+    (Stc_faultsim.Arch.pipeline ~covers ctx.Context.tables).Stc_faultsim.Arch.netlist
+  | _ -> wrong_gate ()
+
+(* Every obligation of [net] decided twice: densely, and by SAT on a copy
+   padded past the point bound.  CEC and net-prove verdicts must agree
+   up to witnesses, and the untestable lists up to the pads' own
+   faults. *)
+let engines_agree (ctx : Context.t) (t : Context.netlist_target) net =
+  let wide = Rebuild.copy ~pads:Rebuild.past_bound net in
+  let decide net =
+    obligations (fun () ->
+        let target = { t with Context.netlist = net } in
+        ( List.map verdict (Stc_analysis.Cec.check_netlist ~subject:"s" ctx target),
+          List.map verdict
+            (Stc_analysis.Net_prove.check ~subject:"s"
+               ~required:t.Context.feedback_free net),
+          (Stc_sat.Prove.redundant net).Stc_sat.Prove.redundant ))
+  in
+  let (cec, net_prove, red), dense, sat = decide net in
+  let (cec', net_prove', red'), dense', sat' = decide wide in
+  let own = List.filter (fun f -> f.N.gate < N.num_gates net) red' in
+  sat = 0 && dense > 0 && dense' = 0 && sat' = dense && cec = cec'
+  && net_prove = net_prove' && red = own
+
+let test_dense_agrees_with_sat =
+  QCheck.Test.make ~count:40 ~name:"dense and SAT verdicts agree"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let ctx = random_context rng in
+      List.for_all
+        (fun t ->
+          engines_agree ctx t (seeded rng ctx t)
+          || QCheck.Test.fail_reportf "seed %d: %s engines disagree" seed
+               t.Context.net_label)
+        ctx.Context.netlists)
+
+(* The corpus' fig. 4 netlists never reach SAT. *)
+let test_corpus_stays_dense () =
+  List.iter
+    (fun name ->
+      let ctx = Context.of_machine (benchmark name) in
+      let diags, dense, sat = obligations (fun () -> Stc_analysis.Verify.run ctx) in
+      check_int (name ^ ": errors") 0 (D.count D.Error diags);
+      check_int (name ^ ": SAT obligations") 0 sat;
+      check_bool (name ^ ": dense obligations") true (dense > 0))
+    [ "bbara"; "dk16"; "tbk" ]
+
 let () =
   ignore codes;
   Alcotest.run "stc_analysis"
@@ -601,5 +746,8 @@ let () =
             test_verify_catches_bad_cover;
           Alcotest.test_case "cec refutes a wrong fig4 c1" `Quick
             test_verify_catches_bad_fig4;
+          Alcotest.test_case "corpus fig4 stays dense" `Quick
+            test_corpus_stays_dense;
+          QCheck_alcotest.to_alcotest test_dense_agrees_with_sat;
         ] );
     ]

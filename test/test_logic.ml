@@ -1166,6 +1166,51 @@ let test_scc_canonical_random =
         (Cover.single_cube_containment c)
         (Cover.single_cube_containment reversed))
 
+(* The plain form of single-cube containment: sort most-general-first,
+   keep a cube iff no kept cube contains it, scanning the kept list. *)
+let scc_by_scan (c : Cover.t) =
+  let key q = (Cube.literals q, - Cube.output_count q, q) in
+  let sorted =
+    List.sort
+      (fun a b ->
+        let la, oa, a = key a and lb, ob, b = key b in
+        compare (la, oa) (lb, ob) |> function 0 -> Cube.compare a b | d -> d)
+      (Array.to_list c.Cover.cubes)
+  in
+  let kept =
+    List.fold_left
+      (fun kept q -> if List.exists (fun k -> Cube.contains k q) kept then kept else q :: kept)
+      [] sorted
+  in
+  Cover.make ~num_vars:c.Cover.num_vars ~num_outputs:c.Cover.num_outputs
+    (List.rev kept)
+
+let test_scc_index_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"indexed scc keeps what the kept-list scan keeps"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let num_vars, num_outputs =
+        if Rng.bool rng then dims ~wide:true rng else (6 + Rng.int rng 26, 1 + Rng.int rng 3)
+      in
+      let base = random_cover rng ~num_vars ~num_outputs ~max_cubes:30 in
+      (* each cube next to a copy with one variable raised or fixed, so
+         that containments and duplicates abound *)
+      let variant q =
+        let input = Cube.input q in
+        let v = Rng.int rng num_vars in
+        input.(v) <-
+          (match input.(v) with
+          | Cube.Dc -> if Rng.bool rng then Cube.Zero else Cube.One
+          | _ -> Cube.Dc);
+        Cube.make ~input ~output:(Cube.output q)
+      in
+      let c =
+        Cover.make ~num_vars ~num_outputs
+          (List.concat_map (fun q -> [ q; variant q ]) (Array.to_list base.Cover.cubes))
+      in
+      same_cover (Cover.single_cube_containment c) (scc_by_scan c))
+
 (* ------------------------------------------------------------------ *)
 (* Pla                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1276,6 +1321,7 @@ let () =
           Alcotest.test_case "scc canonicality" `Quick
             test_scc_prefers_general_and_is_canonical;
           qcheck test_scc_canonical_random;
+          qcheck test_scc_index_matches_scan;
         ] );
       ( "pla",
         [

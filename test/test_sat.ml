@@ -292,11 +292,26 @@ let with_stage_counters f =
   let v = f () in
   (v, read "sat.redundant.sim_detected" - d0, read "sat.solves" - s0)
 
-(* Every redundant class of [redundant_net] survives simulation (no
+(* [redundant_net] past the dense engine's point bound: 21 more inputs
+   feed an XOR output, whose every fault any random pattern detects with
+   probability 1/2, so the untestable classes are the same. *)
+let redundant_net_wide () =
+  let b = B.create "red-wide" in
+  let a = B.input b "a" in
+  let bb = B.input b "b" in
+  let nb = B.not_ b bb in
+  let t1 = B.and_ b [ a; bb ] in
+  let t2 = B.and_ b [ a; nb ] in
+  B.output b "f" (B.or_ b [ t1; t2 ]);
+  let pads = List.init 21 (fun k -> B.input b (Printf.sprintf "p%d" k)) in
+  B.output b "parity" (B.xor_ b pads);
+  B.finish b
+
+(* Every redundant class of [redundant_net_wide] survives simulation (no
    pattern detects an untestable fault) and is settled UNSAT by a
    solve of its own. *)
 let test_prove_redundant_reach_sat () =
-  let net = redundant_net () in
+  let net = redundant_net_wide () in
   let v, sim_detected, solves =
     with_stage_counters (fun () -> Prove.redundant net)
   in
@@ -306,6 +321,21 @@ let test_prove_redundant_reach_sat () =
     (v.Prove.total_classes - v.Prove.redundant_classes)
     sim_detected;
   check_int "one solve per redundant class" v.Prove.redundant_classes solves
+
+(* Under the bound the same classes are settled by grading on every
+   input point, without a solve. *)
+let test_prove_redundant_dense () =
+  let net = redundant_net () in
+  let v, sim_detected, solves =
+    with_stage_counters (fun () -> Prove.redundant net)
+  in
+  let wide = Prove.redundant (redundant_net_wide ()) in
+  check_int "same untestable classes" wide.Prove.redundant_classes
+    v.Prove.redundant_classes;
+  check_int "graded classes detected"
+    (v.Prove.total_classes - v.Prove.redundant_classes)
+    sim_detected;
+  check_int "no solve" 0 solves
 
 (* The output s-a-0 of a 24-input AND has one test in 2^24 patterns:
    random simulation cannot find it, so SAT must, and must call it
@@ -385,6 +415,23 @@ let test_prove_random_vs_exhaustive =
         [ 1; 4 ];
       true)
 
+(* The same random netlist decided densely and, padded with unused
+   inputs past the point bound, by SAT: the untestable lists agree once
+   the pads' own (unobservable) faults are dropped. *)
+let test_prove_dense_vs_sat =
+  QCheck.Test.make ~count:200 ~name:"dense and SAT untestable lists agree"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let net, observed = random_net seed in
+      let wide = Rebuild.copy ~pads:Rebuild.past_bound net in
+      let dense = Prove.redundant ?observed net in
+      let sat = Prove.redundant ?observed wide in
+      let own =
+        List.filter (fun f -> f.N.gate < N.num_gates net) sat.Prove.redundant
+      in
+      dense.Prove.redundant = own
+      || QCheck.Test.fail_reportf "seed %d: the engines disagree" seed)
+
 let test_prove_jobs_deterministic () =
   let net = redundant_net () in
   let a = Prove.redundant ~jobs:1 net in
@@ -447,7 +494,10 @@ let () =
             test_prove_jobs_deterministic;
           Alcotest.test_case "redundant faults reach SAT" `Quick
             test_prove_redundant_reach_sat;
+          Alcotest.test_case "redundant faults decided densely" `Quick
+            test_prove_redundant_dense;
           Alcotest.test_case "wide AND needs SAT" `Quick test_prove_wide_and;
           qcheck test_prove_random_vs_exhaustive;
+          qcheck test_prove_dense_vs_sat;
         ] );
     ]

@@ -9,14 +9,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Run a command under a 300 s wall-clock cap when timeout(1) exists,
-# uncapped otherwise.
-capped() {
+# Run a command under a wall-clock cap of the given seconds when
+# timeout(1) exists, uncapped otherwise; [capped] caps at 300 s.
+capped_at() {
+  secs=$1
+  shift
   if command -v timeout >/dev/null 2>&1; then
-    timeout 300 "$@"
+    timeout "$secs" "$@"
   else
     "$@"
   fi
+}
+capped() {
+  capped_at 300 "$@"
 }
 
 echo "== dune build =="
@@ -136,12 +141,21 @@ for m in fig5 shiftreg4 toggle parity; do
   echo "   verify --all-archs --werror $m"
   dune exec bin/ostr.exe -- verify "$m" --all-archs --werror > /dev/null
 done
-# tbk: 52 242 raw faults through the untestable-fault prover.  The cap
-# fails the gate if the per-fault proof cost turns quadratic again.
-echo "   verify --werror tbk (capped)"
-capped dune exec bin/ostr.exe -- verify tbk --werror > /dev/null
+# tbk (52 242 raw faults) and s1 (304 280): every obligation is decided
+# by exhaustive evaluation, tbk in well under 1 s and s1 in about 8 s.
+# The caps fail the gate if the dense engine is bypassed or its cost
+# turns quadratic.
+echo "   verify --werror tbk (capped at 60 s)"
+capped_at 60 dune exec bin/ostr.exe -- verify tbk --werror > /dev/null
+echo "   verify --werror s1 (capped)"
+capped dune exec bin/ostr.exe -- verify s1 --werror > /dev/null
 dune exec bin/ostr.exe -- verify dk27 --json "$obs_dir/verify.json" > /dev/null
 dune exec tools/json_lint.exe -- "$obs_dir/verify.json" \
   machine diagnostics summary
+
+echo "== verify tbk: --jobs 1 and --jobs 2 reports must be identical =="
+dune exec bin/ostr.exe -- verify tbk --werror --jobs 1 > "$obs_dir/verify_j1.txt"
+dune exec bin/ostr.exe -- verify tbk --werror --jobs 2 > "$obs_dir/verify_j2.txt"
+cmp "$obs_dir/verify_j1.txt" "$obs_dir/verify_j2.txt"
 
 echo "check.sh: all gates passed"
