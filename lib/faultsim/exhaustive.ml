@@ -7,9 +7,11 @@ module Cube = Stc_logic.Cube
 module Metrics = Stc_obs.Metrics
 module Word = Stc_bits.Word
 
-let max_points = 1 lsl 22
+let max_inputs = 22
 
-let fits n = n >= 0 && n <= 22
+let max_points = 1 lsl max_inputs
+
+let fits n = n >= 0 && n <= max_inputs
 
 let slice_words = 64
 
@@ -41,8 +43,6 @@ let space (net : Netlist.t) ?(pinned = []) order =
       if v then base.(k) <- full)
     pinned;
   { order; base; points = 1 lsl m }
-
-let points s = s.points
 
 (* The lanes where bit [i] of point [p0 + lane] is set.  A bit at or
    above 6 changes at most once within a word of 62 lanes; the lower

@@ -41,8 +41,6 @@ type space
     enumerated. *)
 val space : Stc_netlist.Netlist.t -> ?pinned:(int * bool) list -> int array -> space
 
-val points : space -> int
-
 (** [iter space f] streams the space: [f ~first p] gets each slice [p]
     (one word per netlist input per batch, lanes past the last point
     masked off) with the number of its first point, in ascending order,

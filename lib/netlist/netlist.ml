@@ -211,65 +211,53 @@ let eval_gate values idx gate =
     let s = values.(sel) in
     (lnot s land values.(a)) lor (s land values.(b))
 
-let eval_good (net : t) ~values ~inputs =
-  Array.iteri (fun k g -> values.(g) <- inputs.(k)) net.inputs;
-  let gates = net.gates in
-  for idx = 0 to Array.length gates - 1 do
-    values.(idx) <- eval_gate values idx (Array.unsafe_get gates idx)
-  done
+(* The word of gate [idx] when its operand pin [pin] is stuck at the
+   word [stuck]. *)
+let eval_pin_fault values idx gate pin stuck =
+  let read k x = if k = pin then stuck else values.(x) in
+  match gate with
+  | Input _ | Const _ -> eval_gate values idx gate
+  | Buf x -> read 0 x
+  | Not x -> lnot (read 0 x)
+  | And xs ->
+    let acc = ref all_ones in
+    Array.iteri (fun k x -> acc := !acc land read k x) xs;
+    !acc
+  | Or xs ->
+    let acc = ref 0 in
+    Array.iteri (fun k x -> acc := !acc lor read k x) xs;
+    !acc
+  | Xor xs ->
+    let acc = ref 0 in
+    Array.iteri (fun k x -> acc := !acc lxor read k x) xs;
+    !acc
+  | Mux { sel; a; b } ->
+    let s = read 0 sel in
+    (lnot s land read 1 a) lor (s land read 2 b)
 
 let eval_into ?fault (net : t) ~values ~inputs =
   if Array.length inputs <> Array.length net.inputs then
     invalid_arg "Netlist.eval: input count mismatch";
   if Array.length values <> num_gates net then
     invalid_arg "Netlist.eval_into: values buffer size mismatch";
-  if fault = None then eval_good net ~values ~inputs else
-  let next_input = ref 0 in
-  let faulty_output, faulty_pin =
-    match fault with
-    | None -> (-1, (-1, -1, false))
-    | Some { gate; pin = None; stuck_at } ->
-      ((gate lsl 1) lor Bool.to_int stuck_at, (-1, -1, false))
-    | Some { gate; pin = Some k; stuck_at } -> (-1, (gate, k, stuck_at))
-  in
-  let fgate, fpin, fstuck = faulty_pin in
-  Array.iteri
-    (fun idx gate ->
-      let read k x =
-        if idx = fgate && k = fpin then if fstuck then all_ones else 0
-        else values.(x)
-      in
-      let v =
-        match gate with
-        | Input _ ->
-          let v = inputs.(!next_input) in
-          incr next_input;
-          v
-        | Const true -> all_ones
-        | Const false -> 0
-        | Buf x -> read 0 x
-        | Not x -> lnot (read 0 x)
-        | And xs ->
-          let acc = ref all_ones in
-          Array.iteri (fun k x -> acc := !acc land read k x) xs;
-          !acc
-        | Or xs ->
-          let acc = ref 0 in
-          Array.iteri (fun k x -> acc := !acc lor read k x) xs;
-          !acc
-        | Xor xs ->
-          let acc = ref 0 in
-          Array.iteri (fun k x -> acc := !acc lxor read k x) xs;
-          !acc
-        | Mux { sel; a; b } ->
-          let s = read 0 sel in
-          (lnot s land read 1 a) lor (s land read 2 b)
-      in
+  Array.iteri (fun k g -> values.(g) <- inputs.(k)) net.inputs;
+  let gates = net.gates in
+  match fault with
+  | None ->
+    for idx = 0 to Array.length gates - 1 do
+      values.(idx) <- eval_gate values idx (Array.unsafe_get gates idx)
+    done
+  | Some { gate = fgate; pin; stuck_at } ->
+    let stuck = if stuck_at then all_ones else 0 in
+    for idx = 0 to Array.length gates - 1 do
+      let gate = Array.unsafe_get gates idx in
       values.(idx) <-
-        (if faulty_output = (idx lsl 1) lor 1 then all_ones
-         else if faulty_output = idx lsl 1 then 0
-         else v))
-    net.gates
+        (if idx <> fgate then eval_gate values idx gate
+         else
+           match pin with
+           | None -> stuck
+           | Some k -> eval_pin_fault values idx gate k stuck)
+    done
 
 let eval ?fault (net : t) ~inputs =
   let values = Array.make (num_gates net) 0 in

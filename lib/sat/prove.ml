@@ -71,6 +71,12 @@ let simulate eng ~jobs ~observed =
   round 0;
   active
 
+(* The observed gates in the output cone of [fault]'s site: none means
+   the fault cannot reach an observed gate, so it is unobservable. *)
+let observed_cone ~readers ~is_observed net (fault : N.fault) =
+  Array.to_list (N.cone ~readers net fault.N.gate)
+  |> List.filter (fun g -> is_observed.(g))
+
 (* The dense stage, for netlists of at most [Exhaustive.max_points]
    input points: every class the random rounds left is graded on every
    point, one slice at a time, until none is left.  A class still
@@ -91,9 +97,9 @@ let exhaustive eng ~jobs ~observed ~is_observed active =
     Array.mapi
       (fun c undetected ->
         undetected
-        &&
-        let site = cl.N.faults.(cl.N.representatives.(c)).N.gate in
-        not (Array.exists (fun g -> is_observed.(g)) (N.cone ~readers net site)))
+        && observed_cone ~readers ~is_observed net
+             cl.N.faults.(cl.N.representatives.(c))
+           = [])
       active
   in
   (active, unobservable)
@@ -107,10 +113,7 @@ let exhaustive eng ~jobs ~observed ~is_observed active =
    Returns [None] when the fault reaches no observed gate, else whether
    the miter is unsatisfiable. *)
 let prove_class ~readers ~is_observed (net : N.t) (good, bad) fault =
-  let obs =
-    Array.to_list (N.cone ~readers net fault.N.gate)
-    |> List.filter (fun g -> is_observed.(g))
-  in
+  let obs = observed_cone ~readers ~is_observed net fault in
   if obs = [] then None
   else begin
     let s = Solver.create () in

@@ -1,7 +1,8 @@
 module N = Stc_netlist.Netlist
 module B = N.Builder
 
-let past_bound = 23
+(* One input more than the dense engine's bound of [max_points = 2^k]. *)
+let past_bound = Stc_bits.Word.ffs Stc_faultsim.Exhaustive.max_points + 1
 
 let copy ?(gate = fun _ g -> g) ?outputs ?(pads = 0) (net : N.t) =
   let b = B.create net.N.name in

@@ -15,5 +15,6 @@ val copy :
   Stc_netlist.Netlist.t ->
   Stc_netlist.Netlist.t
 
-(** The pad count that puts any netlist past the bound: 23. *)
+(** The pad count that puts any netlist past the bound: one more than
+    [log2 Exhaustive.max_points]. *)
 val past_bound : int
