@@ -20,7 +20,10 @@
     each decision bumps the counter [verify.dense_obligations] or
     [verify.sat_obligations] ({!decided}). *)
 
-(** [max_points = 2^22], a constant. *)
+(** [max_points = 2^22], a constant.  It is not the crossover for every
+    netlist: on tbk's fig. 4 netlist padded past 2^21 points the SAT
+    untestable-fault stage is the cheaper one, on s1's the dense stage
+    stays cheaper up to 2^22 (EXPERIMENTS.md, "Dense verification"). *)
 val max_points : int
 
 (** [fits n] holds when [n] free inputs span at most {!max_points}
